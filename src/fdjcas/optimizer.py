@@ -405,12 +405,36 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     return quad * surface_gram.T, lin
 
 
+def _objective(phi, m_phi, linear) -> float:
+    """p^H M p + 2 Re(d^T p) given ``m_phi = M @ phi``."""
+    return float(np.vdot(phi, m_phi).real + 2.0 * linear.dot(phi).real)
+
+
+def _mm_direction(phi, m_phi, lam_max, conj_linear, q, mag) -> None:
+    """Unnormalized MM update q = lam_max*phi - M phi - conj(d) given
+    ``m_phi = M @ phi``, and |q| + 0j, into the complex buffers ``q`` and
+    ``mag``.  ``mag`` is complex so that dividing by it needs no per-call
+    cast; its imaginary part must be zero on entry and stays zero.
+    """
+    np.multiply(lam_max, phi, q)
+    np.subtract(q, m_phi, q)
+    np.subtract(q, conj_linear, q)
+    np.abs(q, mag.real)
+
+
+def _tie_break(phi, q, mag, out) -> np.ndarray:
+    """q/|q| into ``out``; elements whose direction is exactly zero keep
+    their phase from ``phi``."""
+    nonzero = mag.real > 0.0
+    out[...] = phi
+    out[nonzero] = q[nonzero] / mag[nonzero]
+    return out
+
+
 def ris_objective_value(phi, quad_matrix, linear) -> float:
     """Value of the phase objective p^H M p + 2 Re(d^T p)."""
     phi = np.asarray(phi)
-    return float(
-        np.real(np.vdot(phi, quad_matrix @ phi)) + 2.0 * np.real(linear @ phi)
-    )
+    return _objective(phi, quad_matrix @ phi, np.asarray(linear))
 
 
 def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarray:
@@ -422,12 +446,9 @@ def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarra
     phi = np.asarray(phi, dtype=complex)
     if lam_max is None:
         lam_max = float(np.linalg.eigvalsh(_herm(quad_matrix))[-1])
-    q = lam_max * phi - quad_matrix @ phi - np.conj(linear)
-    mag = np.abs(q)
-    out = phi.copy()
-    nonzero = mag > 0.0
-    out[nonzero] = q[nonzero] / mag[nonzero]
-    return out
+    q, mag = np.empty_like(phi), np.zeros_like(phi)
+    _mm_direction(phi, quad_matrix @ phi, lam_max, np.conj(linear), q, mag)
+    return _tie_break(phi, q, mag, np.empty_like(phi))
 
 
 def ris_optimize(phi0, quad_matrix, linear, tol: float = 1e-5, max_iter: int = 500):
@@ -435,20 +456,53 @@ def ris_optimize(phi0, quad_matrix, linear, tol: float = 1e-5, max_iter: int = 5
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
-    when the current value is exactly zero.
+    when the current value is exactly zero.  Each step does one ``M @ phi``
+    product, shared by the objective value and the next update, in
+    preallocated buffers; ``phi0`` is not modified.  Phase and values match
+    iterated :func:`mm_step` and :func:`ris_objective_value` bit for bit.
+    Raises ValueError for a non-square ``quad_matrix``, mismatched lengths
+    or non-finite inputs.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    phi = np.asarray(phi0, dtype=complex)
-    lam_max = float(np.linalg.eigvalsh(_herm(quad_matrix))[-1])
-    values = [ris_objective_value(phi, quad_matrix, linear)]
-    for _ in range(max_iter):
-        phi = mm_step(phi, quad_matrix, linear, lam_max)
-        values.append(ris_objective_value(phi, quad_matrix, linear))
-        delta = abs(values[-1] - values[-2])
-        scale = abs(values[-1])
-        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
-            break
+    quad_matrix = np.asarray(quad_matrix)
+    linear = np.asarray(linear)
+    phi = np.array(phi0, dtype=complex)
+    if quad_matrix.ndim != 2 or quad_matrix.shape[0] != quad_matrix.shape[1]:
+        raise ValueError(f"quad_matrix must be square, got shape {quad_matrix.shape}")
+    n = quad_matrix.shape[0]
+    if phi.shape != (n,) or linear.shape != (n,):
+        raise ValueError(
+            f"phi0 {phi.shape} and linear {linear.shape} must both have length {n} "
+            "to match quad_matrix"
+        )
+    for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi), ("linear", linear)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
+    lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
+    conj_linear = np.conj(linear)
+    m_phi = quad_matrix @ phi
+    nxt, m_nxt, q, mag = (np.zeros_like(phi) for _ in range(4))
+    value = _objective(phi, m_phi, linear)
+    values = [value]
+    # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
+    # objective sends that step through the tie break instead.
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iter):
+            _mm_direction(phi, m_phi, lam_max, conj_linear, q, mag)
+            np.divide(q, mag, nxt)
+            np.matmul(quad_matrix, nxt, m_nxt)
+            previous, value = value, _objective(nxt, m_nxt, linear)
+            if value != value:
+                _tie_break(phi, q, mag, nxt)
+                np.matmul(quad_matrix, nxt, m_nxt)
+                value = _objective(nxt, m_nxt, linear)
+            phi, nxt, m_phi, m_nxt = nxt, phi, m_nxt, m_phi
+            values.append(value)
+            delta = abs(value - previous)
+            scale = abs(value)
+            if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
+                break
     return phi, np.asarray(values)
 
 
@@ -502,7 +556,9 @@ def jcas_optimize(
     combiner = mmse_combiner(h_eff, precoder, noise_user)
     weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user), config.priority)
     lam0 = mu = 0.0
-    previous = _record(trace, 0, precoder, phi, ctx, channels, config, lam0, mu)
+    previous = _record(
+        trace, 0, precoder, ctx, _evaluate(precoder, phi, channels, config), lam0, mu
+    )
 
     for it in range(1, config.max_outer + 1):
         combiner = mmse_combiner(h_eff, precoder, noise_user)
@@ -532,14 +588,17 @@ def jcas_optimize(
                 precoder, combiner, weight, channels, objective=config.ris_objective
             )
             candidate, _ = ris_optimize(phi, quad, lin, config.ris_tol, config.max_ris_iter)
-            if _merit(precoder, candidate, channels, config) <= _merit(
-                precoder, phi, channels, config
-            ):
+            proposed = _evaluate(precoder, candidate, channels, config)
+            evaluated = _evaluate(precoder, phi, channels, config)
+            if proposed[0] <= evaluated[0]:
                 phi = candidate
+                evaluated = proposed
                 h_eff = effective_channel(channels, phi)
                 if config.sensing_enabled:
                     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-        current = _record(trace, it, precoder, phi, ctx, channels, config, lam0, mu)
+        else:
+            evaluated = _evaluate(precoder, phi, channels, config)
+        current = _record(trace, it, precoder, ctx, evaluated, lam0, mu)
         if abs(current - previous) <= config.outer_tol * max(abs(previous), 1e-300):
             break
         previous = current
@@ -555,26 +614,27 @@ def jcas_optimize(
     return JcasResult(precoder=precoder, ris_phase=phi, trace=trace, state=state)
 
 
-def _merit(precoder, phi, channels, config) -> float:
-    """Recorded objective: interference power minus the weighted rate.
+def _evaluate(precoder, phi, channels, config):
+    """Recorded objective, downlink rate and SI power of one state.
 
-    This is the rate-equivalent value of the weighted-MSE surrogate at the
-    tight combiner/weight pair, the quantity the alternating updates
-    provably do not increase.
+    The objective is the interference power minus the weighted rate: the
+    rate-equivalent value of the weighted-MSE surrogate at the tight
+    combiner/weight pair, the quantity the alternating updates provably do
+    not increase.  The SI power is NaN when interference is not modelled.
+
+    Returns (objective, rate, si_power).
     """
     rate = dl_rate(effective_channel(channels, phi), precoder, channels.noise_user)
     value = -config.priority * rate
-    if config.si_enabled:
-        value += float(np.real(np.trace(si_matrix(precoder, phi, channels))))
-    return value
-
-
-def _record(trace, iteration, precoder, phi, ctx, channels, config, lam0, mu):
-    objective = _merit(precoder, phi, channels, config)
     si_power = math.nan
     if config.si_enabled:
         si_power = float(np.real(np.trace(si_matrix(precoder, phi, channels))))
-    rate = dl_rate(effective_channel(channels, phi), precoder, channels.noise_user)
+        value += si_power
+    return value, rate, si_power
+
+
+def _record(trace, iteration, precoder, ctx, evaluated, lam0, mu):
+    objective, rate, si_power = evaluated
     crb_value = math.nan
     if ctx is not None:
         try:

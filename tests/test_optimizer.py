@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdjcas.channels import ChannelSet, build_channel_set
 from fdjcas.geometry import build_scene
+import fdjcas.optimizer as optimizer
 from fdjcas.optimizer import (
     CrbInfeasibleError,
     IterationTrace,
@@ -398,6 +400,103 @@ class TestRisOptimize:
         with pytest.raises(ValueError):
             ris_optimize(np.ones(3, dtype=complex), np.eye(3, dtype=complex), np.zeros(3), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "quad, phi0, lin",
+        [
+            (np.ones((3, 4), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
+            (np.ones(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
+            (np.eye(3, dtype=complex), np.ones(4, dtype=complex), np.zeros(3)),
+            (np.eye(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(4)),
+        ],
+        ids=["non-square", "one-dimensional", "phi0-length", "linear-length"],
+    )
+    def test_rejects_mismatched_shapes(self, quad, phi0, lin):
+        with pytest.raises(ValueError, match="quad_matrix"):
+            ris_optimize(phi0, quad, lin)
+
+    @pytest.mark.parametrize("which", ["quad_matrix", "phi0", "linear"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_inputs(self, which, bad):
+        args = {
+            "quad_matrix": np.eye(4, dtype=complex),
+            "phi0": np.ones(4, dtype=complex),
+            "linear": np.ones(4, dtype=complex),
+        }
+        args[which][-1] = bad
+        with pytest.raises(ValueError, match=which):
+            ris_optimize(args["phi0"], args["quad_matrix"], args["linear"])
+
+
+def iterate_mm_steps(phi0, quad, lin, tol, max_iter):
+    """Reference solver: :func:`mm_step` and :func:`ris_objective_value`
+    iterated by hand under the stopping rule of :func:`ris_optimize`."""
+    lam_max = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1])
+    phi = np.asarray(phi0, dtype=complex)
+    values = [ris_objective_value(phi, quad, lin)]
+    for _ in range(max_iter):
+        phi = mm_step(phi, quad, lin, lam_max)
+        values.append(ris_objective_value(phi, quad, lin))
+        delta = abs(values[-1] - values[-2])
+        scale = abs(values[-1])
+        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
+            break
+    return phi, np.asarray(values)
+
+
+def assert_matches_iterated_steps(phi0, quad, lin, tol, max_iter):
+    """ris_optimize equals the hand-iterated steps bit for bit and leaves
+    phi0 untouched; returns the number of steps taken."""
+    before = phi0.copy()
+    phi, values = ris_optimize(phi0, quad, lin, tol=tol, max_iter=max_iter)
+    expect_phi, expect_values = iterate_mm_steps(phi0, quad, lin, tol, max_iter)
+    assert np.array_equal(phi, expect_phi)
+    assert np.array_equal(values, expect_values)
+    assert np.array_equal(phi0, before)
+    return len(values) - 1
+
+
+class TestRisOptimizeMatchesMmStep:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_tol_stopped_run(self, seed, n):
+        rng = np.random.default_rng(seed)
+        quad, lin = random_quadratic(rng, n=n)
+        phi0 = random_unit_modulus(n, rng)
+        steps = assert_matches_iterated_steps(phi0, quad, lin, tol=1e-6, max_iter=10000)
+        assert steps < 10000
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), max_iter=st.integers(0, 30))
+    def test_run_capped_at_max_iter(self, seed, n, max_iter):
+        rng = np.random.default_rng(seed)
+        quad, lin = random_quadratic(rng, n=n)
+        phi0 = random_unit_modulus(n, rng)
+        steps = assert_matches_iterated_steps(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+        assert steps == max_iter
+
+    def test_zero_quad_and_linear_keep_every_phase(self):
+        n = 6
+        phi0 = random_unit_modulus(n, np.random.default_rng(20))
+        quad = np.zeros((n, n), dtype=complex)
+        lin = np.zeros(n, dtype=complex)
+        assert assert_matches_iterated_steps(phi0, quad, lin, tol=1e-5, max_iter=50) == 1
+        phi, _ = ris_optimize(phi0, quad, lin)
+        assert np.array_equal(phi, phi0)
+
+    def test_zero_direction_on_some_elements_keeps_their_phase(self):
+        # lam_max = 0 and a zero row/column with zero linear term make the
+        # first element's direction exactly zero at every step.
+        rng = np.random.default_rng(21)
+        n = 7
+        quad = -np.diag(np.arange(n, dtype=float)).astype(complex)
+        lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lin[0] = 0.0
+        phi0 = random_unit_modulus(n, rng)
+        assert_matches_iterated_steps(phi0, quad, lin, tol=1e-300, max_iter=10)
+        phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=10)
+        assert phi[0] == phi0[0]
+        assert not np.array_equal(phi[1:], phi0[1:])
+
 
 class TestRisPhase:
     def test_accepts_unit_modulus(self):
@@ -449,6 +548,25 @@ class TestJcasOptimize:
         with pytest.raises(CrbInfeasibleError) as err:
             jcas_optimize(small_scene, small_channels, config, coeffs=coeffs)
         assert "outer iteration" in str(err.value)
+
+    def test_rate_evaluated_once_per_state(self, small_scene, small_channels, monkeypatch):
+        calls = []
+
+        def counting_dl_rate(*args):
+            calls.append(1)
+            return dl_rate(*args)
+
+        monkeypatch.setattr(optimizer, "dl_rate", counting_dl_rate)
+        for ris_enabled, per_iteration in ((True, 2), (False, 1)):
+            calls.clear()
+            config = JcasConfig(ris_enabled=ris_enabled, n_streams=2, seed=7, max_outer=5)
+            result = jcas_optimize(
+                small_scene, small_channels, config, coeffs=PathCoefficients.random(7)
+            )
+            iterations = len(result.trace) - 1
+            # the initial state, then the proposal and the current phase
+            # (RIS schemes) or the current state alone (no-RIS schemes)
+            assert len(calls) == 1 + per_iteration * iterations
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace = IterationTrace()
