@@ -4,16 +4,17 @@ optimization under power and angle-accuracy constraints, and subspace-based
 estimation studies."""
 
 from .channels import ChannelSet, build_channel_set, farfield_los, nearfield_los, strip_ris
-from .crb import CrbReport, UnobservableError, aoa_crb, crb_report, crb_within_threshold
-from .estimation import (
-    MusicResult,
+from .crb import UnobservableError, aoa_crb, crb_within_threshold
+from .estimation import MusicResult, SnapshotBatch, music_estimate, simulate_snapshots
+from .experiments import (
+    SCHEMES,
+    ExperimentConfig,
     SensingStudyConfig,
-    SnapshotBatch,
+    emit_outputs,
+    load_config,
     monte_carlo_mse,
-    music_estimate,
-    simulate_snapshots,
+    run_scheme,
 )
-from .experiments import SCHEMES, ExperimentConfig, emit_outputs, load_config, run_scheme
 from .geometry import (
     InfeasibleGeometryError,
     RisAngles,
@@ -25,7 +26,6 @@ from .geometry import (
     ris_phase_derivatives,
 )
 from .optimizer import (
-    BeamformerState,
     CrbInfeasibleError,
     IterationTrace,
     JcasConfig,

@@ -57,8 +57,8 @@ class ChannelSet:
             raise ValueError("self-interference shapes inconsistent with the arrays")
         # zero radar noise is allowed for noiseless snapshot studies; the
         # user-side noise divides receiver expressions and must stay positive
-        if self.noise_user <= 0.0 or self.noise_radar < 0.0:
-            raise ValueError("noise variances must be positive (radar may be zero)")
+        if not (0.0 < self.noise_user < np.inf and 0.0 <= self.noise_radar < np.inf):
+            raise ValueError("noise variances must be finite and positive (radar may be zero)")
 
     @property
     def n_user(self) -> int:

@@ -4,11 +4,11 @@ a scene, or run a single subspace estimate."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-from .crb import aoa_crb
-from .estimation import music_estimate, simulate_snapshots
+from .crb import aoa_crb, crb_within_threshold
 from .experiments import (
     CONFIG_ENV_VAR,
     SCHEMES,
@@ -16,16 +16,11 @@ from .experiments import (
     ExperimentConfig,
     build_cell,
     emit_outputs,
+    estimate_angles,
     load_config,
     run_scheme,
 )
-from .optimizer import (
-    CrbInfeasibleError,
-    RisPhase,
-    dominant_precoder,
-    effective_channel,
-    jcas_optimize,
-)
+from .optimizer import CrbInfeasibleError, jcas_optimize
 from .steering import build_sensing_context
 
 EXIT_OK = 0
@@ -65,21 +60,17 @@ def _cmd_crb(args) -> int:
     config = _base_config(args)
     snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
     scene, channels, coeffs, jcas = build_cell(config, args.seed, snr)
-    if args.optimize:
-        result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-        precoder, phi = result.precoder, result.ris_phase
-    else:
-        phi = RisPhase.random(channels.n_ris, [jcas.seed, 0]).vector
-        precoder = dominant_precoder(
-            effective_channel(channels, phi), config.n_streams, config.power_budget
-        )
-    ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-    value = aoa_crb(precoder, ctx.path_response_deriv, ctx.noise_cov)
+    if not args.optimize:
+        # zero outer iterations leave the design at its initial point
+        jcas = dataclasses.replace(jcas, max_outer=0)
+    result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
+    ctx = build_sensing_context(scene, result.ris_phase, coeffs, channels.noise_radar)
+    value = aoa_crb(result.precoder, ctx.path_response_deriv, ctx.noise_cov)
     print(f"target_angle_rad={scene.target_angle!r}")
     print(f"snr_db={snr!r}")
     print(f"crb_rad2={value!r}")
     print(f"threshold_rad2={config.crb_threshold!r}")
-    print(f"satisfied={value <= config.crb_threshold}")
+    print(f"satisfied={crb_within_threshold(value, config.crb_threshold)}")
     return EXIT_OK
 
 
@@ -88,21 +79,10 @@ def _cmd_estimate(args) -> int:
     snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
     scene, channels, coeffs, jcas = build_cell(config, args.seed, snr)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-    batch = simulate_snapshots(
-        scene,
-        channels,
-        result.precoder,
-        result.ris_phase,
-        coeffs,
-        config.snapshots,
-        seed=config.root_seed,
-        residual_si_mode=config.residual_si_mode,
-        residual_factor=config.residual_factor,
-    )
-    est = music_estimate(batch, config.n_streams, config.grid_resolution)
-    error = est.angle_estimate - scene.target_angle
+    (estimate,) = estimate_angles(config, scene, channels, coeffs, result, [config.root_seed])
+    error = estimate - scene.target_angle
     print(f"true_angle_rad={scene.target_angle!r}")
-    print(f"estimate_rad={est.angle_estimate!r}")
+    print(f"estimate_rad={estimate!r}")
     print(f"error_rad={error!r}")
     return EXIT_OK
 
@@ -124,17 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     crb = sub.add_parser("crb", help="print the angle bound for a configured scene")
-    crb.add_argument("config", nargs="?")
-    crb.add_argument("--snr-db", type=float, default=None)
-    crb.add_argument("--seed", type=int, default=0)
-    crb.add_argument("--optimize", action="store_true", help="optimize before evaluating")
-    crb.set_defaults(func=_cmd_crb)
-
     estimate = sub.add_parser("estimate", help="single optimized MUSIC estimate")
-    estimate.add_argument("config", nargs="?")
-    estimate.add_argument("--snr-db", type=float, default=None)
-    estimate.add_argument("--seed", type=int, default=0)
-    estimate.set_defaults(func=_cmd_estimate)
+    for cell, func in ((crb, _cmd_crb), (estimate, _cmd_estimate)):
+        cell.add_argument("config", nargs="?")
+        cell.add_argument("--snr-db", type=float, default=None)
+        cell.add_argument("--seed", type=int, default=0)
+        cell.set_defaults(func=func)
+    crb.add_argument("--optimize", action="store_true", help="optimize before evaluating")
     return parser
 
 

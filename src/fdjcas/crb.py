@@ -3,8 +3,6 @@ every echo path through the radar response derivative."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -32,6 +30,14 @@ def fisher_information(precoder, path_response_deriv, noise_cov) -> float:
     return float(2.0 * np.sum(np.real(np.conj(dv) * whitened)))
 
 
+def fisher_core(path_response_deriv, noise_cov) -> np.ndarray:
+    """Hermitian matrix F = D^H Sigma^-1 D; a precoder V carries Fisher
+    information 2 Re Tr(V^H F V)."""
+    deriv = np.asarray(path_response_deriv)
+    core = deriv.conj().T @ np.linalg.solve(np.asarray(noise_cov), deriv)
+    return 0.5 * (core + core.conj().T)
+
+
 def aoa_crb(precoder, path_response_deriv, noise_cov, snapshots: int = 1) -> float:
     """Lower bound on the variance of any unbiased target-angle estimator.
 
@@ -55,29 +61,3 @@ def crb_within_threshold(crb_value: float, threshold: float) -> bool:
     if crb_value <= 0.0 or threshold <= 0.0:
         raise ValueError("CRB and threshold must be positive")
     return crb_value <= threshold
-
-
-@dataclass(frozen=True)
-class CrbReport:
-    """Bound value, the Fisher trace behind it, and the threshold verdict."""
-
-    crb_value: float
-    fisher_trace: float
-    threshold: float
-    satisfied: bool
-
-
-def crb_report(precoder, path_response_deriv, noise_cov, threshold: float, snapshots: int = 1) -> CrbReport:
-    """Evaluate the bound and its constraint in one shot."""
-    fisher = fisher_information(precoder, path_response_deriv, noise_cov)
-    if not np.isfinite(fisher) or fisher <= 0.0:
-        raise UnobservableError(
-            "zero Fisher information: the precoder excites no angle-dependent response"
-        )
-    value = 1.0 / (snapshots * fisher)
-    return CrbReport(
-        crb_value=value,
-        fisher_trace=fisher / 2.0,
-        threshold=threshold,
-        satisfied=crb_within_threshold(value, threshold),
-    )

@@ -1,18 +1,14 @@
-"""Subspace-based angle estimation over simulated radar snapshots and the
-Monte-Carlo accuracy study against the Cramer-Rao bound."""
+"""Subspace-based angle estimation over simulated radar snapshots."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, build_channel_set
-from .crb import aoa_crb
+from .channels import ChannelSet
 from .geometry import Scene
-from .optimizer import JcasConfig, jcas_optimize
-from .steering import PathCoefficients, build_sensing_context, ula_steering
+from .steering import PathCoefficients, build_sensing_context
 
 SI_MODE_NONE = "none"
 SI_MODE_FULL = "full"
@@ -35,8 +31,6 @@ class SnapshotBatch:
 
     samples: np.ndarray
     snapshots: int
-    true_angle: float
-    residual_si_mode: str
     spacing: float
     wavelength: float
 
@@ -44,8 +38,6 @@ class SnapshotBatch:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
         if self.samples.shape[1] != self.snapshots:
             raise ValueError("sample count inconsistent with the snapshot count")
-        if self.residual_si_mode not in SI_MODES:
-            raise ValueError(f"unknown residual_si_mode {self.residual_si_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +95,6 @@ def simulate_snapshots(
     return SnapshotBatch(
         samples=mix @ symbols + noise,
         snapshots=snapshots,
-        true_angle=scene.target_angle,
-        residual_si_mode=residual_si_mode,
         spacing=scene.spacing,
         wavelength=scene.wavelength,
     )
@@ -146,101 +136,3 @@ def music_estimate(
     return MusicResult(
         angle_estimate=float(grid[best]), pseudo_spectrum=spectrum, grid=grid
     )
-
-
-@dataclass(frozen=True)
-class SensingStudyConfig:
-    """Everything :func:`monte_carlo_mse` needs besides the SNR grid.
-
-    Per-trial snapshot seeds derive from ``root_seed + trial_index``; the
-    channel realization and beamforming run are fixed per SNR point.
-    """
-
-    scene: Scene
-    coeffs: PathCoefficients
-    n_user_antennas: int = 5
-    nlos_si_power: float = 0.01
-    power_budget: float = 1.0
-    crb_threshold: float = 0.01
-    n_streams: int = 2
-    snapshots: int = 64
-    grid_resolution: float = 1e-3
-    signal_subspace_dim: int | None = None
-    residual_si_mode: str = SI_MODE_POST_CANCELLATION
-    residual_factor: float = 0.1
-    root_seed: int = 0
-    jcas_options: dict = field(default_factory=dict)
-
-
-def monte_carlo_mse(config: SensingStudyConfig, snr_grid_db, trials: int):
-    """Estimation error versus the bound across an SNR sweep.
-
-    For each SNR point, one channel realization is drawn, the joint design
-    is optimized, and ``trials`` independent snapshot batches are estimated;
-    the row reports the empirical mean squared angle error next to the
-    snapshot-adjusted bound at the optimized precoder.  Returns a list of
-    dict rows with keys snr_db, mse_rad2, crb_rad2, trials.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    subspace = config.signal_subspace_dim or config.n_streams
-    rows = []
-    for snr_db in snr_grid_db:
-        noise = config.power_budget / 10.0 ** (snr_db / 10.0)
-        channels = build_channel_set(
-            config.scene,
-            n_user_antennas=config.n_user_antennas,
-            nlos_si_power=config.nlos_si_power,
-            seed=[config.root_seed, 100],
-            noise_user=noise,
-            noise_radar=noise,
-        )
-        jcas = JcasConfig(
-            power_budget=config.power_budget,
-            crb_threshold=config.crb_threshold,
-            n_streams=config.n_streams,
-            seed=config.root_seed,
-            **config.jcas_options,
-        )
-        result = jcas_optimize(config.scene, channels, jcas, coeffs=config.coeffs)
-        ctx = build_sensing_context(
-            config.scene, result.ris_phase, config.coeffs, channels.noise_radar
-        )
-        bound = aoa_crb(
-            result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=config.snapshots
-        )
-        squared_errors = np.empty(trials)
-        for trial in range(trials):
-            batch = simulate_snapshots(
-                config.scene,
-                channels,
-                result.precoder,
-                result.ris_phase,
-                config.coeffs,
-                config.snapshots,
-                seed=config.root_seed + trial,
-                residual_si_mode=config.residual_si_mode,
-                residual_factor=config.residual_factor,
-            )
-            est = music_estimate(batch, subspace, config.grid_resolution)
-            squared_errors[trial] = (est.angle_estimate - config.scene.target_angle) ** 2
-        rows.append(
-            {
-                "snr_db": float(snr_db),
-                "mse_rad2": float(np.mean(squared_errors)),
-                "crb_rad2": float(bound),
-                "trials": trials,
-            }
-        )
-    return rows
-
-
-def write_mse_table(rows, path) -> None:
-    """Dump the Monte-Carlo study as CSV: snr_db, mse_rad2, crb_rad2, trials."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "mse_rad2", "crb_rad2", "trials"])
-        for row in rows:
-            writer.writerow(
-                [repr(row["snr_db"]), repr(row["mse_rad2"]), repr(row["crb_rad2"]), row["trials"]]
-            )

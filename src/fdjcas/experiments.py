@@ -1,5 +1,6 @@
 """Benchmark study runner: builds the reference scenario, sweeps SNR and
-seeds for each scheme, and emits plot-ready CSV tables."""
+seeds for each scheme, emits plot-ready CSV tables, and runs the
+Monte-Carlo estimation study against the Cramer-Rao bound."""
 
 from __future__ import annotations
 
@@ -7,14 +8,15 @@ import csv
 import dataclasses
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .channels import build_channel_set, strip_ris
+from .crb import aoa_crb
 from .estimation import SI_MODES, SI_MODE_POST_CANCELLATION, music_estimate, simulate_snapshots
-from .geometry import build_scene
+from .geometry import Scene, build_scene
 from .optimizer import (
     RIS_OBJECTIVE_JCAS,
     RIS_OBJECTIVE_RATE,
@@ -22,7 +24,7 @@ from .optimizer import (
     JcasConfig,
     jcas_optimize,
 )
-from .steering import PathCoefficients
+from .steering import PathCoefficients, build_sensing_context
 
 SCHEME_RIS_SENSING = "ris_with_sensing"
 SCHEME_NO_RIS_SENSING = "no_ris_with_sensing"
@@ -92,10 +94,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ConfigError("snr_grid_db entries must be finite")
+        # NaN fails the comparison too; +inf means no sensing constraint
+        if not self.crb_threshold > 0.0:
+            raise ConfigError("crb_threshold must be positive (inf disables it)")
+        for name in ("power_budget", "grid_resolution"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.seeds < 1 or self.mse_trials < 0:
-            raise ConfigError("seeds must be >= 1 and mse_trials >= 0")
+        if self.seeds < 1 or self.snapshots < 1 or self.mse_trials < 0:
+            raise ConfigError("seeds and snapshots must be >= 1 and mse_trials >= 0")
         if any(n < 1 for n in (self.n_bs_tx, self.n_bs_rx, self.n_user, self.ris_rows, self.ris_cols, self.n_streams)):
             raise ConfigError("array sizes and stream count must be positive")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
@@ -152,6 +162,21 @@ def scheme_flags(scheme: str):
     return scheme.startswith("ris"), scheme.endswith("with_sensing")
 
 
+def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float):
+    """Channels of ``scene``, noise ``power_budget / 10^(snr_db/10)`` at both receivers."""
+    if not math.isfinite(snr_db):
+        raise ConfigError(f"SNR must be finite, got {snr_db!r}")
+    noise = config.power_budget / 10.0 ** (snr_db / 10.0)
+    return build_channel_set(
+        scene,
+        n_user_antennas=config.n_user,
+        nlos_si_power=config.nlos_si_power,
+        seed=seed,
+        noise_user=noise,
+        noise_radar=noise,
+    )
+
+
 def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
     """Scene, channels, coefficients and solver options for one grid cell.
 
@@ -176,15 +201,7 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
         target_range=config.target_range,
         target_angle=target_angle,
     )
-    noise = config.power_budget / 10.0 ** (snr_db / 10.0)
-    channels = build_channel_set(
-        scene,
-        n_user_antennas=config.n_user,
-        nlos_si_power=config.nlos_si_power,
-        seed=[config.root_seed, seed_index, 2],
-        noise_user=noise,
-        noise_radar=noise,
-    )
+    channels = _channel_set(config, scene, [config.root_seed, seed_index, 2], snr_db)
     coeffs = PathCoefficients.random(
         [config.root_seed, seed_index, 3],
         direct_mag=config.direct_path_mag,
@@ -224,21 +241,30 @@ def _run_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
     }
     if does_sensing and config.mse_trials > 0:
         trials = max(1, config.mse_trials // config.seeds)
-        for trial in range(trials):
-            batch = simulate_snapshots(
-                scene,
-                channels,
-                result.precoder,
-                result.ris_phase,
-                coeffs,
-                config.snapshots,
-                seed=config.root_seed + seed_index * trials + trial,
-                residual_si_mode=config.residual_si_mode,
-                residual_factor=config.residual_factor,
-            )
-            est = music_estimate(batch, config.n_streams, config.grid_resolution)
-            metrics["sq_errors"].append((est.angle_estimate - scene.target_angle) ** 2)
+        seeds = [config.root_seed + seed_index * trials + trial for trial in range(trials)]
+        estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
+        metrics["sq_errors"] = [(e - scene.target_angle) ** 2 for e in estimates]
     return metrics
+
+
+def estimate_angles(config: ExperimentConfig, scene, channels, coeffs, result, seeds) -> list:
+    """MUSIC target-angle estimates at an optimized design, one per snapshot
+    seed; subspace dimension ``n_streams``, the rest from the sensing settings."""
+    estimates = []
+    for seed in seeds:
+        batch = simulate_snapshots(
+            scene,
+            channels,
+            result.precoder,
+            result.ris_phase,
+            coeffs,
+            config.snapshots,
+            seed=seed,
+            residual_si_mode=config.residual_si_mode,
+            residual_factor=config.residual_factor,
+        )
+        estimates.append(music_estimate(batch, config.n_streams, config.grid_resolution).angle_estimate)
+    return estimates
 
 
 def run_scheme(config: ExperimentConfig):
@@ -276,16 +302,79 @@ def run_scheme(config: ExperimentConfig):
     return rows
 
 
+@dataclass(frozen=True)
+class SensingStudyConfig:
+    """Scene and sensing settings of :func:`monte_carlo_mse`; every other
+    setting takes its :class:`ExperimentConfig` default.
+
+    Per-trial snapshot seeds are ``root_seed + trial``; the channel
+    realization and beamforming run are fixed per SNR point.
+    """
+
+    scene: Scene
+    coeffs: PathCoefficients
+    crb_threshold: float = 0.01
+    snapshots: int = 64
+    grid_resolution: float = 1e-3
+    residual_factor: float = 0.1
+    root_seed: int = 0
+
+
+def monte_carlo_mse(study: SensingStudyConfig, snr_grid_db, trials: int):
+    """Estimation error versus the bound across an SNR sweep.
+
+    For each SNR point, one channel realization is drawn, the joint design
+    is optimized, and ``trials`` independent snapshot batches are estimated;
+    the row reports the empirical mean squared angle error next to the
+    snapshot-adjusted bound at the optimized precoder.  Returns a list of
+    dict rows with keys snr_db, mse_rad2, crb_rad2, trials.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    config = ExperimentConfig(
+        crb_threshold=study.crb_threshold,
+        snapshots=study.snapshots,
+        grid_resolution=study.grid_resolution,
+        residual_factor=study.residual_factor,
+        root_seed=study.root_seed,
+    )
+    seeds = [config.root_seed + trial for trial in range(trials)]
+    rows = []
+    for snr_db in snr_grid_db:
+        channels = _channel_set(config, study.scene, [config.root_seed, 100], snr_db)
+        jcas = JcasConfig(
+            power_budget=config.power_budget,
+            crb_threshold=config.crb_threshold,
+            n_streams=config.n_streams,
+            seed=config.root_seed,
+        )
+        result = jcas_optimize(study.scene, channels, jcas, coeffs=study.coeffs)
+        ctx = build_sensing_context(
+            study.scene, result.ris_phase, study.coeffs, channels.noise_radar
+        )
+        bound = aoa_crb(
+            result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=config.snapshots
+        )
+        estimates = estimate_angles(config, study.scene, channels, study.coeffs, result, seeds)
+        squared_errors = [(e - study.scene.target_angle) ** 2 for e in estimates]
+        rows.append(
+            {
+                "snr_db": float(snr_db),
+                "mse_rad2": float(np.mean(squared_errors)),
+                "crb_rad2": float(bound),
+                "trials": trials,
+            }
+        )
+    return rows
+
+
 def _nanmean(values):
     values = [v for v in values if not math.isnan(v)]
     return float(np.mean(values)) if values else math.nan
 
 
 def _mean_db(values):
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        return math.nan
-    mean = float(np.mean(values))
+    mean = _nanmean(values)
     return 10.0 * math.log10(mean) if mean > 0.0 else math.nan
 
 
@@ -310,10 +399,7 @@ def emit_outputs(results, output_dir) -> list:
     header = [
         "scheme",
         "snr_db",
-        "rate_bps_hz",
-        "si_power_db",
-        "crb_rad2",
-        "mse_rad2",
+        *METRIC_COLUMNS,
         "feasible_seeds",
         "total_seeds",
         "status",

@@ -12,12 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSet
-from .crb import UnobservableError, aoa_crb
+from .crb import UnobservableError, aoa_crb, fisher_core
 from .geometry import Scene
 from .steering import PathCoefficients, build_sensing_context
 
 LN2 = math.log(2.0)
 UNIT_MODULUS_TOL = 1e-12
+# MM phase solver: relative objective tolerance and step cap per call
+RIS_TOL = 1e-5
+MAX_RIS_ITER = 500
+# multiplier bisections: relative tolerance, step cap, largest sensing multiplier
+BISECT_TOL = 1e-6
+MAX_BISECT = 200
+MU_MAX = 1e12
 
 RIS_OBJECTIVE_JCAS = "jcas"
 RIS_OBJECTIVE_RATE = "rate"
@@ -49,26 +56,10 @@ class RisPhase:
         if np.max(np.abs(np.abs(self.vector) - 1.0)) > UNIT_MODULUS_TOL:
             raise ValueError("phase profile entries must have unit modulus")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.vector)
-
     @classmethod
     def random(cls, n_elements: int, seed) -> "RisPhase":
         rng = np.random.default_rng(seed)
         return cls(np.exp(2j * np.pi * rng.random(n_elements)))
-
-
-@dataclass(frozen=True)
-class BeamformerState:
-    """Digital beamforming state after an update round."""
-
-    precoder: np.ndarray
-    combiner: np.ndarray
-    weight: np.ndarray
-    lambda0: float
-    mu: float
-    priority: float = 1.0
 
 
 @dataclass
@@ -142,11 +133,6 @@ class JcasConfig:
     priority: float = 1.0
     outer_tol: float = 1e-4
     max_outer: int = 100
-    ris_tol: float = 1e-5
-    max_ris_iter: int = 500
-    bisect_tol: float = 1e-6
-    max_bisect: int = 200
-    mu_max: float = 1e12
     ris_enabled: bool = True
     si_enabled: bool = True
     sensing_enabled: bool = True
@@ -165,7 +151,6 @@ class JcasResult:
     precoder: np.ndarray
     ris_phase: np.ndarray
     trace: IterationTrace
-    state: BeamformerState
 
 
 def _herm(mat):
@@ -225,7 +210,7 @@ def dl_rate(h_eff, precoder, noise_user: float) -> float:
     return float(logdet / LN2)
 
 
-def _solve_power_constrained(core, rhs, power_budget, tol, max_steps):
+def _solve_power_constrained(core, rhs, power_budget):
     """Minimizer of the quadratic surrogate under the transmit power cap.
 
     Returns (precoder, lambda0).  The multiplier stays exactly zero when
@@ -263,10 +248,10 @@ def _solve_power_constrained(core, rhs, power_budget, tol, max_steps):
         guard += 1
     lam = hi
     precoder = precoder_at(lam)
-    for _ in range(max_steps):
+    for _ in range(MAX_BISECT):
         lam = 0.5 * (lo + hi)
         power = power_at(lam)
-        if abs(power - power_budget) < tol * power_budget:
+        if abs(power - power_budget) < BISECT_TOL * power_budget:
             precoder = precoder_at(lam)
             break
         if power > power_budget:
@@ -289,9 +274,6 @@ def precoder_update(
     path_response_deriv=None,
     noise_cov=None,
     include_si: bool = True,
-    bisect_tol: float = 1e-6,
-    max_bisect: int = 200,
-    mu_max: float = 1e12,
 ):
     """Precoder minimizing the weighted-MSE-plus-interference surrogate
     under the power budget and, when finite, the angle-accuracy bound.
@@ -300,7 +282,7 @@ def precoder_update(
     power multiplier is found by bisection (zero when slack).  When the
     CRB threshold is finite and violated at zero sensing multiplier, the
     multiplier is grown geometrically and bisected toward the smallest
-    feasible value; if no multiplier up to ``mu_max`` satisfies the bound,
+    feasible value; if no multiplier up to ``MU_MAX`` satisfies the bound,
     CrbInfeasibleError reports the best bound achieved.
 
     Returns (precoder, lambda0, mu).
@@ -319,18 +301,17 @@ def precoder_update(
     if constrain:
         if path_response_deriv is None or noise_cov is None:
             raise ValueError("CRB constraint requires the response derivative and noise covariance")
-        whitened = np.linalg.solve(np.asarray(noise_cov), np.asarray(path_response_deriv))
-        fisher_core = _herm(np.asarray(path_response_deriv).conj().T @ whitened)
+        fisher_mat = fisher_core(path_response_deriv, noise_cov)
 
         def crb_of(v):
-            fisher = float(2.0 * np.sum(np.real(np.conj(v) * (fisher_core @ v))))
+            fisher = float(2.0 * np.sum(np.real(np.conj(v) * (fisher_mat @ v))))
             if not np.isfinite(fisher) or fisher <= 0.0:
                 return math.inf
             return 1.0 / fisher
 
     def solve_at(mu):
-        core = gram if mu == 0.0 else gram + (2.0 * mu) * fisher_core
-        return _solve_power_constrained(core, rhs, power_budget, bisect_tol, max_bisect)
+        core = gram if mu == 0.0 else gram + (2.0 * mu) * fisher_mat
+        return _solve_power_constrained(core, rhs, power_budget)
 
     precoder, lam = solve_at(0.0)
     if not constrain:
@@ -342,7 +323,7 @@ def precoder_update(
     best = achieved
     mu_lo, mu_hi = 0.0, 1.0
     feasible = None
-    while mu_hi <= mu_max:
+    while mu_hi <= MU_MAX:
         cand, cand_lam = solve_at(mu_hi)
         cand_crb = crb_of(cand)
         best = min(best, cand_crb)
@@ -353,8 +334,8 @@ def precoder_update(
         mu_hi *= 2.0
     if feasible is None:
         raise CrbInfeasibleError(best, crb_threshold)
-    for _ in range(max_bisect):
-        if abs(feasible[3] - crb_threshold) <= bisect_tol * crb_threshold:
+    for _ in range(MAX_BISECT):
+        if abs(feasible[3] - crb_threshold) <= BISECT_TOL * crb_threshold:
             break
         mid = 0.5 * (mu_lo + mu_hi)
         cand, cand_lam = solve_at(mid)
@@ -364,7 +345,7 @@ def precoder_update(
             feasible = (cand, cand_lam, mid, cand_crb)
         else:
             mu_lo = mid
-        if (mu_hi - mu_lo) <= bisect_tol * max(mu_hi, 1.0):
+        if (mu_hi - mu_lo) <= BISECT_TOL * max(mu_hi, 1.0):
             break
     precoder, lam, mu, _ = feasible
     return precoder, lam, mu
@@ -451,7 +432,7 @@ def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarra
     return _tie_break(phi, q, mag, np.empty_like(phi))
 
 
-def ris_optimize(phi0, quad_matrix, linear, tol: float = 1e-5, max_iter: int = 500):
+def ris_optimize(phi0, quad_matrix, linear, tol: float = RIS_TOL, max_iter: int = MAX_RIS_ITER):
     """Iterate :func:`mm_step` until the objective change is small.
 
     Returns (phase profile, array of objective values including the start).
@@ -520,7 +501,6 @@ def jcas_optimize(
     channels: ChannelSet,
     config: JcasConfig,
     coeffs: PathCoefficients | None = None,
-    initial_phase=None,
 ) -> JcasResult:
     """Run the alternating design until the objective stalls.
 
@@ -536,10 +516,7 @@ def jcas_optimize(
     initialized state.  Infeasibility of the sensing constraint propagates
     with the iteration index attached.
     """
-    if initial_phase is None:
-        phi = RisPhase.random(channels.n_ris, [config.seed, 0]).vector
-    else:
-        phi = np.asarray(initial_phase, dtype=complex)
+    phi = RisPhase.random(channels.n_ris, [config.seed, 0]).vector
     if config.sensing_enabled and coeffs is None:
         coeffs = PathCoefficients.random([config.seed, 1])
 
@@ -575,9 +552,6 @@ def jcas_optimize(
                 path_response_deriv=ctx.path_response_deriv if ctx is not None else None,
                 noise_cov=ctx.noise_cov if ctx is not None else None,
                 include_si=config.si_enabled,
-                bisect_tol=config.bisect_tol,
-                max_bisect=config.max_bisect,
-                mu_max=config.mu_max,
             )
         except CrbInfeasibleError as err:
             raise CrbInfeasibleError(
@@ -587,7 +561,7 @@ def jcas_optimize(
             quad, lin = ris_quadratics(
                 precoder, combiner, weight, channels, objective=config.ris_objective
             )
-            candidate, _ = ris_optimize(phi, quad, lin, config.ris_tol, config.max_ris_iter)
+            candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)
             if proposed[0] <= evaluated[0]:
@@ -603,15 +577,7 @@ def jcas_optimize(
             break
         previous = current
 
-    state = BeamformerState(
-        precoder=precoder,
-        combiner=combiner,
-        weight=weight,
-        lambda0=lam0,
-        mu=mu,
-        priority=config.priority,
-    )
-    return JcasResult(precoder=precoder, ris_phase=phi, trace=trace, state=state)
+    return JcasResult(precoder=precoder, ris_phase=phi, trace=trace)
 
 
 def _evaluate(precoder, phi, channels, config):

@@ -13,7 +13,7 @@ import pytest
 
 from fdjcas.channels import build_channel_set
 from fdjcas.crb import aoa_crb
-from fdjcas.estimation import SensingStudyConfig, monte_carlo_mse
+from fdjcas.experiments import SensingStudyConfig, monte_carlo_mse
 from fdjcas.experiments import ExperimentConfig, SCHEMES, run_scheme
 from fdjcas.geometry import build_scene, ris_angles_of_target
 from fdjcas.optimizer import (

@@ -92,6 +92,21 @@ class TestBuildChannelSet:
         assert np.all(bare.ris_to_bs == 0.0)
         assert np.array_equal(bare.si_los, small_channels.si_los)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"noise_user": np.nan},
+            {"noise_user": np.inf},
+            {"noise_user": 0.0},
+            {"noise_radar": np.nan},
+            {"noise_radar": np.inf},
+            {"noise_radar": -1.0},
+        ],
+    )
+    def test_bad_noise_rejected(self, small_scene, noise):
+        with pytest.raises(ValueError, match="noise"):
+            build_channel_set(small_scene, n_user_antennas=3, **noise)
+
 
 class TestSerialization:
     def test_round_trip(self, small_channels, tmp_path):

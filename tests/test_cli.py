@@ -26,6 +26,16 @@ def config_path(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--snr", "nan"], ["run", "--snr", "0,-inf"], ["crb", "--snr-db", "nan"]],
+)
+def test_non_finite_snr_is_a_config_error(capsys, monkeypatch, argv):
+    monkeypatch.delenv("FDJCAS_CONFIG", raising=False)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def _printed(capsys, argv):
     assert cli.main(argv) == cli.EXIT_OK
     out = capsys.readouterr().out

@@ -4,8 +4,8 @@ import pytest
 from fdjcas.crb import (
     UnobservableError,
     aoa_crb,
-    crb_report,
     crb_within_threshold,
+    fisher_core,
     fisher_information,
 )
 
@@ -77,6 +77,17 @@ class TestAoaCrb:
         with pytest.raises(UnobservableError):
             aoa_crb(precoder, deriv, np.eye(3))
 
+    def test_fisher_core_quadratic_form_matches_fisher_information(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            precoder, deriv, _ = random_instance(rng, n_rx=5, n_tx=4, streams=3)
+            half = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            noise = half @ half.conj().T + np.eye(5)
+            core = fisher_core(deriv, noise)
+            assert np.array_equal(core, core.conj().T)
+            via_core = 2.0 * np.real(np.trace(precoder.conj().T @ core @ precoder))
+            assert via_core == pytest.approx(fisher_information(precoder, deriv, noise), rel=1e-12)
+
     def test_snapshots_divide(self):
         rng = np.random.default_rng(5)
         precoder, deriv, noise = random_instance(rng)
@@ -98,15 +109,3 @@ class TestThreshold:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             crb_within_threshold(-1.0, 0.01)
-
-
-class TestReport:
-    def test_fields_consistent(self):
-        rng = np.random.default_rng(6)
-        precoder, deriv, noise = random_instance(rng)
-        report = crb_report(precoder, deriv, noise, threshold=1.0)
-        assert report.crb_value > 0.0
-        assert report.fisher_trace == pytest.approx(
-            fisher_information(precoder, deriv, noise) / 2.0
-        )
-        assert report.satisfied == (report.crb_value <= report.threshold)

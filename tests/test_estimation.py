@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from fdjcas.channels import build_channel_set
-from fdjcas.estimation import (
-    CovarianceRankError,
-    SensingStudyConfig,
-    monte_carlo_mse,
-    music_estimate,
-    simulate_snapshots,
-    write_mse_table,
-)
+from fdjcas.estimation import CovarianceRankError, music_estimate, simulate_snapshots
+from fdjcas.experiments import SensingStudyConfig, monte_carlo_mse
 from fdjcas.geometry import build_scene
 from fdjcas.steering import PathCoefficients, steering_set
 
@@ -160,18 +154,3 @@ class TestMonteCarlo:
         assert [r["snr_db"] for r in rows] == [5.0, 15.0]
         assert all(r["trials"] == 2 for r in rows)
         assert all(np.isfinite(r["mse_rad2"]) and np.isfinite(r["crb_rad2"]) for r in rows)
-
-    def test_table_round_trip(self, tmp_path):
-        rows = [
-            {"snr_db": 0.0, "mse_rad2": 0.125, "crb_rad2": 3.5e-5, "trials": 7},
-            {"snr_db": 5.0, "mse_rad2": 0.0625, "crb_rad2": 1.2e-5, "trials": 7},
-        ]
-        path = tmp_path / "mse.csv"
-        write_mse_table(rows, path)
-        import csv
-
-        with open(path) as fh:
-            back = list(csv.DictReader(fh))
-        assert float(back[0]["mse_rad2"]) == 0.125
-        assert float(back[1]["crb_rad2"]) == 1.2e-5
-        assert back[0]["trials"] == "7"

@@ -46,6 +46,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_grid_db=(10.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_grid_db", (math.nan,)),
+            ("snr_grid_db", (-math.inf,)),
+            ("snr_grid_db", (0.0, math.inf)),
+            ("crb_threshold", math.nan),
+            ("crb_threshold", 0.0),
+            ("crb_threshold", -1.0),
+            ("power_budget", math.nan),
+            ("power_budget", math.inf),
+            ("power_budget", 0.0),
+            ("snapshots", 0),
+            ("grid_resolution", math.nan),
+            ("grid_resolution", math.inf),
+            ("grid_resolution", 0.0),
+        ],
+    )
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
     def test_yaml_round_trip(self, tmp_path):
         config = ExperimentConfig(scheme="ris_comm_only", seeds=3, snr_grid_db=(0.0, 5.0))
         path = tmp_path / "config.yaml"

@@ -502,7 +502,6 @@ class TestRisPhase:
     def test_accepts_unit_modulus(self):
         phase = RisPhase.random(10, seed=0)
         assert np.max(np.abs(np.abs(phase.vector) - 1.0)) <= 1e-12
-        assert np.allclose(np.diag(phase.matrix), phase.vector)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
