@@ -3,7 +3,7 @@ reconfigurable surface: channel synthesis, alternating beamforming/phase
 optimization under power and angle-accuracy constraints, and subspace-based
 estimation studies."""
 
-from .channels import ChannelSet, build_channel_set, farfield_los, nearfield_los, strip_ris
+from .channels import ChannelSet, build_channel_set, farfield_los, nearfield_los
 from .crb import UnobservableError, aoa_crb, crb_within_threshold
 from .estimation import MusicResult, SnapshotBatch, music_estimate, simulate_snapshots
 from .experiments import (

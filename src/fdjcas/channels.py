@@ -5,8 +5,6 @@ residual."""
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,34 +73,6 @@ class ChannelSet:
     @property
     def n_ris(self) -> int:
         return self.ris_to_bs.shape[1]
-
-    def save(self, path) -> None:
-        """Dump to a single binary file: JSON header line naming shapes and
-        scalars, then row-major float64 data with real/imag interleaved."""
-        header = {
-            "matrices": {name: list(getattr(self, name).shape) for name in _MATRIX_FIELDS},
-            "scalars": {"noise_user": self.noise_user, "noise_radar": self.noise_radar},
-        }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode("utf-8") + b"\n")
-            for name in _MATRIX_FIELDS:
-                mat = getattr(self, name)
-                interleaved = np.empty(mat.shape + (2,), dtype=np.float64)
-                interleaved[..., 0] = mat.real
-                interleaved[..., 1] = mat.imag
-                fh.write(interleaved.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "ChannelSet":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-            fields = {}
-            for name, shape in header["matrices"].items():
-                count = 2 * int(np.prod(shape))
-                raw = np.frombuffer(fh.read(count * 8), dtype=np.float64)
-                raw = raw.reshape(tuple(shape) + (2,))
-                fields[name] = raw[..., 0] + 1j * raw[..., 1]
-        return cls(**fields, **header["scalars"])
 
 
 def nearfield_los(tx_positions, rx_positions, wavelength: float) -> np.ndarray:
@@ -175,14 +145,4 @@ def build_channel_set(
         si_nlos=si_nlos,
         noise_user=noise_user,
         noise_radar=noise_radar,
-    )
-
-
-def strip_ris(channels: ChannelSet) -> ChannelSet:
-    """Channel set with every RIS link zeroed, for RIS-free benchmarks."""
-    return dataclasses.replace(
-        channels,
-        ris_to_user=np.zeros_like(channels.ris_to_user),
-        bs_to_ris=np.zeros_like(channels.bs_to_ris),
-        ris_to_bs=np.zeros_like(channels.ris_to_bs),
     )

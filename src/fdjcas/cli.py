@@ -35,7 +35,10 @@ def _base_config(args) -> ExperimentConfig:
     if getattr(args, "scheme", None):
         overrides["scheme"] = args.scheme
     if getattr(args, "snr", None):
-        overrides["snr_grid_db"] = tuple(float(s) for s in args.snr.split(","))
+        try:
+            overrides["snr_grid_db"] = tuple(float(s) for s in args.snr.split(","))
+        except ValueError as err:
+            raise ConfigError(f"--snr must be comma-separated numbers: {err}") from err
     if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = args.seeds
     if getattr(args, "trials", None) is not None:

@@ -7,23 +7,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .channels import build_channel_set, strip_ris
+from .channels import build_channel_set
 from .crb import aoa_crb
 from .estimation import SI_MODES, SI_MODE_POST_CANCELLATION, music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
-from .optimizer import (
-    RIS_OBJECTIVE_JCAS,
-    RIS_OBJECTIVE_RATE,
-    CrbInfeasibleError,
-    JcasConfig,
-    jcas_optimize,
-)
+from .optimizer import CrbInfeasibleError, JcasConfig, jcas_optimize
 from .steering import PathCoefficients, build_sensing_context
 
 SCHEME_RIS_SENSING = "ris_with_sensing"
@@ -93,7 +88,20 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        kinds = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
+        for f in dataclasses.fields(self):
+            if f.type in kinds:
+                kind, noun = kinds[f.type]
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        try:
+            # a string would iterate into one grid point per character
+            if isinstance(self.snr_grid_db, str):
+                raise TypeError(f"got the string {self.snr_grid_db!r}")
+            object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"snr_grid_db must be a list of numbers: {err}") from err
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError("snr_grid_db entries must be finite")
         # NaN fails the comparison too; +inf means no sensing constraint
@@ -207,19 +215,14 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
         direct_mag=config.direct_path_mag,
         ris_mag=config.ris_path_mag,
     )
-    if not uses_ris:
-        channels = strip_ris(channels)
-        coeffs = coeffs.without_ris()
     jcas = JcasConfig(
         power_budget=config.power_budget,
-        crb_threshold=config.crb_threshold if does_sensing else math.inf,
+        crb_threshold=config.crb_threshold,
         n_streams=config.n_streams,
         outer_tol=config.outer_tol,
         max_outer=config.max_outer,
         ris_enabled=uses_ris,
-        si_enabled=does_sensing,
         sensing_enabled=does_sensing,
-        ris_objective=RIS_OBJECTIVE_JCAS if does_sensing else RIS_OBJECTIVE_RATE,
         seed=int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31)),
     )
     return scene, channels, coeffs, jcas
@@ -227,7 +230,6 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
 
 def _run_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
     """Optimize one cell; returns a metrics dict or None when infeasible."""
-    _, does_sensing = scheme_flags(config.scheme)
     scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
     try:
         result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
@@ -235,11 +237,11 @@ def _run_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
         return None
     metrics = {
         "rate_bps_hz": result.trace.rate_bps_hz[-1],
-        "si_power": result.trace.si_power[-1] if does_sensing else math.nan,
-        "crb_rad2": result.trace.crb[-1] if does_sensing else math.nan,
+        "si_power": result.trace.si_power[-1],
+        "crb_rad2": result.trace.crb[-1],
         "sq_errors": [],
     }
-    if does_sensing and config.mse_trials > 0:
+    if jcas.sensing_enabled and config.mse_trials > 0:
         trials = max(1, config.mse_trials // config.seeds)
         seeds = [config.root_seed + seed_index * trials + trial for trial in range(trials)]
         estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)

@@ -118,26 +118,6 @@ class Scene:
         rel = self.ris_positions - self.ris_positions[0]
         return rel[:, [0, 2]]
 
-    def to_dict(self) -> dict:
-        return {
-            "bs_tx_positions": self.bs_tx_positions.tolist(),
-            "bs_rx_positions": self.bs_rx_positions.tolist(),
-            "ris_positions": self.ris_positions.tolist(),
-            "ris_rows": int(self.ris_rows),
-            "ris_cols": int(self.ris_cols),
-            "user_position": self.user_position.tolist(),
-            "target_range": float(self.target_range),
-            "target_angle": float(self.target_angle),
-            "bs_ris_angle": float(self.bs_ris_angle),
-            "bs_ris_distance": float(self.bs_ris_distance),
-            "wavelength": float(self.wavelength),
-            "spacing": float(self.spacing),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scene":
-        return cls(**data)
-
 
 def _check_ula_spacing(positions, spacing, name):
     if positions.shape[0] < 2:

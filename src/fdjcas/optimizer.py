@@ -117,14 +117,15 @@ class IterationTrace:
 class JcasConfig:
     """Algorithm options for one optimization run.
 
-    ``si_enabled`` keeps the self-interference power in the objective (the
-    full-duplex case); switching it off gives the half-duplex rate-only
-    benchmark.  ``ris_objective`` selects the phase-step objective:
-    ``"jcas"`` is the interference-plus-signal quadratic form of the joint
-    design, ``"rate"`` the weighted-MSE restriction used by the
-    communications-only benchmark.  A non-finite ``crb_threshold``
-    disables the sensing constraint while ``sensing_enabled`` still
-    controls whether the bound is tracked at all.
+    Two switches select the scheme.  ``ris_enabled`` lets the phase
+    profile move; without it the profile is held at zero, which removes
+    every reflected term, and the phase solver is skipped.
+    ``sensing_enabled`` is the full-duplex joint design: the
+    self-interference power enters the objective and the precoder update,
+    the phase step uses the ``"jcas"`` quadratic form, and the angle bound
+    is tracked and, when ``crb_threshold`` is finite, constrained.
+    Without it the run is the half-duplex rate-only benchmark: ``"rate"``
+    phase form, no interference term, and ``crb_threshold`` is ignored.
     """
 
     power_budget: float = 1.0
@@ -134,14 +135,10 @@ class JcasConfig:
     outer_tol: float = 1e-4
     max_outer: int = 100
     ris_enabled: bool = True
-    si_enabled: bool = True
     sensing_enabled: bool = True
-    ris_objective: str = RIS_OBJECTIVE_JCAS
     seed: int = 0
 
     def __post_init__(self):
-        if self.ris_objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
-            raise ValueError(f"unknown ris_objective {self.ris_objective!r}")
         if self.power_budget <= 0.0:
             raise ValueError("power_budget must be positive")
 
@@ -500,7 +497,7 @@ def jcas_optimize(
     scene: Scene,
     channels: ChannelSet,
     config: JcasConfig,
-    coeffs: PathCoefficients | None = None,
+    coeffs: PathCoefficients,
 ) -> JcasResult:
     """Run the alternating design until the objective stalls.
 
@@ -511,27 +508,26 @@ def jcas_optimize(
     when it does not increase the recorded objective: the phase quadratics
     penalize through-combiner signal power alongside the interference, so
     an unguarded step can undo precoder progress once the interference is
-    small.  The trace records the end-of-iteration objective, rate,
-    interference power, bound value and multipliers; row zero is the
-    initialized state.  Infeasibility of the sensing constraint propagates
-    with the iteration index attached.
+    small.  Without the surface the profile stays zero, so every reflected
+    channel and echo term vanishes.  The trace records the end-of-iteration
+    objective, rate, interference power, bound value and multipliers; row
+    zero is the initialized state.  Infeasibility of the sensing constraint
+    propagates with the iteration index attached.
     """
-    phi = RisPhase.random(channels.n_ris, [config.seed, 0]).vector
-    if config.sensing_enabled and coeffs is None:
-        coeffs = PathCoefficients.random([config.seed, 1])
+    if config.ris_enabled:
+        phi = RisPhase.random(channels.n_ris, [config.seed, 0]).vector
+    else:
+        phi = np.zeros(channels.n_ris, dtype=complex)
+    sensing = config.sensing_enabled
+    threshold = config.crb_threshold if sensing else math.inf
+    objective = RIS_OBJECTIVE_JCAS if sensing else RIS_OBJECTIVE_RATE
 
     noise_user = channels.noise_user
     h_eff = effective_channel(channels, phi)
     precoder = dominant_precoder(h_eff, config.n_streams, config.power_budget)
-    ctx = (
-        build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-        if config.sensing_enabled
-        else None
-    )
+    ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar) if sensing else None
 
     trace = IterationTrace()
-    combiner = mmse_combiner(h_eff, precoder, noise_user)
-    weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user), config.priority)
     lam0 = mu = 0.0
     previous = _record(
         trace, 0, precoder, ctx, _evaluate(precoder, phi, channels, config), lam0, mu
@@ -540,7 +536,6 @@ def jcas_optimize(
     for it in range(1, config.max_outer + 1):
         combiner = mmse_combiner(h_eff, precoder, noise_user)
         weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user), config.priority)
-        threshold = config.crb_threshold if config.sensing_enabled else math.inf
         try:
             precoder, lam0, mu = precoder_update(
                 combiner,
@@ -551,16 +546,14 @@ def jcas_optimize(
                 crb_threshold=threshold,
                 path_response_deriv=ctx.path_response_deriv if ctx is not None else None,
                 noise_cov=ctx.noise_cov if ctx is not None else None,
-                include_si=config.si_enabled,
+                include_si=sensing,
             )
         except CrbInfeasibleError as err:
             raise CrbInfeasibleError(
                 err.achieved, err.threshold, context=f"outer iteration {it}"
             ) from err
         if config.ris_enabled:
-            quad, lin = ris_quadratics(
-                precoder, combiner, weight, channels, objective=config.ris_objective
-            )
+            quad, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
             candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)
@@ -568,7 +561,7 @@ def jcas_optimize(
                 phi = candidate
                 evaluated = proposed
                 h_eff = effective_channel(channels, phi)
-                if config.sensing_enabled:
+                if sensing:
                     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
         else:
             evaluated = _evaluate(precoder, phi, channels, config)
@@ -586,14 +579,14 @@ def _evaluate(precoder, phi, channels, config):
     The objective is the interference power minus the weighted rate: the
     rate-equivalent value of the weighted-MSE surrogate at the tight
     combiner/weight pair, the quantity the alternating updates provably do
-    not increase.  The SI power is NaN when interference is not modelled.
+    not increase.  The SI power is NaN when the run does not sense.
 
     Returns (objective, rate, si_power).
     """
     rate = dl_rate(effective_channel(channels, phi), precoder, channels.noise_user)
     value = -config.priority * rate
     si_power = math.nan
-    if config.si_enabled:
+    if config.sensing_enabled:
         si_power = float(np.real(np.trace(si_matrix(precoder, phi, channels))))
         value += si_power
     return value, rate, si_power

@@ -3,7 +3,7 @@ radar response matrix combining the direct and RIS-assisted echo paths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class PathCoefficients:
             outgoing_via_ris=ris_mag * phases[2],
             return_via_ris=ris_mag * phases[3],
         )
-
-    def without_ris(self) -> "PathCoefficients":
-        """Same direct path with every RIS-assisted path switched off."""
-        return replace(self, double_bounce=0.0, outgoing_via_ris=0.0, return_via_ris=0.0)
 
 
 @dataclass(frozen=True)

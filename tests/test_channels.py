@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from fdjcas.channels import (
-    ChannelSet,
-    build_channel_set,
-    farfield_los,
-    nearfield_los,
-    strip_ris,
-)
+from fdjcas.channels import build_channel_set, farfield_los, nearfield_los
 from fdjcas.geometry import build_scene
 
 
@@ -85,13 +79,6 @@ class TestBuildChannelSet:
         assert ch.ris_to_bs.shape == (10, 100)
         assert ch.si_los.shape == (10, 15)
 
-    def test_strip_ris_zeroes_surface_links(self, small_channels):
-        bare = strip_ris(small_channels)
-        assert np.all(bare.ris_to_user == 0.0)
-        assert np.all(bare.bs_to_ris == 0.0)
-        assert np.all(bare.ris_to_bs == 0.0)
-        assert np.array_equal(bare.si_los, small_channels.si_los)
-
     @pytest.mark.parametrize(
         "noise",
         [
@@ -107,22 +94,3 @@ class TestBuildChannelSet:
         with pytest.raises(ValueError, match="noise"):
             build_channel_set(small_scene, n_user_antennas=3, **noise)
 
-
-class TestSerialization:
-    def test_round_trip(self, small_channels, tmp_path):
-        path = tmp_path / "channels.bin"
-        small_channels.save(path)
-        again = ChannelSet.load(path)
-        for name in ("bs_to_user", "ris_to_user", "bs_to_ris", "ris_to_bs", "si_los", "si_nlos"):
-            assert np.array_equal(getattr(again, name), getattr(small_channels, name))
-        assert again.noise_user == small_channels.noise_user
-        assert again.noise_radar == small_channels.noise_radar
-
-    def test_header_names_dimensions(self, small_channels, tmp_path):
-        import json
-
-        path = tmp_path / "channels.bin"
-        small_channels.save(path)
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
-        assert header["matrices"]["si_los"] == [4, 6]

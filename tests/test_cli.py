@@ -97,3 +97,30 @@ def test_estimate_uses_root_seed_snapshots(capsys, config_path):
         "error_rad": repr(estimate - scene.target_angle),
     }
     assert np.isfinite(estimate)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("snr_grid_db", ["abc"]),
+        ("snr_grid_db", "05"),
+        ("seeds", "abc"),
+        ("seeds", True),
+        ("max_outer", "abc"),
+        ("outer_tol", "abc"),
+        ("power_budget", [1.0]),
+        ("--snr", "abc"),
+    ],
+)
+def test_non_numeric_value_is_a_config_error(capsys, tmp_path, key, value):
+    path = tmp_path / "config.yaml"
+    argv = ["run", str(path), "--out", str(tmp_path / "out")]
+    if key.startswith("--"):
+        path.write_text(yaml.safe_dump(SMALL))
+        argv += [key, value]
+    else:
+        path.write_text(yaml.safe_dump({**SMALL, key: value}))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert key in err

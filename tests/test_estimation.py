@@ -11,7 +11,7 @@ from conftest import random_unit_modulus
 
 
 def direct_only():
-    return PathCoefficients(direct=1.0).without_ris()
+    return PathCoefficients(direct=1.0, double_bounce=0.0, outgoing_via_ris=0.0, return_via_ris=0.0)
 
 
 @pytest.fixture(scope="module")

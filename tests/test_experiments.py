@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fdjcas.experiments import (
     save_config,
     scheme_flags,
 )
+from fdjcas.optimizer import jcas_optimize
 
 FAST = dict(
     n_bs_tx=6, n_bs_rx=4, n_user=3, ris_rows=3, ris_cols=3, n_streams=2,
@@ -140,7 +143,7 @@ class TestEmitOutputs:
     def test_empty_results_header_only(self, tmp_path):
         paths = emit_outputs([], tmp_path)
         assert len(paths) == 1
-        lines = open(paths[0]).read().strip().splitlines()
+        lines = Path(paths[0]).read_text().strip().splitlines()
         assert lines == ["scheme,snr_db,metric,value"]
 
     def test_long_format_row_count(self, tmp_path):
@@ -187,7 +190,7 @@ class TestEmitOutputs:
         ]
         paths = emit_outputs(rows, tmp_path)
         for path in paths:
-            assert "nan" not in open(path).read().lower().replace("nan_", "")
+            assert "nan" not in Path(path).read_text().lower().replace("nan_", "")
 
 
 class TestCli:
@@ -273,9 +276,29 @@ class TestBuildCell:
         for scheme in SCHEMES:
             config = ExperimentConfig(scheme=scheme, **{**FAST, "crb_threshold": 0.05})
             scene, channels, coeffs, jcas = build_cell(config, 0, 10.0)
-            uses_ris, does_sensing = scheme_flags(scheme)
-            assert jcas.ris_enabled == uses_ris
-            assert jcas.si_enabled == does_sensing
-            if not uses_ris:
-                assert np.all(channels.bs_to_ris == 0.0)
-                assert coeffs.double_bounce == 0.0
+            assert (jcas.ris_enabled, jcas.sensing_enabled) == scheme_flags(scheme)
+            assert jcas.crb_threshold == config.crb_threshold
+
+    @pytest.mark.parametrize("scheme", ["no_ris_with_sensing", "no_ris_comm_only"])
+    @pytest.mark.parametrize("seed_index", [0, 1])
+    def test_no_ris_equals_zeroed_surface_links(self, scheme, seed_index):
+        config = ExperimentConfig(scheme=scheme, **{**FAST, "crb_threshold": 0.05})
+        scene, channels, coeffs, jcas = build_cell(config, seed_index, 10.0)
+        zero = np.zeros_like
+        bare = dataclasses.replace(
+            channels,
+            ris_to_user=zero(channels.ris_to_user),
+            bs_to_ris=zero(channels.bs_to_ris),
+            ris_to_bs=zero(channels.ris_to_bs),
+        )
+        direct_only = dataclasses.replace(
+            coeffs, double_bounce=0.0, outgoing_via_ris=0.0, return_via_ris=0.0
+        )
+        result = jcas_optimize(scene, channels, jcas, coeffs)
+        expected = jcas_optimize(scene, bare, jcas, direct_only)
+        assert np.all(result.ris_phase == 0.0)
+        assert np.array_equal(result.precoder, expected.precoder)
+        for name in ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0", "mu_k"):
+            np.testing.assert_array_equal(
+                getattr(result.trace, name), getattr(expected.trace, name), err_msg=name
+            )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -175,18 +176,13 @@ class TestScene:
         tx = reference_scene.bs_tx_positions.copy()
         tx[3, 2] += 1e-3
         with pytest.raises(ValueError):
-            Scene(**{**reference_scene.to_dict(), "bs_tx_positions": tx})
+            dataclasses.replace(reference_scene, bs_tx_positions=tx)
 
     def test_noncoplanar_ris_rejected(self, reference_scene):
         ris = reference_scene.ris_positions.copy()
         ris[7, 1] += 0.01
         with pytest.raises(ValueError):
-            Scene(**{**reference_scene.to_dict(), "ris_positions": ris})
-
-    def test_dict_round_trip(self, reference_scene):
-        again = Scene.from_dict(reference_scene.to_dict())
-        assert np.array_equal(again.ris_positions, reference_scene.ris_positions)
-        assert again.target_angle == reference_scene.target_angle
+            dataclasses.replace(reference_scene, ris_positions=ris)
 
     def test_with_target_angle_moves_target_on_circle(self, reference_scene):
         moved = reference_scene.with_target_angle(0.5)

@@ -509,16 +509,16 @@ class TestRisPhase:
 
 
 class TestJcasOptimize:
-    def test_frozen_ris_still_monotone(self, small_scene, small_channels):
+    def test_no_ris_monotone_at_zero_profile(self, small_scene, small_channels):
         config = JcasConfig(
             ris_enabled=False, sensing_enabled=False, n_streams=2, seed=1, max_outer=40
         )
-        result = jcas_optimize(small_scene, small_channels, config)
+        result = jcas_optimize(small_scene, small_channels, config, PathCoefficients.random(1))
         obj = np.array(result.trace.objective)
         assert np.all(np.diff(obj) <= 1e-6 * np.maximum(np.abs(obj[:-1]), 1e-12))
-        # phase profile untouched by the run
-        phi0 = RisPhase.random(small_channels.n_ris, [config.seed, 0]).vector
-        assert np.array_equal(result.ris_phase, phi0)
+        # without the surface the reflection profile is zero throughout
+        assert result.ris_phase.shape == (small_channels.n_ris,)
+        assert np.all(result.ris_phase == 0.0)
 
     def test_monotone_and_si_reduction_small(self, small_scene, small_channels):
         coeffs = PathCoefficients.random(2)

@@ -1,9 +1,10 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
-from fdjcas.geometry import build_scene, ris_angles_of_target, Scene
+from fdjcas.geometry import build_scene, ris_angles_of_target
 from fdjcas.steering import (
     PathCoefficients,
     build_sensing_context,
@@ -104,7 +105,7 @@ class TestUpaSteeringDerivative:
     def test_zero_when_path_lengths_stationary(self):
         base = build_scene(ris_rows=1, ris_cols=6, target_angle=0.0)
         ris = base.ris_positions - base.ris_positions[0] + np.array([3.0, 4.0, 0.0])
-        scene = Scene(**{**base.to_dict(), "ris_positions": ris})
+        scene = dataclasses.replace(base, ris_positions=ris)
         assert np.max(np.abs(upa_steering_derivative(scene))) < 1e-12
 
 
@@ -136,7 +137,9 @@ class TestPathMatrix:
 
     def test_direct_only_rank_one(self, reference_scene):
         vectors = steering_set(reference_scene)
-        coeffs = PathCoefficients(direct=0.8 + 0.2j).without_ris()
+        coeffs = PathCoefficients(
+            direct=0.8 + 0.2j, double_bounce=0.0, outgoing_via_ris=0.0, return_via_ris=0.0
+        )
         phi = random_unit_modulus(reference_scene.n_ris, np.random.default_rng(0))
         a = path_matrix(vectors, phi, coeffs)
         expect = coeffs.direct * np.outer(vectors.bs_rx_target, vectors.bs_tx_target)
@@ -166,7 +169,9 @@ class TestPathMatrix:
 class TestPathMatrixDerivative:
     def test_direct_only_product_rule(self, reference_scene):
         vectors = steering_set(reference_scene)
-        coeffs = PathCoefficients(direct=1.5 - 0.5j).without_ris()
+        coeffs = PathCoefficients(
+            direct=1.5 - 0.5j, double_bounce=0.0, outgoing_via_ris=0.0, return_via_ris=0.0
+        )
         phi = np.ones(reference_scene.n_ris, dtype=complex)
         got = path_matrix_derivative(vectors, phi, coeffs)
         expect = coeffs.direct * (
