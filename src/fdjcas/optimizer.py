@@ -36,11 +36,17 @@ class CrbInfeasibleError(RuntimeError):
     def __init__(self, achieved: float, threshold: float, context: str = ""):
         self.achieved = achieved
         self.threshold = threshold
+        self.context = context
         prefix = f"{context}: " if context else ""
         super().__init__(
             f"{prefix}CRB constraint infeasible: achieved {achieved:.6g} rad^2 "
             f"against threshold {threshold:.6g} rad^2 at full power"
         )
+
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message alone), which
+        # fails, e.g. when a worker process sends the error back
+        return type(self), (self.achieved, self.threshold, self.context)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,11 @@ class JcasConfig:
     def __post_init__(self):
         if self.power_budget <= 0.0:
             raise ValueError("power_budget must be positive")
+
+    @property
+    def enforced_crb_threshold(self) -> float:
+        """The angle bound the design must meet: ``crb_threshold`` when sensing, else ``inf``."""
+        return self.crb_threshold if self.sensing_enabled else math.inf
 
 
 @dataclass(frozen=True)
@@ -519,7 +530,6 @@ def jcas_optimize(
     else:
         phi = np.zeros(channels.n_ris, dtype=complex)
     sensing = config.sensing_enabled
-    threshold = config.crb_threshold if sensing else math.inf
     objective = RIS_OBJECTIVE_JCAS if sensing else RIS_OBJECTIVE_RATE
 
     noise_user = channels.noise_user
@@ -543,7 +553,7 @@ def jcas_optimize(
                 channels,
                 phi,
                 config.power_budget,
-                crb_threshold=threshold,
+                crb_threshold=config.enforced_crb_threshold,
                 path_response_deriv=ctx.path_response_deriv if ctx is not None else None,
                 noise_cov=ctx.noise_cov if ctx is not None else None,
                 include_si=sensing,

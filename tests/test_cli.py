@@ -80,6 +80,17 @@ def test_crb_at_optimized_point(capsys, config_path):
     assert printed["satisfied"] == "True"
 
 
+@pytest.mark.parametrize("scheme", ["ris_comm_only", "no_ris_comm_only"])
+@pytest.mark.parametrize("optimize", [[], ["--optimize"]])
+def test_crb_of_comm_only_design_has_no_bound(capsys, tmp_path, scheme, optimize):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "scheme": scheme}))
+    printed = _printed(capsys, ["crb", str(path), *optimize])
+    assert printed["threshold_rad2"] == "inf"
+    assert printed["satisfied"] == "True"
+    assert 0.0 < float(printed["crb_rad2"]) < float("inf")
+
+
 def test_estimate_uses_root_seed_snapshots(capsys, config_path):
     printed = _printed(capsys, ["estimate", str(config_path), "--seed", "1"])
     config = ExperimentConfig(**SMALL)

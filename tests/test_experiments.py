@@ -1,15 +1,26 @@
 import csv
 import dataclasses
+import importlib
+import inspect
 import math
+import multiprocessing
 import os
+import pickle
+import pkgutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fdjcas
+from fdjcas import cli, experiments
+from fdjcas.crb import UnobservableError
+from fdjcas.estimation import CovarianceRankError
 from fdjcas.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +32,8 @@ from fdjcas.experiments import (
     save_config,
     scheme_flags,
 )
-from fdjcas.optimizer import jcas_optimize
+from fdjcas.geometry import InfeasibleGeometryError
+from fdjcas.optimizer import CrbInfeasibleError, jcas_optimize
 
 FAST = dict(
     n_bs_tx=6, n_bs_rx=4, n_user=3, ris_rows=3, ris_cols=3, n_streams=2,
@@ -302,3 +314,152 @@ class TestBuildCell:
             np.testing.assert_array_equal(
                 getattr(result.trace, name), getattr(expected.trace, name), err_msg=name
             )
+
+
+TEST_PID = os.getpid()
+RUN_CELL = experiments._run_cell
+
+
+def _cell_where(config, seed_index, snr_db):
+    """Stand-in for ``_run_cell``: the cell, the process that ran it and its
+    OpenBLAS thread count (None without OpenBLAS)."""
+    blas = experiments._openblas_threads()
+    return seed_index, snr_db, os.getpid(), blas[0]() if blas else None
+
+
+def _cell_failing_in_worker(config, seed_index, snr_db):
+    if os.getpid() != TEST_PID:
+        raise ValueError(f"cell {seed_index} at {snr_db} dB failed")
+    return RUN_CELL(config, seed_index, snr_db)
+
+
+@pytest.fixture()
+def time_bound():
+    """Fail a test that runs for more than a minute instead of stalling:
+    kill the worker processes and raise in the test."""
+
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError("time bound of 60 s exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask hold ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestCellPool:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_parallel_rows_equal_serial_rows(self, monkeypatch, scheme):
+        # at 1e-3 every sensing cell at 0 dB is infeasible
+        config = ExperimentConfig(
+            scheme=scheme,
+            **{**FAST, "seeds": 3, "snr_grid_db": (0.0, 20.0), "mse_trials": 6, "crb_threshold": 1e-3},
+        )
+        _cpus(monkeypatch, 2)
+        parallel = run_scheme(config)
+        assert multiprocessing.active_children() == []
+        _cpus(monkeypatch, 1)
+        serial = run_scheme(config)
+        assert parallel == serial
+        if scheme.endswith("with_sensing"):
+            assert [row["status"] for row in serial] == ["infeasible", "ok"]
+            assert not math.isnan(serial[1]["mse_rad2"])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_cells_run_in_order_with_one_blas_thread(self, monkeypatch, cpus):
+        blas = experiments._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy does not use OpenBLAS: cells run in this process")
+        get_threads, set_threads = blas
+        monkeypatch.setattr(experiments, "_run_cell", _cell_where)
+        _cpus(monkeypatch, cpus)
+        cells = [(seed_index, snr_db) for snr_db in (0.0, 5.0) for seed_index in range(3)]
+        original = get_threads()
+        set_threads(2)
+        try:
+            done = experiments._map_cells(ExperimentConfig(**FAST), cells)
+            after = get_threads()
+        finally:
+            set_threads(original)
+        assert [cell[:2] for cell in done] == cells
+        pids = [cell[2] for cell in done]
+        # this process runs every ``cpus``-th cell, workers the rest
+        assert [pid == TEST_PID for pid in pids] == [i % cpus == 0 for i in range(len(cells))]
+        assert {cell[3] for cell in done} == ({2} if cpus == 1 else {1})
+        assert after == 2
+        assert multiprocessing.active_children() == []
+
+    def test_other_threads_keep_cells_in_process(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_cell", _cell_where)
+        _cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            done = experiments._map_cells(ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert [cell[2] for cell in done] == [TEST_PID, TEST_PID]
+
+    def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
+        if experiments._openblas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS: cells run in this process")
+        monkeypatch.setattr(experiments, "_run_cell", _cell_failing_in_worker)
+        _cpus(monkeypatch, 2)
+        config = ExperimentConfig(scheme="no_ris_comm_only", **FAST)
+        with pytest.raises(ValueError) as err:
+            run_scheme(config)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "cell 1 at 10.0 dB failed"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config.to_dict()))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: cell 1 at 10.0 dB failed\n"
+        assert multiprocessing.active_children() == []
+
+
+def _fdjcas_error_classes():
+    classes = set()
+    for info in pkgutil.iter_modules(fdjcas.__path__):
+        module = importlib.import_module(f"fdjcas.{info.name}")
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, Exception) and obj.__module__.startswith("fdjcas"):
+                classes.add(obj)
+    return classes
+
+
+ERRORS = [
+    CrbInfeasibleError(0.5, 0.01, "outer iteration 3"),
+    CrbInfeasibleError(2.5e-3, 1e-3),
+    UnobservableError("no information about the target angle"),
+    CovarianceRankError("rank 1 below subspace dimension 2"),
+    ConfigError("seeds must be >= 1"),
+    InfeasibleGeometryError("arccos argument 1.5 out of range"),
+]
+
+
+def test_error_list_covers_every_fdjcas_error():
+    assert {type(e) for e in ERRORS} == _fdjcas_error_classes()
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(error):
+    """A worker process sends its error back pickled."""
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is type(error)
+    assert str(again) == str(error)
+    assert again.args == error.args
+    assert vars(again) == vars(error)
