@@ -99,6 +99,9 @@ class ExperimentConfig:
                 value = getattr(self, f.name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+                # +inf crb_threshold is legal and checked below
+                if f.type == "float" and f.name != "crb_threshold" and not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
         try:
             # a string would iterate into one grid point per character
             if isinstance(self.snr_grid_db, str):
@@ -111,9 +114,12 @@ class ExperimentConfig:
         # NaN fails the comparison too; +inf means no sensing constraint
         if not self.crb_threshold > 0.0:
             raise ConfigError("crb_threshold must be positive (inf disables it)")
-        for name in ("power_budget", "grid_resolution"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive")
+        for name in ("power_budget", "grid_resolution", "wavelength", "outer_tol"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("direct_path_mag", "ris_path_mag", "nlos_si_power", "residual_factor", "max_outer"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.seeds < 1 or self.snapshots < 1 or self.mse_trials < 0:

@@ -145,8 +145,11 @@ class JcasConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.power_budget <= 0.0:
-            raise ValueError("power_budget must be positive")
+        # a NaN fails the comparison too; a non-positive priority would make
+        # the stream weight indefinite
+        for name in ("power_budget", "priority"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def enforced_crb_threshold(self) -> float:
@@ -394,6 +397,30 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     return quad * surface_gram.T, lin
 
 
+def ris_lam_max(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS) -> float:
+    """Largest eigenvalue of the :func:`ris_quadratics` matrix, from its factor.
+
+    That matrix is ``(X X^H) * (conj(u) u^T)`` (elementwise) with
+    ``u = bs_to_ris @ precoder`` and ``X = [fj^H W^(1/2), ris_to_bs^H]``,
+    the second block for ``"jcas"`` only.  So it equals ``F F^H``, where
+    column (k, l) of ``F`` is ``X[:, k] * conj(u[:, l])``, and shares its
+    top eigenvalue with the small Gram ``F^H F``: at most
+    ``n_streams * (n_streams + n_bs_rx)`` square instead of surface-sized.
+    The weight root comes from an eigendecomposition with eigenvalues
+    clipped at zero, so a zero weight is allowed.
+    """
+    if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
+        raise ValueError(f"unknown ris objective {objective!r}")
+    evals, evecs = np.linalg.eigh(_herm(weight))
+    fj = combiner @ channels.ris_to_user
+    x = fj.conj().T @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    if objective == RIS_OBJECTIVE_JCAS:
+        x = np.hstack([x, channels.ris_to_bs.conj().T])
+    u = channels.bs_to_ris @ precoder
+    factor = (x[:, :, None] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
+    return float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
+
+
 def _objective(phi, m_phi, linear) -> float:
     """p^H M p + 2 Re(d^T p) given ``m_phi = M @ phi``."""
     return float(np.vdot(phi, m_phi).real + 2.0 * linear.dot(phi).real)
@@ -440,17 +467,27 @@ def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarra
     return _tie_break(phi, q, mag, np.empty_like(phi))
 
 
-def ris_optimize(phi0, quad_matrix, linear, tol: float = RIS_TOL, max_iter: int = MAX_RIS_ITER):
+def ris_optimize(
+    phi0,
+    quad_matrix,
+    linear,
+    tol: float = RIS_TOL,
+    max_iter: int = MAX_RIS_ITER,
+    *,
+    lam_max: float | None = None,
+):
     """Iterate :func:`mm_step` until the objective change is small.
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
     when the current value is exactly zero.  Each step does one ``M @ phi``
     product, shared by the objective value and the next update, in
-    preallocated buffers; ``phi0`` is not modified.  Phase and values match
-    iterated :func:`mm_step` and :func:`ris_objective_value` bit for bit.
-    Raises ValueError for a non-square ``quad_matrix``, mismatched lengths
-    or non-finite inputs.
+    preallocated buffers; ``phi0`` is not modified.  ``lam_max`` is the
+    top eigenvalue of ``quad_matrix`` (e.g. from :func:`ris_lam_max`);
+    without it a dense eigensolve supplies it.  Phase and values match
+    iterated :func:`mm_step` (with the same ``lam_max``) and
+    :func:`ris_objective_value` bit for bit.  Raises ValueError for a
+    non-square ``quad_matrix``, mismatched lengths or non-finite inputs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -468,7 +505,10 @@ def ris_optimize(phi0, quad_matrix, linear, tol: float = RIS_TOL, max_iter: int 
     for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi), ("linear", linear)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
+    if lam_max is None:
+        lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
+    elif not math.isfinite(lam_max):
+        raise ValueError("lam_max must be finite")
     conj_linear = np.conj(linear)
     m_phi = quad_matrix @ phi
     nxt, m_nxt, q, mag = (np.zeros_like(phi) for _ in range(4))
@@ -564,7 +604,8 @@ def jcas_optimize(
             ) from err
         if config.ris_enabled:
             quad, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
-            candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER)
+            lam_max = ris_lam_max(precoder, combiner, weight, channels, objective=objective)
+            candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER, lam_max=lam_max)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)
             if proposed[0] <= evaluated[0]:

@@ -77,6 +77,17 @@ class TestConfig:
             ("grid_resolution", math.nan),
             ("grid_resolution", math.inf),
             ("grid_resolution", 0.0),
+            ("max_outer", -1),
+            ("outer_tol", -1.0),
+            ("outer_tol", 0.0),
+            ("outer_tol", math.nan),
+            ("residual_factor", -1.0),
+            ("wavelength", math.nan),
+            ("wavelength", 0.0),
+            ("nlos_si_power", -1.0),
+            ("ris_path_mag", math.nan),
+            ("direct_path_mag", -1.0),
+            ("user_range", math.inf),
         ],
     )
     def test_bad_values_rejected(self, field, value):

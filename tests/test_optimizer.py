@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdjcas.channels import ChannelSet, build_channel_set
+from fdjcas.experiments import ExperimentConfig, build_cell
 from fdjcas.geometry import build_scene
 import fdjcas.optimizer as optimizer
 from fdjcas.optimizer import (
@@ -19,6 +20,7 @@ from fdjcas.optimizer import (
     mmse_combiner,
     mse_matrix,
     precoder_update,
+    ris_lam_max,
     ris_objective_value,
     ris_optimize,
     ris_quadratics,
@@ -306,8 +308,62 @@ class TestRisQuadratics:
 
     def test_unknown_objective_rejected(self, small_channels):
         v = np.zeros((6, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            ris_quadratics(v, np.zeros((2, 3)), np.zeros((2, 2)), small_channels, objective="bogus")
+        for fn in (ris_quadratics, ris_lam_max):
+            with pytest.raises(ValueError):
+                fn(v, np.zeros((2, 3)), np.zeros((2, 2)), small_channels, objective="bogus")
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_channelset(rng, n_user=3, n_tx=6, n_ris=12, n_rx=4):
+    return ChannelSet(
+        bs_to_user=complex_normal(rng, (n_user, n_tx)),
+        ris_to_user=complex_normal(rng, (n_user, n_ris)),
+        bs_to_ris=complex_normal(rng, (n_ris, n_tx)),
+        ris_to_bs=complex_normal(rng, (n_rx, n_ris)),
+        si_los=complex_normal(rng, (n_rx, n_tx)),
+        si_nlos=np.zeros((n_rx, n_tx), dtype=complex),
+    )
+
+
+def low_rank(rng, rows, cols, rank):
+    """Complex ``rows x cols`` matrix of the given rank (zero at rank 0)."""
+    return complex_normal(rng, (rows, rank)) @ complex_normal(rng, (rank, cols))
+
+
+class TestRisLamMax:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_streams=st.integers(1, 3),
+        objective=st.sampled_from(["jcas", "rate"]),
+        data=st.data(),
+    )
+    def test_matches_dense_eigenvalue(self, seed, n_streams, objective, data):
+        # precoder and weight of any rank from zero to full
+        precoder_rank = data.draw(st.integers(0, n_streams), label="precoder_rank")
+        weight_rank = data.draw(st.integers(0, n_streams), label="weight_rank")
+        rng = np.random.default_rng(seed)
+        channels = random_channelset(rng)
+        precoder = low_rank(rng, channels.n_bs_tx, n_streams, precoder_rank)
+        combiner = complex_normal(rng, (n_streams, channels.n_user))
+        root = low_rank(rng, n_streams, n_streams, weight_rank)
+        weight = root @ root.conj().T
+        quad, _ = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        dense = np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]
+        factored = ris_lam_max(precoder, combiner, weight, channels, objective=objective)
+        assert abs(factored - dense) <= 1e-12 * abs(dense)
+        if precoder_rank == 0:
+            assert factored == 0.0
+
+    def test_zero_precoder_and_weight(self, small_channels):
+        v = np.zeros((small_channels.n_bs_tx, 2), dtype=complex)
+        f = np.zeros((2, small_channels.n_user), dtype=complex)
+        w = np.zeros((2, 2), dtype=complex)
+        for objective in ("jcas", "rate"):
+            assert ris_lam_max(v, f, w, small_channels, objective=objective) == 0.0
 
 
 def random_quadratic(rng, n=16):
@@ -426,6 +482,11 @@ class TestRisOptimize:
         with pytest.raises(ValueError, match=which):
             ris_optimize(args["phi0"], args["quad_matrix"], args["linear"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_lam_max(self, bad):
+        with pytest.raises(ValueError, match="lam_max"):
+            ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), lam_max=bad)
+
 
 def iterate_mm_steps(phi0, quad, lin, tol, max_iter):
     """Reference solver: :func:`mm_step` and :func:`ris_objective_value`
@@ -474,6 +535,17 @@ class TestRisOptimizeMatchesMmStep:
         steps = assert_matches_iterated_steps(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
         assert steps == max_iter
 
+    def test_given_lam_max_replaces_the_eigensolve(self):
+        rng = np.random.default_rng(22)
+        quad, lin = random_quadratic(rng, n=12)
+        phi0 = random_unit_modulus(12, rng)
+        lam_max = 2.0 * float(np.linalg.eigvalsh(quad)[-1])
+        phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=10, lam_max=lam_max)
+        expect = phi0
+        for _ in range(10):
+            expect = mm_step(expect, quad, lin, lam_max)
+        assert np.array_equal(phi, expect)
+
     def test_zero_quad_and_linear_keep_every_phase(self):
         n = 6
         phi0 = random_unit_modulus(n, np.random.default_rng(20))
@@ -496,6 +568,14 @@ class TestRisOptimizeMatchesMmStep:
         phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=10)
         assert phi[0] == phi0[0]
         assert not np.array_equal(phi[1:], phi0[1:])
+
+
+class TestJcasConfig:
+    @pytest.mark.parametrize("name", ["power_budget", "priority"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            JcasConfig(**{name: value})
 
 
 class TestRisPhase:
@@ -566,6 +646,55 @@ class TestJcasOptimize:
             # the initial state, then the proposal and the current phase
             # (RIS schemes) or the current state alone (no-RIS schemes)
             assert len(calls) == 1 + per_iteration * iterations
+
+    @staticmethod
+    def run_reference_cells(max_outer):
+        """``jcas_optimize`` on reference-dimension cells of both surface
+        schemes at 0 and 30 dB, yielding (cell, solver options) after each.
+        Seed indices 0 and 2 meet the sensing bound at 0 dB."""
+        for scheme in ("ris_comm_only", "ris_with_sensing"):
+            config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=max_outer)
+            for snr_db in (0.0, 30.0):
+                for seed_index in (0, 2):
+                    scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
+                    jcas_optimize(scene, channels, jcas, coeffs)
+                    yield (scheme, snr_db, seed_index), jcas
+
+    def test_phase_steps_descend_on_reference_cells(self, monkeypatch):
+        # the factored lam_max is exact to rounding, with no safety factor,
+        # so the MM majorizer must still give a non-increasing objective
+        calls = []
+
+        def recording(*args, **kwargs):
+            phi, values = ris_optimize(*args, **kwargs)
+            calls.append((kwargs.get("lam_max"), values))
+            return phi, values
+
+        monkeypatch.setattr(optimizer, "ris_optimize", recording)
+        for cell, _ in self.run_reference_cells(max_outer=30):
+            assert calls, cell
+            for lam_max, values in calls:
+                assert lam_max is not None
+                assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1])), cell
+            calls.clear()
+
+    def test_no_surface_sized_eigensolve(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        bound = None
+        for cell, jcas in self.run_reference_cells(max_outer=3):
+            bound = jcas.n_streams * (jcas.n_streams + ExperimentConfig().n_bs_rx)
+            assert shapes, cell
+            assert max(max(shape) for shape in shapes) <= bound, (cell, shapes)
+            shapes.clear()
+        # the bound is smaller than the surface, so a dense eigensolve would fail it
+        assert bound < ExperimentConfig().ris_rows * ExperimentConfig().ris_cols
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace = IterationTrace()
