@@ -5,7 +5,7 @@ estimation studies."""
 
 from .channels import ChannelSet, build_channel_set, farfield_los, nearfield_los
 from .crb import UnobservableError, aoa_crb, crb_within_threshold
-from .estimation import MusicResult, SnapshotBatch, music_estimate, simulate_snapshots
+from .estimation import SnapshotBatch, music_estimate, simulate_snapshots
 from .experiments import (
     SCHEMES,
     ExperimentConfig,
@@ -30,7 +30,6 @@ from .optimizer import (
     IterationTrace,
     JcasConfig,
     JcasResult,
-    RisPhase,
     dl_rate,
     dominant_precoder,
     effective_channel,

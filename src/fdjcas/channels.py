@@ -88,9 +88,9 @@ def nearfield_los(tx_positions, rx_positions, wavelength: float) -> np.ndarray:
     return rho * raw
 
 
-def farfield_los(rx_steering, tx_steering, gain: complex = 1.0) -> np.ndarray:
-    """Rank-one far-field channel gain * a_rx * a_tx^T for unit-norm steering vectors."""
-    return gain * np.outer(np.asarray(rx_steering), np.asarray(tx_steering))
+def farfield_los(rx_steering, tx_steering) -> np.ndarray:
+    """Rank-one far-field channel a_rx * a_tx^T for unit-norm steering vectors."""
+    return np.outer(np.asarray(rx_steering), np.asarray(tx_steering))
 
 
 def build_channel_set(
@@ -100,8 +100,6 @@ def build_channel_set(
     seed=0,
     noise_user: float = 1.0,
     noise_radar: float = 1.0,
-    user_gain: complex = 1.0,
-    ris_user_gain: complex = 1.0,
 ) -> ChannelSet:
     """Synthesize every link of the scenario.
 
@@ -120,13 +118,13 @@ def build_channel_set(
     to_user = scene.user_position - scene.bs_tx_positions[0]
     a_bs = ula_steering(ula_angle_of(to_user), scene.n_bs_tx, d, lam)
     a_user = ula_steering(ula_angle_of(-to_user), n_user_antennas, d, lam)
-    bs_to_user = farfield_los(a_user, a_bs, user_gain)
+    bs_to_user = farfield_los(a_user, a_bs)
 
     ris_to_user_vec = scene.user_position - scene.ris_positions[0]
     user_angles = ris_angles_of_point(scene, scene.user_position)
     a_ris = upa_steering(user_angles.elevation, user_angles.azimuth, scene)
     a_user_ris = ula_steering(ula_angle_of(-ris_to_user_vec), n_user_antennas, d, lam)
-    ris_to_user = farfield_los(a_user_ris, a_ris, ris_user_gain)
+    ris_to_user = farfield_los(a_user_ris, a_ris)
 
     shape = (scene.n_bs_rx, scene.n_bs_tx)
     if nlos_si_power == 0.0:

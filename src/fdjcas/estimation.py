@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,11 +10,6 @@ import numpy as np
 from .channels import ChannelSet
 from .geometry import Scene
 from .steering import PathCoefficients, build_sensing_context
-
-SI_MODE_NONE = "none"
-SI_MODE_FULL = "full"
-SI_MODE_POST_CANCELLATION = "post-cancellation"
-SI_MODES = (SI_MODE_NONE, SI_MODE_FULL, SI_MODE_POST_CANCELLATION)
 
 
 class CovarianceRankError(RuntimeError):
@@ -30,21 +26,11 @@ class SnapshotBatch:
     """
 
     samples: np.ndarray
-    snapshots: int
     spacing: float
     wavelength: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.samples.shape[1] != self.snapshots:
-            raise ValueError("sample count inconsistent with the snapshot count")
-
-
-@dataclass(frozen=True)
-class MusicResult:
-    angle_estimate: float
-    pseudo_spectrum: np.ndarray
-    grid: np.ndarray
 
 
 def simulate_snapshots(
@@ -55,33 +41,28 @@ def simulate_snapshots(
     coeffs: PathCoefficients,
     snapshots: int,
     seed,
-    residual_si_mode: str = SI_MODE_POST_CANCELLATION,
     residual_factor: float = 0.1,
 ) -> SnapshotBatch:
     """Draw radar receive snapshots of the echo-plus-leakage signal model.
 
     Each column is (target response + scaled self-interference) applied to
     the precoded unit-variance Gaussian symbols, plus white radar noise.
-    The self-interference term combines the full leakage channel
-    (line-of-sight, stochastic residual, and the reflected path):
-    ``"full"`` keeps it as is, ``"none"`` removes it, and
-    ``"post-cancellation"`` scales it by ``residual_factor`` to model
-    cancellation stages beyond the beamforming design itself.
+    The self-interference term is the full leakage channel (line-of-sight,
+    stochastic residual, and the reflected path) scaled by
+    ``residual_factor``, the fraction left by cancellation stages beyond
+    the beamforming design itself: 1 keeps all of it, 0 removes it.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be at least 1")
-    if residual_si_mode not in SI_MODES:
-        raise ValueError(f"unknown residual_si_mode {residual_si_mode!r}")
+    if not 0.0 <= residual_factor < math.inf:
+        raise ValueError(f"residual_factor must be finite and >= 0, got {residual_factor!r}")
     phi = np.asarray(phi)
     precoder = np.asarray(precoder)
     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
     leak = channels.si_los + channels.si_nlos + channels.ris_to_bs @ (
         phi[:, None] * channels.bs_to_ris
     )
-    scale = {SI_MODE_NONE: 0.0, SI_MODE_FULL: 1.0, SI_MODE_POST_CANCELLATION: residual_factor}[
-        residual_si_mode
-    ]
-    mix = (ctx.path_response + scale * leak) @ precoder
+    mix = (ctx.path_response + residual_factor * leak) @ precoder
     rng = np.random.default_rng(seed)
     n_streams = precoder.shape[1]
     symbols = (
@@ -94,7 +75,6 @@ def simulate_snapshots(
     )
     return SnapshotBatch(
         samples=mix @ symbols + noise,
-        snapshots=snapshots,
         spacing=scene.spacing,
         wavelength=scene.wavelength,
     )
@@ -104,18 +84,18 @@ def music_estimate(
     batch: SnapshotBatch,
     signal_subspace_dim: int,
     grid_resolution: float = 1e-3,
-) -> MusicResult:
-    """MUSIC angle estimate from the batch's sample covariance.
+) -> float:
+    """MUSIC angle estimate (radians) from the batch's sample covariance.
 
     The noise subspace is the span of the smallest eigenvectors after
     removing ``signal_subspace_dim`` dominant ones; the estimate is the
     grid angle maximizing the inverse noise-subspace projection of the
     receive steering vector.
     """
-    n_rx = batch.samples.shape[0]
+    n_rx, snapshots = batch.samples.shape
     if not 0 < signal_subspace_dim < n_rx:
         raise ValueError("signal subspace dimension must lie in (0, n_bs_rx)")
-    cov = batch.samples @ batch.samples.conj().T / batch.snapshots
+    cov = batch.samples @ batch.samples.conj().T / snapshots
     evals, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
     rank = int(np.sum(evals > max(evals[-1], 0.0) * 1e-10))
     if rank < signal_subspace_dim:
@@ -132,7 +112,4 @@ def music_estimate(
     projected = noise_basis.conj().T @ steering
     power = np.sum(np.abs(projected) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(power, 1e-300)
-    best = int(np.argmax(spectrum))
-    return MusicResult(
-        angle_estimate=float(grid[best]), pseudo_spectrum=spectrum, grid=grid
-    )
+    return float(grid[int(np.argmax(spectrum))])

@@ -20,7 +20,7 @@ import yaml
 
 from .channels import build_channel_set
 from .crb import aoa_crb
-from .estimation import SI_MODES, SI_MODE_POST_CANCELLATION, music_estimate, simulate_snapshots
+from .estimation import music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
 from .optimizer import CrbInfeasibleError, JcasConfig, jcas_optimize
 from .steering import PathCoefficients, build_sensing_context
@@ -86,7 +86,6 @@ class ExperimentConfig:
     mse_trials: int = 200
     snapshots: int = 64
     grid_resolution: float = 1e-3
-    residual_si_mode: str = SI_MODE_POST_CANCELLATION
     residual_factor: float = 0.1
     # output
     output_dir: str = "results"
@@ -117,19 +116,26 @@ class ExperimentConfig:
         for name in ("power_budget", "grid_resolution", "wavelength", "outer_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("direct_path_mag", "ris_path_mag", "nlos_si_power", "residual_factor", "max_outer"):
+        for name in (
+            "direct_path_mag", "ris_path_mag", "nlos_si_power", "residual_factor", "max_outer", "mse_trials",
+        ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        for name in ("n_bs_tx", "n_bs_rx", "n_user", "ris_rows", "ris_cols", "n_streams", "seeds", "snapshots"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.seeds < 1 or self.snapshots < 1 or self.mse_trials < 0:
-            raise ConfigError("seeds and snapshots must be >= 1 and mse_trials >= 0")
-        if any(n < 1 for n in (self.n_bs_tx, self.n_bs_rx, self.n_user, self.ris_rows, self.ris_cols, self.n_streams)):
-            raise ConfigError("array sizes and stream count must be positive")
+        if self.n_streams > self.n_bs_tx:
+            raise ConfigError(f"n_streams {self.n_streams} exceeds n_bs_tx {self.n_bs_tx}")
+        # MUSIC needs a noise subspace: fewer signal dimensions than receive antennas
+        if self.mse_trials > 0 and scheme_flags(self.scheme)[1] and self.n_streams >= self.n_bs_rx:
+            raise ConfigError(
+                f"n_streams {self.n_streams} must be below n_bs_rx {self.n_bs_rx} "
+                "for a sensing scheme with mse_trials > 0"
+            )
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ConfigError("snr_grid_db must be sorted ascending")
-        if self.residual_si_mode not in SI_MODES:
-            raise ConfigError(f"unknown residual_si_mode {self.residual_si_mode!r}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -166,11 +172,6 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     return ExperimentConfig.from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
 
 def scheme_flags(scheme: str):
@@ -272,10 +273,9 @@ def estimate_angles(config: ExperimentConfig, scene, channels, coeffs, result, s
             coeffs,
             config.snapshots,
             seed=seed,
-            residual_si_mode=config.residual_si_mode,
             residual_factor=config.residual_factor,
         )
-        estimates.append(music_estimate(batch, config.n_streams, config.grid_resolution).angle_estimate)
+        estimates.append(music_estimate(batch, config.n_streams, config.grid_resolution))
     return estimates
 
 

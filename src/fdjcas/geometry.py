@@ -155,8 +155,6 @@ def build_scene(
     ris_rows: int = 10,
     ris_cols: int = 10,
     wavelength: float = 0.1,
-    spacing: float | None = None,
-    tx_rx_gap: float | None = None,
     bs_ris_angle: float = np.pi / 6,
     bs_ris_distance: float = 5.0,
     user_range: float = 80.0,
@@ -166,18 +164,16 @@ def build_scene(
 ) -> Scene:
     """Assemble the canonical scene.
 
-    Both base-station arrays run along z starting at z = 0, with the
-    receive array offset along x by ``tx_rx_gap`` (default two
-    wavelengths) so that every transmit/receive distance is nonzero.  The
-    RIS first element sits ``bs_ris_distance`` from the first transmit
-    antenna at in-plane angle ``bs_ris_angle``; its columns extend along
-    x and its rows along z.  User and target sit in the y = 0 plane at
+    Every array has half-wavelength element spacing.  Both base-station
+    arrays run along z starting at z = 0, with the receive array offset
+    along x by two wavelengths so that every transmit/receive distance is
+    nonzero.  The RIS first element sits ``bs_ris_distance`` from the
+    first transmit antenna at in-plane angle ``bs_ris_angle``; its columns
+    extend along x and its rows along z.  User and target sit in the y = 0 plane at
     the given ranges/angles from the first transmit antenna.
     """
-    if spacing is None:
-        spacing = wavelength / 2.0
-    if tx_rx_gap is None:
-        tx_rx_gap = 2.0 * wavelength
+    spacing = wavelength / 2.0
+    tx_rx_gap = 2.0 * wavelength
     z = np.arange(n_bs_tx) * spacing
     bs_tx = np.column_stack([np.zeros(n_bs_tx), np.zeros(n_bs_tx), z])
     z = np.arange(n_bs_rx) * spacing

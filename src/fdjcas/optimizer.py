@@ -17,7 +17,6 @@ from .geometry import Scene
 from .steering import PathCoefficients, build_sensing_context
 
 LN2 = math.log(2.0)
-UNIT_MODULUS_TOL = 1e-12
 # MM phase solver: relative objective tolerance and step cap per call
 RIS_TOL = 1e-5
 MAX_RIS_ITER = 500
@@ -47,25 +46,6 @@ class CrbInfeasibleError(RuntimeError):
         # the default rebuilds from ``args`` (the message alone), which
         # fails, e.g. when a worker process sends the error back
         return type(self), (self.achieved, self.threshold, self.context)
-
-
-@dataclass(frozen=True)
-class RisPhase:
-    """Unit-modulus reflection profile of the surface."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=complex))
-        if self.vector.ndim != 1:
-            raise ValueError("phase profile must be one-dimensional")
-        if np.max(np.abs(np.abs(self.vector) - 1.0)) > UNIT_MODULUS_TOL:
-            raise ValueError("phase profile entries must have unit modulus")
-
-    @classmethod
-    def random(cls, n_elements: int, seed) -> "RisPhase":
-        rng = np.random.default_rng(seed)
-        return cls(np.exp(2j * np.pi * rng.random(n_elements)))
 
 
 @dataclass
@@ -257,8 +237,6 @@ def _solve_power_constrained(core, rhs, power_budget):
     while power_at(hi) >= power_budget and guard < 200:
         hi *= 2.0
         guard += 1
-    lam = hi
-    precoder = precoder_at(lam)
     for _ in range(MAX_BISECT):
         lam = 0.5 * (lo + hi)
         power = power_at(lam)
@@ -538,6 +516,8 @@ def ris_optimize(
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
     """Power-normalized dominant eigenvectors of the channel covariance;
     the initialization point of the alternating design."""
+    if not 0 < n_streams <= h_eff.shape[1]:
+        raise ValueError(f"n_streams {n_streams} must lie in [1, n_tx = {h_eff.shape[1]}]")
     cov = _herm(h_eff.conj().T @ h_eff)
     _, evecs = np.linalg.eigh(cov)
     top = evecs[:, -n_streams:][:, ::-1]
@@ -566,7 +546,8 @@ def jcas_optimize(
     propagates with the iteration index attached.
     """
     if config.ris_enabled:
-        phi = RisPhase.random(channels.n_ris, [config.seed, 0]).vector
+        rng = np.random.default_rng([config.seed, 0])
+        phi = np.exp(2j * np.pi * rng.random(channels.n_ris))
     else:
         phi = np.zeros(channels.n_ris, dtype=complex)
     sensing = config.sensing_enabled

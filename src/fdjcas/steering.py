@@ -54,15 +54,13 @@ class PathCoefficients:
     ``direct`` scales the node-target-node bounce, ``double_bounce`` the
     node-RIS-target-RIS-node path, ``outgoing_via_ris`` the path whose
     transmit leg goes through the RIS, and ``return_via_ris`` the path
-    whose receive leg does.  ``ris_bs_gain`` is an extra scalar on the
-    return path; only its product with ``return_via_ris`` matters.
+    whose receive leg does.
     """
 
     direct: complex = 1.0
     double_bounce: complex = 0.5
     outgoing_via_ris: complex = 0.5
     return_via_ris: complex = 0.5
-    ris_bs_gain: complex = 1.0
 
     @classmethod
     def random(cls, seed, direct_mag: float = 1.0, ris_mag: float = 0.5) -> "PathCoefficients":
@@ -142,12 +140,7 @@ def path_matrix(vectors: SteeringSet, phi: np.ndarray, coeffs: PathCoefficients)
     outgoing = (
         coeffs.outgoing_via_ris * thru * np.outer(vectors.bs_rx_target, vectors.bs_tx_ris)
     )
-    returning = (
-        coeffs.ris_bs_gain
-        * coeffs.return_via_ris
-        * thru
-        * np.outer(vectors.bs_rx_ris, vectors.bs_tx_target)
-    )
+    returning = coeffs.return_via_ris * thru * np.outer(vectors.bs_rx_ris, vectors.bs_tx_target)
     return direct + double + outgoing + returning
 
 
@@ -173,13 +166,9 @@ def path_matrix_derivative(vectors: SteeringSet, phi: np.ndarray, coeffs: PathCo
         thru * np.outer(vectors.d_bs_rx_target, vectors.bs_tx_ris)
         + d_thru * np.outer(vectors.bs_rx_target, vectors.bs_tx_ris)
     )
-    out += (
-        coeffs.ris_bs_gain
-        * coeffs.return_via_ris
-        * (
-            d_thru * np.outer(vectors.bs_rx_ris, vectors.bs_tx_target)
-            + thru * np.outer(vectors.bs_rx_ris, vectors.d_bs_tx_target)
-        )
+    out += coeffs.return_via_ris * (
+        d_thru * np.outer(vectors.bs_rx_ris, vectors.bs_tx_target)
+        + thru * np.outer(vectors.bs_rx_ris, vectors.d_bs_tx_target)
     )
     return out
 
@@ -188,7 +177,6 @@ def path_matrix_derivative(vectors: SteeringSet, phi: np.ndarray, coeffs: PathCo
 class SensingContext:
     """Radar-side quantities for one scene/phase/coefficient configuration."""
 
-    steering: SteeringSet
     path_response: np.ndarray
     path_response_deriv: np.ndarray
     noise_cov: np.ndarray
@@ -200,10 +188,9 @@ def build_sensing_context(
     coeffs: PathCoefficients,
     noise_radar: float,
 ) -> SensingContext:
-    """Steering vectors, radar response, its derivative, and the noise covariance."""
+    """Radar response, its derivative, and the noise covariance."""
     vectors = steering_set(scene)
     return SensingContext(
-        steering=vectors,
         path_response=path_matrix(vectors, phi, coeffs),
         path_response_deriv=path_matrix_derivative(vectors, phi, coeffs),
         noise_cov=noise_radar * np.eye(scene.n_bs_rx),

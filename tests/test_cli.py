@@ -1,6 +1,8 @@
 """In-process tests of the ``crb`` and ``estimate`` commands: each printed
 number must equal the same quantity composed from the library functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -9,7 +11,7 @@ from fdjcas import cli
 from fdjcas.crb import aoa_crb
 from fdjcas.estimation import music_estimate, simulate_snapshots
 from fdjcas.experiments import ExperimentConfig, build_cell
-from fdjcas.optimizer import RisPhase, dominant_precoder, effective_channel, jcas_optimize
+from fdjcas.optimizer import jcas_optimize
 from fdjcas.steering import build_sensing_context
 
 SMALL = dict(
@@ -56,11 +58,8 @@ def test_crb_at_initial_point(capsys, config_path, seed, snr_db):
     config = ExperimentConfig(**SMALL)
     snr = config.snr_grid_db[0] if snr_db is None else snr_db
     scene, channels, coeffs, jcas = build_cell(config, seed, snr)
-    phi = RisPhase.random(channels.n_ris, [jcas.seed, 0]).vector
-    precoder = dominant_precoder(
-        effective_channel(channels, phi), config.n_streams, config.power_budget
-    )
-    expected = _bound(scene, channels, coeffs, precoder, phi)
+    start = jcas_optimize(scene, channels, dataclasses.replace(jcas, max_outer=0), coeffs=coeffs)
+    expected = _bound(scene, channels, coeffs, start.precoder, start.ris_phase)
     assert printed == {
         "target_angle_rad": repr(scene.target_angle),
         "snr_db": repr(snr),
@@ -98,16 +97,23 @@ def test_estimate_uses_root_seed_snapshots(capsys, config_path):
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
     batch = simulate_snapshots(
         scene, channels, result.precoder, result.ris_phase, coeffs, config.snapshots,
-        seed=config.root_seed, residual_si_mode=config.residual_si_mode,
-        residual_factor=config.residual_factor,
+        seed=config.root_seed, residual_factor=config.residual_factor,
     )
-    estimate = music_estimate(batch, config.n_streams, config.grid_resolution).angle_estimate
+    estimate = music_estimate(batch, config.n_streams, config.grid_resolution)
     assert printed == {
         "true_angle_rad": repr(scene.target_angle),
         "estimate_rad": repr(estimate),
         "error_rad": repr(estimate - scene.target_angle),
     }
     assert np.isfinite(estimate)
+
+
+def test_residual_si_mode_key_is_gone(capsys, tmp_path):
+    # none -> residual_factor: 0, full -> residual_factor: 1
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "residual_si_mode": "none"}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown configuration keys: ['residual_si_mode']\n"
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ class TestSimulateSnapshots:
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
         batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 16, seed=1, residual_si_mode="none"
+            sensing_scene, ch, v, phi, direct_only(), 16, seed=1, residual_factor=0.0
         )
         a = steering_set(sensing_scene).bs_rx_target
         proj = np.outer(a, a.conj())
@@ -53,7 +53,7 @@ class TestSimulateSnapshots:
         coeffs = PathCoefficients.random(3)
         snapshots = 100_000
         batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, coeffs, snapshots, seed=3, residual_si_mode="full"
+            sensing_scene, ch, v, phi, coeffs, snapshots, seed=3, residual_factor=1.0
         )
         sample_cov = batch.samples @ batch.samples.conj().T / snapshots
         from fdjcas.steering import build_sensing_context
@@ -65,12 +65,13 @@ class TestSimulateSnapshots:
         rel = np.linalg.norm(sample_cov - model_cov) / np.linalg.norm(model_cov)
         assert rel < 0.02
 
-    def test_mode_validation(self, sensing_scene):
+    def test_residual_factor_validated(self, sensing_scene):
         ch = build_channel_set(sensing_scene, 5, 0.0, 0)
         v = np.zeros((15, 2), dtype=complex)
         phi = np.ones(100, dtype=complex)
-        with pytest.raises(ValueError):
-            simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 8, 0, residual_si_mode="bogus")
+        for factor in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="residual_factor"):
+                simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 8, 0, residual_factor=factor)
 
 
 class TestMusicEstimate:
@@ -80,10 +81,9 @@ class TestMusicEstimate:
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
         batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 32, seed=5, residual_si_mode="none"
+            sensing_scene, ch, v, phi, direct_only(), 32, seed=5, residual_factor=0.0
         )
-        result = music_estimate(batch, 1, 1e-3)
-        assert result.angle_estimate == sensing_scene.target_angle
+        assert music_estimate(batch, 1, 1e-3) == sensing_scene.target_angle
 
     def test_high_snr_within_grid_resolution(self, sensing_scene):
         ch = build_channel_set(sensing_scene, 5, 0.0, 0, noise_user=1.0, noise_radar=1e-4)
@@ -93,21 +93,20 @@ class TestMusicEstimate:
         v = np.conj(a_t)[:, None]
         phi = random_unit_modulus(100, rng)
         batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 64, seed=8, residual_si_mode="none"
+            sensing_scene, ch, v, phi, direct_only(), 64, seed=8, residual_factor=0.0
         )
-        result = music_estimate(batch, 1, 1e-3)
-        assert abs(result.angle_estimate - sensing_scene.target_angle) <= 1e-3
+        assert abs(music_estimate(batch, 1, 1e-3) - sensing_scene.target_angle) <= 1e-3
 
-    def test_spectrum_nonnegative(self, sensing_scene):
+    def test_estimate_on_scan_grid(self, sensing_scene):
         ch = build_channel_set(sensing_scene, 5, 0.01, 0, noise_user=1.0, noise_radar=0.5)
         rng = np.random.default_rng(7)
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
         batch = simulate_snapshots(sensing_scene, ch, v, phi, PathCoefficients.random(1), 16, 9)
-        result = music_estimate(batch, 2, 5e-3)
-        assert np.all(result.pseudo_spectrum >= 0.0)
-        assert result.grid[0] == pytest.approx(-np.pi / 2)
-        assert -np.pi / 2 <= result.angle_estimate <= np.pi / 2
+        estimate = music_estimate(batch, 2, 5e-3)
+        steps = (estimate + np.pi / 2) / 5e-3
+        assert steps == pytest.approx(round(steps), abs=1e-9)
+        assert -np.pi / 2 <= estimate <= np.pi / 2
 
     def test_rank_deficiency_suggests_more_snapshots(self, sensing_scene):
         ch = build_channel_set(sensing_scene, 5, 0.0, 0, noise_user=1.0, noise_radar=0.0)
@@ -115,7 +114,7 @@ class TestMusicEstimate:
         v = (rng.standard_normal((15, 1)) + 1j * rng.standard_normal((15, 1))) / 4
         phi = random_unit_modulus(100, rng)
         batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 4, seed=10, residual_si_mode="none"
+            sensing_scene, ch, v, phi, direct_only(), 4, seed=10, residual_factor=0.0
         )
         with pytest.raises(CovarianceRankError, match="snapshot"):
             music_estimate(batch, 4, 5e-3)

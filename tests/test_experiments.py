@@ -29,7 +29,6 @@ from fdjcas.experiments import (
     emit_outputs,
     load_config,
     run_scheme,
-    save_config,
     scheme_flags,
 )
 from fdjcas.geometry import InfeasibleGeometryError
@@ -88,16 +87,51 @@ class TestConfig:
             ("ris_path_mag", math.nan),
             ("direct_path_mag", -1.0),
             ("user_range", math.inf),
+            ("n_bs_tx", 0),
+            ("n_user", 0),
+            ("seeds", 0),
+            ("mse_trials", -1),
+            ("n_streams", 0),
+            # more streams than transmit antennas
+            ("n_streams", 16),
+            ("n_streams", 20),
+            # MUSIC needs n_streams < n_bs_rx when the MSE column is on
+            ("n_streams", 10),
         ],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_bs_tx", 0, "n_bs_tx must be >= 1"),
+            ("mse_trials", -1, "mse_trials must be >= 0"),
+            ("snapshots", 0, "snapshots must be >= 1"),
+        ],
+    )
+    def test_message_names_only_the_failing_key(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_streams_up_to_receive_array_without_music(self):
+        assert ExperimentConfig(n_streams=10, scheme="ris_comm_only").n_streams == 10
+        assert ExperimentConfig(n_streams=15, mse_trials=0).n_streams == 15
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration file", 1)[1]
+        block = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        keys = [key for group in block.values() for key in group]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert ExperimentConfig.from_dict(block) == ExperimentConfig()
+
     def test_yaml_round_trip(self, tmp_path):
         config = ExperimentConfig(scheme="ris_comm_only", seeds=3, snr_grid_db=(0.0, 5.0))
         path = tmp_path / "config.yaml"
-        save_config(config, path)
+        path.write_text(yaml.safe_dump(config.to_dict()))
         again = load_config(path)
         assert again == config
 

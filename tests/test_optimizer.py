@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdjcas.channels import ChannelSet, build_channel_set
-from fdjcas.experiments import ExperimentConfig, build_cell
+from fdjcas.experiments import SCHEMES, ExperimentConfig, build_cell, scheme_flags
 from fdjcas.geometry import build_scene
 import fdjcas.optimizer as optimizer
 from fdjcas.optimizer import (
     CrbInfeasibleError,
     IterationTrace,
     JcasConfig,
-    RisPhase,
     dl_rate,
+    dominant_precoder,
     effective_channel,
     jcas_optimize,
     mm_step,
@@ -578,14 +578,45 @@ class TestJcasConfig:
             JcasConfig(**{name: value})
 
 
-class TestRisPhase:
-    def test_accepts_unit_modulus(self):
-        phase = RisPhase.random(10, seed=0)
-        assert np.max(np.abs(np.abs(phase.vector) - 1.0)) <= 1e-12
+class TestSolverInvariants:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        snr_db=st.floats(0.0, 30.0),
+        scheme=st.sampled_from(SCHEMES),
+        threshold=st.sampled_from([0.002, 0.01, 0.05]),
+    )
+    def test_unit_modulus_power_and_bound(self, small_scene, seed, snr_db, scheme, threshold):
+        ris_enabled, sensing_enabled = scheme_flags(scheme)
+        noise = 10.0 ** (-snr_db / 10.0)
+        channels = build_channel_set(
+            small_scene, n_user_antennas=3, seed=seed, noise_user=noise, noise_radar=noise
+        )
+        config = JcasConfig(
+            crb_threshold=threshold,
+            ris_enabled=ris_enabled,
+            sensing_enabled=sensing_enabled,
+            seed=seed,
+        )
+        try:
+            result = jcas_optimize(small_scene, channels, config, PathCoefficients.random(seed))
+        except CrbInfeasibleError:
+            assert sensing_enabled
+            return
+        if ris_enabled:
+            assert np.max(np.abs(np.abs(result.ris_phase) - 1.0)) <= 1e-12
+        else:
+            assert np.all(result.ris_phase == 0.0)
+        assert np.sum(np.abs(result.precoder) ** 2) <= config.power_budget * (1 + 1e-6)
+        if sensing_enabled:
+            assert result.trace.crb[-1] <= threshold * (1 + 1e-9)
 
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            RisPhase(np.array([1.0, 0.5 + 0.0j]))
+    def test_dominant_precoder_rejects_more_streams_than_antennas(self):
+        h = np.ones((3, 4), dtype=complex)
+        assert dominant_precoder(h, 4, 1.0).shape == (4, 4)
+        for n_streams in (0, 5):
+            with pytest.raises(ValueError, match="n_streams"):
+                dominant_precoder(h, n_streams, 1.0)
 
 
 class TestJcasOptimize:

@@ -122,7 +122,7 @@ def scalar_loop_path_matrix(vectors, phi, coeffs):
                 coeffs.direct * vectors.bs_rx_target[m] * vectors.bs_tx_target[n]
                 + coeffs.double_bounce * thru * thru * vectors.bs_rx_ris[m] * vectors.bs_tx_ris[n]
                 + coeffs.outgoing_via_ris * thru * vectors.bs_rx_target[m] * vectors.bs_tx_ris[n]
-                + coeffs.ris_bs_gain * coeffs.return_via_ris * thru * vectors.bs_rx_ris[m] * vectors.bs_tx_target[n]
+                + coeffs.return_via_ris * thru * vectors.bs_rx_ris[m] * vectors.bs_tx_target[n]
             )
     return out
 
@@ -216,4 +216,4 @@ class TestSensingContext:
         assert ctx.path_response.shape == (10, 15)
         assert ctx.path_response_deriv.shape == (10, 15)
         assert np.allclose(ctx.noise_cov, 0.25 * np.eye(10))
-        assert np.allclose(ctx.path_response, path_matrix(ctx.steering, phi, coeffs))
+        assert np.allclose(ctx.path_response, path_matrix(steering_set(reference_scene), phi, coeffs))
