@@ -81,6 +81,11 @@ def _cmd_crb(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _base_config(args)
+    # MUSIC needs a noise subspace, whatever the scheme and mse_trials
+    if config.n_streams >= config.n_bs_rx:
+        raise ConfigError(
+            f"n_streams {config.n_streams} must be below n_bs_rx {config.n_bs_rx} for estimate"
+        )
     snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
     scene, channels, coeffs, jcas = build_cell(config, args.seed, snr)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,22 +41,28 @@ def simulate_snapshots(
     phi,
     coeffs: PathCoefficients,
     snapshots: int,
-    seed,
+    seeds,
     residual_factor: float = 0.1,
-) -> SnapshotBatch:
-    """Draw radar receive snapshots of the echo-plus-leakage signal model.
+) -> list:
+    """Draw radar receive snapshots of the echo-plus-leakage signal model,
+    one ``SnapshotBatch`` per entry of ``seeds``.
 
     Each column is (target response + scaled self-interference) applied to
     the precoded unit-variance Gaussian symbols, plus white radar noise.
     The self-interference term is the full leakage channel (line-of-sight,
     stochastic residual, and the reflected path) scaled by
     ``residual_factor``, the fraction left by cancellation stages beyond
-    the beamforming design itself: 1 keeps all of it, 0 removes it.
+    the beamforming design itself: 1 keeps all of it, 0 removes it.  The
+    echo model is built once; each batch draws its symbols, then its
+    noise, from ``default_rng(seed)``.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be at least 1")
     if not 0.0 <= residual_factor < math.inf:
         raise ValueError(f"residual_factor must be finite and >= 0, got {residual_factor!r}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one snapshot batch")
     phi = np.asarray(phi)
     precoder = np.asarray(precoder)
     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
@@ -63,21 +70,41 @@ def simulate_snapshots(
         phi[:, None] * channels.bs_to_ris
     )
     mix = (ctx.path_response + residual_factor * leak) @ precoder
-    rng = np.random.default_rng(seed)
     n_streams = precoder.shape[1]
-    symbols = (
-        rng.standard_normal((n_streams, snapshots))
-        + 1j * rng.standard_normal((n_streams, snapshots))
-    ) / np.sqrt(2.0)
-    noise = np.sqrt(channels.noise_radar / 2.0) * (
-        rng.standard_normal((channels.n_bs_rx, snapshots))
-        + 1j * rng.standard_normal((channels.n_bs_rx, snapshots))
-    )
-    return SnapshotBatch(
-        samples=mix @ symbols + noise,
-        spacing=scene.spacing,
-        wavelength=scene.wavelength,
-    )
+    batches = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        symbols = (
+            rng.standard_normal((n_streams, snapshots))
+            + 1j * rng.standard_normal((n_streams, snapshots))
+        ) / np.sqrt(2.0)
+        noise = np.sqrt(channels.noise_radar / 2.0) * (
+            rng.standard_normal((channels.n_bs_rx, snapshots))
+            + 1j * rng.standard_normal((channels.n_bs_rx, snapshots))
+        )
+        batches.append(
+            SnapshotBatch(
+                samples=mix @ symbols + noise,
+                spacing=scene.spacing,
+                wavelength=scene.wavelength,
+            )
+        )
+    return batches
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_steering(n_rx: int, spacing: float, wavelength: float, grid_resolution: float):
+    """Read-only ``(grid, steering)`` of the MUSIC scan: the angles from
+    -pi/2 in ``grid_resolution`` steps and their unit-norm receive steering
+    vectors, one column per angle."""
+    n_points = int(np.floor(np.pi / grid_resolution)) + 1
+    grid = -np.pi / 2 + grid_resolution * np.arange(n_points)
+    n = np.arange(n_rx)
+    phases = (2.0 * np.pi * spacing / wavelength) * np.outer(n, np.sin(grid))
+    steering = np.exp(1j * phases) / np.sqrt(n_rx)
+    grid.flags.writeable = False
+    steering.flags.writeable = False
+    return grid, steering
 
 
 def music_estimate(
@@ -104,11 +131,7 @@ def music_estimate(
             f"{signal_subspace_dim}; increase the snapshot count"
         )
     noise_basis = evecs[:, : n_rx - signal_subspace_dim]
-    n_points = int(np.floor(np.pi / grid_resolution)) + 1
-    grid = -np.pi / 2 + grid_resolution * np.arange(n_points)
-    n = np.arange(n_rx)
-    phases = (2.0 * np.pi * batch.spacing / batch.wavelength) * np.outer(n, np.sin(grid))
-    steering = np.exp(1j * phases) / np.sqrt(n_rx)
+    grid, steering = _scan_steering(n_rx, batch.spacing, batch.wavelength, grid_resolution)
     projected = noise_basis.conj().T @ steering
     power = np.sum(np.abs(projected) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(power, 1e-300)

@@ -263,20 +263,17 @@ def _run_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
 def estimate_angles(config: ExperimentConfig, scene, channels, coeffs, result, seeds) -> list:
     """MUSIC target-angle estimates at an optimized design, one per snapshot
     seed; subspace dimension ``n_streams``, the rest from the sensing settings."""
-    estimates = []
-    for seed in seeds:
-        batch = simulate_snapshots(
-            scene,
-            channels,
-            result.precoder,
-            result.ris_phase,
-            coeffs,
-            config.snapshots,
-            seed=seed,
-            residual_factor=config.residual_factor,
-        )
-        estimates.append(music_estimate(batch, config.n_streams, config.grid_resolution))
-    return estimates
+    batches = simulate_snapshots(
+        scene,
+        channels,
+        result.precoder,
+        result.ris_phase,
+        coeffs,
+        config.snapshots,
+        seeds=seeds,
+        residual_factor=config.residual_factor,
+    )
+    return [music_estimate(batch, config.n_streams, config.grid_resolution) for batch in batches]
 
 
 def _openblas_threads():

@@ -95,9 +95,9 @@ def test_estimate_uses_root_seed_snapshots(capsys, config_path):
     config = ExperimentConfig(**SMALL)
     scene, channels, coeffs, jcas = build_cell(config, 1, 10.0)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-    batch = simulate_snapshots(
+    (batch,) = simulate_snapshots(
         scene, channels, result.precoder, result.ris_phase, coeffs, config.snapshots,
-        seed=config.root_seed, residual_factor=config.residual_factor,
+        seeds=[config.root_seed], residual_factor=config.residual_factor,
     )
     estimate = music_estimate(batch, config.n_streams, config.grid_resolution)
     assert printed == {
@@ -106,6 +106,26 @@ def test_estimate_uses_root_seed_snapshots(capsys, config_path):
         "error_rad": repr(estimate - scene.target_angle),
     }
     assert np.isfinite(estimate)
+
+
+@pytest.mark.parametrize("mse_trials", [0, 4])
+@pytest.mark.parametrize(
+    "scheme", ["ris_with_sensing", "no_ris_with_sensing", "ris_comm_only", "no_ris_comm_only"]
+)
+def test_estimate_without_noise_subspace_is_a_config_error(
+    capsys, tmp_path, monkeypatch, scheme, mse_trials
+):
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        yaml.safe_dump({**SMALL, "n_streams": 4, "scheme": scheme, "mse_trials": mse_trials})
+    )
+    optimized = []
+    monkeypatch.setattr(cli, "jcas_optimize", lambda *a, **k: optimized.append(a))
+    assert cli.main(["estimate", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "n_streams" in err
+    assert optimized == []
 
 
 def test_residual_si_mode_key_is_gone(capsys, tmp_path):

@@ -1,11 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fdjcas import estimation
 from fdjcas.channels import build_channel_set
 from fdjcas.estimation import CovarianceRankError, music_estimate, simulate_snapshots
-from fdjcas.experiments import SensingStudyConfig, monte_carlo_mse
+from fdjcas.experiments import (
+    ExperimentConfig,
+    SensingStudyConfig,
+    build_cell,
+    estimate_angles,
+    monte_carlo_mse,
+)
 from fdjcas.geometry import build_scene
-from fdjcas.steering import PathCoefficients, steering_set
+from fdjcas.optimizer import jcas_optimize
+from fdjcas.steering import PathCoefficients, build_sensing_context, steering_set
 
 from conftest import random_unit_modulus
 
@@ -21,14 +31,63 @@ def sensing_scene():
     return build_scene(target_angle=angle)
 
 
+@pytest.fixture(scope="module")
+def ris_design():
+    """A few outer iterations of a reduced ``ris_with_sensing`` cell:
+    ``(config, scene, channels, coeffs, result)``."""
+    config = ExperimentConfig(
+        n_bs_tx=6, n_bs_rx=4, n_user=3, ris_rows=3, ris_cols=3, n_streams=2,
+        seeds=2, snr_grid_db=[10.0], crb_threshold=0.05, snapshots=16,
+        grid_resolution=5e-3, mse_trials=0,
+    )
+    scene, channels, coeffs, jcas = build_cell(config, 1, 10.0)
+    result = jcas_optimize(scene, channels, dataclasses.replace(jcas, max_outer=3), coeffs=coeffs)
+    return config, scene, channels, coeffs, result
+
+
+def per_seed_samples(scene, ch, v, phi, coeffs, snapshots, seed, residual_factor):
+    """One batch of the echo-plus-leakage model, echo model rebuilt for the seed."""
+    ctx = build_sensing_context(scene, phi, coeffs, ch.noise_radar)
+    leak = ch.si_los + ch.si_nlos + ch.ris_to_bs @ (phi[:, None] * ch.bs_to_ris)
+    mix = (ctx.path_response + residual_factor * leak) @ v
+    rng = np.random.default_rng(seed)
+    n_streams = v.shape[1]
+    symbols = (
+        rng.standard_normal((n_streams, snapshots))
+        + 1j * rng.standard_normal((n_streams, snapshots))
+    ) / np.sqrt(2.0)
+    noise = np.sqrt(ch.noise_radar / 2.0) * (
+        rng.standard_normal((ch.n_bs_rx, snapshots))
+        + 1j * rng.standard_normal((ch.n_bs_rx, snapshots))
+    )
+    return mix @ symbols + noise
+
+
+def uncached_music(batch, signal_subspace_dim, grid_resolution):
+    """MUSIC with the scan grid and steering matrix built for this call."""
+    n_rx, snapshots = batch.samples.shape
+    cov = batch.samples @ batch.samples.conj().T / snapshots
+    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+    noise_basis = evecs[:, : n_rx - signal_subspace_dim]
+    n_points = int(np.floor(np.pi / grid_resolution)) + 1
+    grid = -np.pi / 2 + grid_resolution * np.arange(n_points)
+    n = np.arange(n_rx)
+    phases = (2.0 * np.pi * batch.spacing / batch.wavelength) * np.outer(n, np.sin(grid))
+    steering = np.exp(1j * phases) / np.sqrt(n_rx)
+    projected = noise_basis.conj().T @ steering
+    power = np.sum(np.abs(projected) ** 2, axis=0)
+    spectrum = 1.0 / np.maximum(power, 1e-300)
+    return float(grid[int(np.argmax(spectrum))])
+
+
 class TestSimulateSnapshots:
     def test_noiseless_direct_path_spans_receive_steering(self, sensing_scene):
         ch = build_channel_set(sensing_scene, 5, 0.0, 0, noise_user=1.0, noise_radar=0.0)
         rng = np.random.default_rng(0)
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
-        batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 16, seed=1, residual_factor=0.0
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, direct_only(), 16, seeds=[1], residual_factor=0.0
         )
         a = steering_set(sensing_scene).bs_rx_target
         proj = np.outer(a, a.conj())
@@ -41,8 +100,8 @@ class TestSimulateSnapshots:
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
         coeffs = PathCoefficients.random(2)
-        a = simulate_snapshots(sensing_scene, ch, v, phi, coeffs, 8, seed=7)
-        b = simulate_snapshots(sensing_scene, ch, v, phi, coeffs, 8, seed=7)
+        (a,) = simulate_snapshots(sensing_scene, ch, v, phi, coeffs, 8, seeds=[7])
+        (b,) = simulate_snapshots(sensing_scene, ch, v, phi, coeffs, 8, seeds=[7])
         assert np.array_equal(a.samples, b.samples)
 
     def test_sample_covariance_matches_model(self, sensing_scene):
@@ -52,12 +111,10 @@ class TestSimulateSnapshots:
         phi = random_unit_modulus(100, rng)
         coeffs = PathCoefficients.random(3)
         snapshots = 100_000
-        batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, coeffs, snapshots, seed=3, residual_factor=1.0
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, coeffs, snapshots, seeds=[3], residual_factor=1.0
         )
         sample_cov = batch.samples @ batch.samples.conj().T / snapshots
-        from fdjcas.steering import build_sensing_context
-
         ctx = build_sensing_context(sensing_scene, phi, coeffs, ch.noise_radar)
         leak = ch.si_los + ch.si_nlos + ch.ris_to_bs @ (phi[:, None] * ch.bs_to_ris)
         mix = (ctx.path_response + leak) @ v
@@ -71,7 +128,81 @@ class TestSimulateSnapshots:
         phi = np.ones(100, dtype=complex)
         for factor in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="residual_factor"):
-                simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 8, 0, residual_factor=factor)
+                simulate_snapshots(
+                    sensing_scene, ch, v, phi, direct_only(), 8, seeds=[0], residual_factor=factor
+                )
+
+
+    @pytest.mark.parametrize("residual_factor", [0.0, 0.1, 1.0])
+    def test_batches_equal_per_seed_reference(self, ris_design, residual_factor):
+        config, scene, ch, coeffs, result = ris_design
+        v, phi = result.precoder, result.ris_phase
+        seeds = [3, 0, 11, 3, 7]
+        batches = simulate_snapshots(
+            scene, ch, v, phi, coeffs, 16, seeds=seeds, residual_factor=residual_factor
+        )
+        assert len(batches) == len(seeds)
+        for seed, batch in zip(seeds, batches):
+            expected = per_seed_samples(scene, ch, v, phi, coeffs, 16, seed, residual_factor)
+            assert np.array_equal(batch.samples, expected)
+            assert (batch.spacing, batch.wavelength) == (scene.spacing, scene.wavelength)
+
+    def test_empty_seeds_rejected(self, ris_design):
+        config, scene, ch, coeffs, result = ris_design
+        with pytest.raises(ValueError, match="seeds"):
+            simulate_snapshots(scene, ch, result.precoder, result.ris_phase, coeffs, 8, seeds=[])
+
+
+class TestEstimateAngles:
+    def test_equals_per_trial_uncached_loop(self, ris_design):
+        config, scene, ch, coeffs, result = ris_design
+        seeds = list(range(5))
+        expected = []
+        for seed in seeds:
+            batch = estimation.SnapshotBatch(
+                per_seed_samples(
+                    scene, ch, result.precoder, result.ris_phase, coeffs,
+                    config.snapshots, seed, config.residual_factor,
+                ),
+                scene.spacing,
+                scene.wavelength,
+            )
+            expected.append(uncached_music(batch, config.n_streams, config.grid_resolution))
+        assert estimate_angles(config, scene, ch, coeffs, result, seeds) == expected
+
+    def test_echo_model_built_once_per_cell(self, ris_design, monkeypatch):
+        config, scene, ch, coeffs, result = ris_design
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_sensing_context(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "build_sensing_context", counted)
+        estimates = estimate_angles(config, scene, ch, coeffs, result, range(5))
+        assert len(estimates) == 5
+        assert len(calls) == 1
+
+
+class TestScanSteering:
+    def test_one_miss_per_geometry_and_resolution(self, ris_design):
+        config, scene, ch, coeffs, result = ris_design
+        (batch,) = simulate_snapshots(
+            scene, ch, result.precoder, result.ris_phase, coeffs, 16, seeds=[2]
+        )
+        estimation._scan_steering.cache_clear()
+        first = music_estimate(batch, 2, 5e-3)
+        second = music_estimate(batch, 2, 5e-3)
+        info = estimation._scan_steering.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first == second == uncached_music(batch, 2, 5e-3)
+
+    def test_cached_arrays_are_read_only(self):
+        grid, steering = estimation._scan_steering(4, 0.5, 1.0, 5e-3)
+        with pytest.raises(ValueError):
+            steering[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 class TestMusicEstimate:
@@ -80,8 +211,8 @@ class TestMusicEstimate:
         rng = np.random.default_rng(4)
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
-        batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 32, seed=5, residual_factor=0.0
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, direct_only(), 32, seeds=[5], residual_factor=0.0
         )
         assert music_estimate(batch, 1, 1e-3) == sensing_scene.target_angle
 
@@ -92,8 +223,8 @@ class TestMusicEstimate:
         a_t = steering_set(sensing_scene).bs_tx_target
         v = np.conj(a_t)[:, None]
         phi = random_unit_modulus(100, rng)
-        batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 64, seed=8, residual_factor=0.0
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, direct_only(), 64, seeds=[8], residual_factor=0.0
         )
         assert abs(music_estimate(batch, 1, 1e-3) - sensing_scene.target_angle) <= 1e-3
 
@@ -102,7 +233,9 @@ class TestMusicEstimate:
         rng = np.random.default_rng(7)
         v = (rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))) / 4
         phi = random_unit_modulus(100, rng)
-        batch = simulate_snapshots(sensing_scene, ch, v, phi, PathCoefficients.random(1), 16, 9)
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, PathCoefficients.random(1), 16, seeds=[9]
+        )
         estimate = music_estimate(batch, 2, 5e-3)
         steps = (estimate + np.pi / 2) / 5e-3
         assert steps == pytest.approx(round(steps), abs=1e-9)
@@ -113,8 +246,8 @@ class TestMusicEstimate:
         rng = np.random.default_rng(8)
         v = (rng.standard_normal((15, 1)) + 1j * rng.standard_normal((15, 1))) / 4
         phi = random_unit_modulus(100, rng)
-        batch = simulate_snapshots(
-            sensing_scene, ch, v, phi, direct_only(), 4, seed=10, residual_factor=0.0
+        (batch,) = simulate_snapshots(
+            sensing_scene, ch, v, phi, direct_only(), 4, seeds=[10], residual_factor=0.0
         )
         with pytest.raises(CovarianceRankError, match="snapshot"):
             music_estimate(batch, 4, 5e-3)
@@ -123,7 +256,7 @@ class TestMusicEstimate:
         ch = build_channel_set(sensing_scene, 5, 0.0, 0)
         v = np.ones((15, 1), dtype=complex)
         phi = np.ones(100, dtype=complex)
-        batch = simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 16, 0)
+        (batch,) = simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 16, seeds=[0])
         with pytest.raises(ValueError):
             music_estimate(batch, 10, 1e-3)
 
