@@ -9,7 +9,6 @@ from .estimation import SnapshotBatch, music_estimate, simulate_snapshots
 from .experiments import (
     SCHEMES,
     ExperimentConfig,
-    SensingStudyConfig,
     emit_outputs,
     load_config,
     monte_carlo_mse,

@@ -50,6 +50,15 @@ def _base_config(args) -> ExperimentConfig:
     return config
 
 
+def _cell(args, config: ExperimentConfig):
+    """SNR, scene, channels, coefficients and solver options of the cell
+    that ``--seed`` and ``--snr-db`` name."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
+    return (snr, *build_cell(config, args.seed, snr))
+
+
 def _cmd_run(args) -> int:
     config = _base_config(args)
     rows = run_scheme(config)
@@ -60,9 +69,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_crb(args) -> int:
-    config = _base_config(args)
-    snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
-    scene, channels, coeffs, jcas = build_cell(config, args.seed, snr)
+    snr, scene, channels, coeffs, jcas = _cell(args, _base_config(args))
     if not args.optimize:
         # zero outer iterations leave the design at its initial point
         jcas = dataclasses.replace(jcas, max_outer=0)
@@ -86,8 +93,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError(
             f"n_streams {config.n_streams} must be below n_bs_rx {config.n_bs_rx} for estimate"
         )
-    snr = config.snr_grid_db[0] if args.snr_db is None else args.snr_db
-    scene, channels, coeffs, jcas = build_cell(config, args.seed, snr)
+    _, scene, channels, coeffs, jcas = _cell(args, config)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
     (estimate,) = estimate_angles(config, scene, channels, coeffs, result, [config.root_seed])
     error = estimate - scene.target_angle

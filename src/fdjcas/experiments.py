@@ -118,6 +118,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         for name in (
             "direct_path_mag", "ris_path_mag", "nlos_si_power", "residual_factor", "max_outer", "mse_trials",
+            "root_seed",
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -146,10 +147,10 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         flat = {}
         for key, value in data.items():
-            if isinstance(value, dict):
-                flat.update(value)
-            else:
-                flat[key] = value
+            for name, item in (value if isinstance(value, dict) else {key: value}).items():
+                if name in flat:
+                    raise ConfigError(f"configuration key {name!r} is given twice")
+                flat[name] = item
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(flat) - known
         if unknown:
@@ -196,18 +197,9 @@ def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float):
     )
 
 
-def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
-    """Scene, channels, coefficients and solver options for one grid cell.
-
-    The target angle is drawn per seed from the 50 m circle; channel and
-    phase randomness derive from (root_seed, seed_index) streams so a cell
-    is reproducible in isolation and independent of the surface size for
-    the RIS-free schemes.
-    """
-    uses_ris, does_sensing = scheme_flags(config.scheme)
-    angle_rng = np.random.default_rng([config.root_seed, seed_index, 1])
-    target_angle = angle_rng.uniform(-np.pi / 2, np.pi / 2)
-    scene = build_scene(
+def _scene(config: ExperimentConfig, target_angle: float) -> Scene:
+    """The configured scene with the target at ``target_angle`` (radians)."""
+    return build_scene(
         n_bs_tx=config.n_bs_tx,
         n_bs_rx=config.n_bs_rx,
         ris_rows=config.ris_rows,
@@ -220,13 +212,12 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
         target_range=config.target_range,
         target_angle=target_angle,
     )
-    channels = _channel_set(config, scene, [config.root_seed, seed_index, 2], snr_db)
-    coeffs = PathCoefficients.random(
-        [config.root_seed, seed_index, 3],
-        direct_mag=config.direct_path_mag,
-        ris_mag=config.ris_path_mag,
-    )
-    jcas = JcasConfig(
+
+
+def _jcas_config(config: ExperimentConfig, seed: int) -> JcasConfig:
+    """Solver options of the configured scheme; ``seed`` draws the phase start."""
+    uses_ris, does_sensing = scheme_flags(config.scheme)
+    return JcasConfig(
         power_budget=config.power_budget,
         crb_threshold=config.crb_threshold,
         n_streams=config.n_streams,
@@ -234,7 +225,28 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
         max_outer=config.max_outer,
         ris_enabled=uses_ris,
         sensing_enabled=does_sensing,
-        seed=int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31)),
+        seed=seed,
+    )
+
+
+def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
+    """Scene, channels, coefficients and solver options for one grid cell.
+
+    The target angle is drawn per seed from the 50 m circle; channel and
+    phase randomness derive from (root_seed, seed_index) streams so a cell
+    is reproducible in isolation and independent of the surface size for
+    the RIS-free schemes.
+    """
+    angle_rng = np.random.default_rng([config.root_seed, seed_index, 1])
+    scene = _scene(config, angle_rng.uniform(-np.pi / 2, np.pi / 2))
+    channels = _channel_set(config, scene, [config.root_seed, seed_index, 2], snr_db)
+    coeffs = PathCoefficients.random(
+        [config.root_seed, seed_index, 3],
+        direct_mag=config.direct_path_mag,
+        ris_mag=config.ris_path_mag,
+    )
+    jcas = _jcas_config(
+        config, int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31))
     )
     return scene, channels, coeffs, jcas
 
@@ -374,67 +386,41 @@ def run_scheme(config: ExperimentConfig):
     return rows
 
 
-@dataclass(frozen=True)
-class SensingStudyConfig:
-    """Scene and sensing settings of :func:`monte_carlo_mse`; every other
-    setting takes its :class:`ExperimentConfig` default.
+def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients):
+    """Estimation error versus the bound across the configured SNR grid.
 
-    Per-trial snapshot seeds are ``root_seed + trial``; the channel
-    realization and beamforming run are fixed per SNR point.
+    The scene is the configured one with the target at ``target_angle``,
+    and ``coeffs`` sets the echo paths.  For each SNR point, one channel
+    realization (stream ``[root_seed, 100]``) is drawn, the scheme's joint
+    design is optimized from the phase start ``seed=root_seed``, and
+    ``mse_trials`` snapshot batches (seeds ``root_seed + trial``) are
+    estimated; the row reports the empirical mean squared angle error next
+    to the bound for ``snapshots`` samples at the optimized design.  The
+    study reads no ``seeds``, ``direct_path_mag``, ``ris_path_mag`` or
+    ``output_dir``.  Returns a list of dict rows with keys snr_db,
+    mse_rad2, crb_rad2, trials.
     """
-
-    scene: Scene
-    coeffs: PathCoefficients
-    crb_threshold: float = 0.01
-    snapshots: int = 64
-    grid_resolution: float = 1e-3
-    residual_factor: float = 0.1
-    root_seed: int = 0
-
-
-def monte_carlo_mse(study: SensingStudyConfig, snr_grid_db, trials: int):
-    """Estimation error versus the bound across an SNR sweep.
-
-    For each SNR point, one channel realization is drawn, the joint design
-    is optimized, and ``trials`` independent snapshot batches are estimated;
-    the row reports the empirical mean squared angle error next to the
-    snapshot-adjusted bound at the optimized precoder.  Returns a list of
-    dict rows with keys snr_db, mse_rad2, crb_rad2, trials.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    config = ExperimentConfig(
-        crb_threshold=study.crb_threshold,
-        snapshots=study.snapshots,
-        grid_resolution=study.grid_resolution,
-        residual_factor=study.residual_factor,
-        root_seed=study.root_seed,
-    )
-    seeds = [config.root_seed + trial for trial in range(trials)]
+    if config.mse_trials < 1:
+        raise ConfigError("mse_trials must be >= 1 for the MSE study")
+    scene = _scene(config, target_angle)
+    jcas = _jcas_config(config, config.root_seed)
+    seeds = [config.root_seed + trial for trial in range(config.mse_trials)]
     rows = []
-    for snr_db in snr_grid_db:
-        channels = _channel_set(config, study.scene, [config.root_seed, 100], snr_db)
-        jcas = JcasConfig(
-            power_budget=config.power_budget,
-            crb_threshold=config.crb_threshold,
-            n_streams=config.n_streams,
-            seed=config.root_seed,
-        )
-        result = jcas_optimize(study.scene, channels, jcas, coeffs=study.coeffs)
-        ctx = build_sensing_context(
-            study.scene, result.ris_phase, study.coeffs, channels.noise_radar
-        )
+    for snr_db in config.snr_grid_db:
+        channels = _channel_set(config, scene, [config.root_seed, 100], snr_db)
+        result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
+        ctx = build_sensing_context(scene, result.ris_phase, coeffs, channels.noise_radar)
         bound = aoa_crb(
             result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=config.snapshots
         )
-        estimates = estimate_angles(config, study.scene, channels, study.coeffs, result, seeds)
-        squared_errors = [(e - study.scene.target_angle) ** 2 for e in estimates]
+        estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
+        squared_errors = [(e - scene.target_angle) ** 2 for e in estimates]
         rows.append(
             {
-                "snr_db": float(snr_db),
+                "snr_db": snr_db,
                 "mse_rad2": float(np.mean(squared_errors)),
                 "crb_rad2": float(bound),
-                "trials": trials,
+                "trials": config.mse_trials,
             }
         )
     return rows

@@ -53,7 +53,7 @@ class IterationTrace:
     """Per-iteration convergence diagnostics of the outer loop.
 
     ``objective`` is the interference power plus the rate-equivalent value
-    of the weighted MSE term (interference minus the weighted rate); its
+    of the weighted MSE term (interference minus the rate); its
     raw weighted-MSE snapshot equals the constant ``n_streams/ln 2`` at the
     tight weight, so only the rate-equivalent form is comparable across
     weight updates.
@@ -117,7 +117,6 @@ class JcasConfig:
     power_budget: float = 1.0
     crb_threshold: float = math.inf
     n_streams: int = 2
-    priority: float = 1.0
     outer_tol: float = 1e-4
     max_outer: int = 100
     ris_enabled: bool = True
@@ -125,11 +124,9 @@ class JcasConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a NaN fails the comparison too; a non-positive priority would make
-        # the stream weight indefinite
-        for name in ("power_budget", "priority"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        # a NaN fails the comparison too
+        if not 0.0 < self.power_budget < math.inf:
+            raise ValueError("power_budget must be finite and positive")
 
     @property
     def enforced_crb_threshold(self) -> float:
@@ -566,7 +563,7 @@ def jcas_optimize(
 
     for it in range(1, config.max_outer + 1):
         combiner = mmse_combiner(h_eff, precoder, noise_user)
-        weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user), config.priority)
+        weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user))
         try:
             precoder, lam0, mu = precoder_update(
                 combiner,
@@ -608,7 +605,7 @@ def jcas_optimize(
 def _evaluate(precoder, phi, channels, config):
     """Recorded objective, downlink rate and SI power of one state.
 
-    The objective is the interference power minus the weighted rate: the
+    The objective is the interference power minus the rate: the
     rate-equivalent value of the weighted-MSE surrogate at the tight
     combiner/weight pair, the quantity the alternating updates provably do
     not increase.  The SI power is NaN when the run does not sense.
@@ -616,7 +613,7 @@ def _evaluate(precoder, phi, channels, config):
     Returns (objective, rate, si_power).
     """
     rate = dl_rate(effective_channel(channels, phi), precoder, channels.noise_user)
-    value = -config.priority * rate
+    value = -rate
     si_power = math.nan
     if config.sensing_enabled:
         si_power = float(np.real(np.trace(si_matrix(precoder, phi, channels))))

@@ -13,8 +13,7 @@ import pytest
 
 from fdjcas.channels import build_channel_set
 from fdjcas.crb import aoa_crb
-from fdjcas.experiments import SensingStudyConfig, monte_carlo_mse
-from fdjcas.experiments import ExperimentConfig, SCHEMES, run_scheme
+from fdjcas.experiments import ExperimentConfig, SCHEMES, monte_carlo_mse, run_scheme
 from fdjcas.geometry import build_scene, ris_angles_of_target
 from fdjcas.optimizer import (
     CrbInfeasibleError,
@@ -314,18 +313,17 @@ def test_criterion_07_wmmse_identity():
 
 def test_criterion_08_sensing_trend():
     start = time.perf_counter()
-    scene = build_scene(target_angle=np.deg2rad(20.0))
-    config = SensingStudyConfig(
-        scene=scene,
-        coeffs=PathCoefficients.random(3),
+    trials = 200
+    config = ExperimentConfig(
         crb_threshold=THRESHOLD,
         snapshots=64,
         grid_resolution=2e-4,
         residual_factor=0.1,
         root_seed=0,
+        snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+        mse_trials=trials,
     )
-    trials = 200
-    rows = monte_carlo_mse(config, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], trials=trials)
+    rows = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
     mse = np.array([r["mse_rad2"] for r in rows])
     crb = np.array([r["crb_rad2"] for r in rows])
     mse_inversions = int(np.sum(np.diff(mse) > 0.0))

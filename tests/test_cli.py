@@ -128,6 +128,17 @@ def test_estimate_without_noise_subspace_is_a_config_error(
     assert optimized == []
 
 
+@pytest.mark.parametrize("command", ["crb", "estimate"])
+def test_negative_seed_is_a_config_error(capsys, config_path, monkeypatch, command):
+    optimized = []
+    monkeypatch.setattr(cli, "jcas_optimize", lambda *a, **k: optimized.append(a))
+    assert cli.main([command, str(config_path), "--seed", "-1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "--seed" in err
+    assert optimized == []
+
+
 def test_residual_si_mode_key_is_gone(capsys, tmp_path):
     # none -> residual_factor: 0, full -> residual_factor: 1
     path = tmp_path / "config.yaml"

@@ -3,18 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdjcas import estimation
+from fdjcas import estimation, experiments
 from fdjcas.channels import build_channel_set
+from fdjcas.crb import aoa_crb
 from fdjcas.estimation import CovarianceRankError, music_estimate, simulate_snapshots
 from fdjcas.experiments import (
     ExperimentConfig,
-    SensingStudyConfig,
     build_cell,
     estimate_angles,
     monte_carlo_mse,
 )
 from fdjcas.geometry import build_scene
-from fdjcas.optimizer import jcas_optimize
+from fdjcas.optimizer import JcasConfig, jcas_optimize
 from fdjcas.steering import PathCoefficients, build_sensing_context, steering_set
 
 from conftest import random_unit_modulus
@@ -262,27 +262,45 @@ class TestMusicEstimate:
 
 
 class TestMonteCarlo:
-    def _config(self):
-        scene = build_scene(target_angle=np.deg2rad(20.0))
-        return SensingStudyConfig(
-            scene=scene,
-            coeffs=PathCoefficients.random(3),
-            crb_threshold=0.01,
-            snapshots=32,
-            grid_resolution=2e-3,
-            root_seed=0,
-        )
+    ANGLE = np.deg2rad(20.0)
+
+    def _config(self, **overrides):
+        settings = dict(crb_threshold=0.01, snapshots=32, grid_resolution=2e-3, root_seed=0)
+        return ExperimentConfig(**{**settings, **overrides})
 
     def test_single_trial_deterministic(self):
-        config = self._config()
-        a = monte_carlo_mse(config, [10.0], trials=1)
-        b = monte_carlo_mse(config, [10.0], trials=1)
+        config = self._config(snr_grid_db=[10.0], mse_trials=1)
+        a = monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
+        b = monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
         assert a == b
         assert set(a[0]) == {"snr_db", "mse_rad2", "crb_rad2", "trials"}
 
     def test_rows_cover_grid(self):
-        config = self._config()
-        rows = monte_carlo_mse(config, [5.0, 15.0], trials=2)
+        config = self._config(snr_grid_db=[5.0, 15.0], mse_trials=2)
+        rows = monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
         assert [r["snr_db"] for r in rows] == [5.0, 15.0]
         assert all(r["trials"] == 2 for r in rows)
         assert all(np.isfinite(r["mse_rad2"]) and np.isfinite(r["crb_rad2"]) for r in rows)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="mse_trials"):
+            monte_carlo_mse(self._config(mse_trials=0), self.ANGLE, PathCoefficients.random(3))
+
+    @pytest.mark.parametrize("scene_fields", [{}, {"n_bs_rx": 8}])
+    def test_rows_equal_the_composed_study(self, scene_fields):
+        # seed streams: channels [root_seed, 100], phase start root_seed,
+        # snapshot seeds root_seed + trial
+        root_seed, snr_db, coeffs = 7, 10.0, PathCoefficients.random(3)
+        config = self._config(snr_grid_db=[snr_db], mse_trials=2, root_seed=root_seed, **scene_fields)
+        scene = build_scene(target_angle=self.ANGLE, **scene_fields)
+        channels = experiments._channel_set(config, scene, [root_seed, 100], snr_db)
+        result = jcas_optimize(
+            scene, channels, JcasConfig(crb_threshold=0.01, seed=root_seed), coeffs=coeffs
+        )
+        ctx = build_sensing_context(scene, result.ris_phase, coeffs, channels.noise_radar)
+        bound = aoa_crb(result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=32)
+        estimates = estimate_angles(config, scene, channels, coeffs, result, [root_seed, root_seed + 1])
+        mse = float(np.mean([(e - self.ANGLE) ** 2 for e in estimates]))
+        assert monte_carlo_mse(config, self.ANGLE, coeffs) == [
+            {"snr_db": snr_db, "mse_rad2": mse, "crb_rad2": float(bound), "trials": 2}
+        ]

@@ -91,6 +91,7 @@ class TestConfig:
             ("n_user", 0),
             ("seeds", 0),
             ("mse_trials", -1),
+            ("root_seed", -1),
             ("n_streams", 0),
             # more streams than transmit antennas
             ("n_streams", 16),
@@ -149,6 +150,20 @@ class TestConfig:
         assert config.scheme == "no_ris_comm_only"
         assert config.seeds == 4
         assert config.n_bs_tx == 8
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_bs_tx: 8\nscene: {n_bs_tx: 6}\n",
+            "scene: {n_bs_tx: 6}\nn_bs_tx: 8\n",
+            "scene: {n_bs_tx: 6}\narrays: {n_bs_tx: 6}\n",
+        ],
+    )
+    def test_key_given_twice_rejected(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="'n_bs_tx' is given twice"):
+            load_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"

@@ -571,7 +571,7 @@ class TestRisOptimizeMatchesMmStep:
 
 
 class TestJcasConfig:
-    @pytest.mark.parametrize("name", ["power_budget", "priority"])
+    @pytest.mark.parametrize("name", ["power_budget"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
