@@ -4,7 +4,7 @@ optimization under power and angle-accuracy constraints, and subspace-based
 estimation studies."""
 
 from .channels import ChannelSet, build_channel_set, farfield_los, nearfield_los
-from .crb import UnobservableError, aoa_crb, crb_within_threshold
+from .crb import UnobservableError, aoa_crb
 from .estimation import SnapshotBatch, music_estimate, simulate_snapshots
 from .experiments import (
     SCHEMES,

@@ -55,9 +55,3 @@ def aoa_crb(precoder, path_response_deriv, noise_cov, snapshots: int = 1) -> flo
         )
     return 1.0 / (snapshots * fisher)
 
-
-def crb_within_threshold(crb_value: float, threshold: float) -> bool:
-    """Whether the bound meets the accuracy requirement (boundary inclusive)."""
-    if crb_value <= 0.0 or threshold <= 0.0:
-        raise ValueError("CRB and threshold must be positive")
-    return crb_value <= threshold

@@ -108,6 +108,8 @@ class ExperimentConfig:
             object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"snr_grid_db must be a list of numbers: {err}") from err
+        if not self.snr_grid_db:
+            raise ConfigError("snr_grid_db must not be empty")
         if not all(math.isfinite(s) for s in self.snr_grid_db):
             raise ConfigError("snr_grid_db entries must be finite")
         # NaN fails the comparison too; +inf means no sensing constraint
@@ -129,12 +131,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_streams > self.n_bs_tx:
             raise ConfigError(f"n_streams {self.n_streams} exceeds n_bs_tx {self.n_bs_tx}")
-        # MUSIC needs a noise subspace: fewer signal dimensions than receive antennas
-        if self.mse_trials > 0 and scheme_flags(self.scheme)[1] and self.n_streams >= self.n_bs_rx:
-            raise ConfigError(
-                f"n_streams {self.n_streams} must be below n_bs_rx {self.n_bs_rx} "
-                "for a sensing scheme with mse_trials > 0"
-            )
+        if self.mse_trials > 0 and scheme_flags(self.scheme)[1]:
+            require_noise_subspace(self, "for a sensing scheme with mse_trials > 0")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ConfigError("snr_grid_db must be sorted ascending")
 
@@ -180,6 +178,13 @@ def scheme_flags(scheme: str):
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
     return scheme.startswith("ris"), scheme.endswith("with_sensing")
+
+
+def require_noise_subspace(config: ExperimentConfig, use: str) -> None:
+    """Raise a ConfigError unless MUSIC has a noise subspace, that is
+    ``n_streams`` below ``n_bs_rx``; ``use`` ends the message."""
+    if config.n_streams >= config.n_bs_rx:
+        raise ConfigError(f"n_streams {config.n_streams} must be below n_bs_rx {config.n_bs_rx} {use}")
 
 
 def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float):
@@ -288,6 +293,13 @@ def estimate_angles(config: ExperimentConfig, scene, channels, coeffs, result, s
     return [music_estimate(batch, config.n_streams, config.grid_resolution) for batch in batches]
 
 
+def design_bound(scene, channels, coeffs, result, snapshots: int = 1) -> float:
+    """The angle bound of a finished design: ``aoa_crb`` of its precoder,
+    with the sensing context at its surface phase, for ``snapshots`` samples."""
+    ctx = build_sensing_context(scene, result.ris_phase, coeffs, channels.noise_radar)
+    return aoa_crb(result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=snapshots)
+
+
 def _openblas_threads():
     """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or
     None when numpy links another BLAS."""
@@ -304,12 +316,8 @@ def _openblas_threads():
     return None
 
 
-def _run_cells(config: ExperimentConfig, cells) -> list:
-    return [_run_cell(config, seed_index, snr_db) for seed_index, snr_db in cells]
-
-
-def _map_cells(config: ExperimentConfig, cells) -> list:
-    """``_run_cell`` of every ``(seed_index, snr_db)`` cell, in order.
+def _map_cells(cell_fn, config: ExperimentConfig, cells) -> list:
+    """``cell_fn(config, *cell)`` of every cell, in order.
 
     With more than one CPU in the affinity mask (``taskset`` narrows it),
     this process runs every ``workers``-th cell, starting with the first,
@@ -320,13 +328,14 @@ def _map_cells(config: ExperimentConfig, cells) -> list:
     here when there is one CPU or one cell, when numpy's BLAS is not
     OpenBLAS, or when other Python threads are alive, because forking a
     threaded process can deadlock the child.  Each cell has its own seed
-    streams, so the results are the same either way.
+    streams, so the results are the same either way.  ``cell_fn`` must be
+    a module-level function, so that the pool can pickle it.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(cells), cpus)
     blas = _openblas_threads() if workers > 1 and threading.active_count() == 1 else None
     if blas is None:
-        return _run_cells(config, cells)
+        return [cell_fn(config, *cell) for cell in cells]
     # imported here: one-cell calls never fork, and the pool modules take ~20 ms to import
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -338,11 +347,11 @@ def _map_cells(config: ExperimentConfig, cells) -> list:
     set_threads(1)  # before the first submit forks the workers, so they inherit it
     try:
         futures = {
-            i: pool.submit(_run_cell, config, *cell)
+            i: pool.submit(cell_fn, config, *cell)
             for i, cell in enumerate(cells)
             if i % workers
         }
-        own = iter(_run_cells(config, cells[::workers]))
+        own = iter([cell_fn(config, *cell) for cell in cells[::workers]])
         return [futures[i].result() if i in futures else next(own) for i in range(len(cells))]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -358,7 +367,7 @@ def run_scheme(config: ExperimentConfig):
     every CPU of the affinity mask (see :func:`_map_cells`).
     """
     cells = [(seed_index, snr_db) for snr_db in config.snr_grid_db for seed_index in range(config.seeds)]
-    results = iter(_map_cells(config, cells))
+    results = iter(_map_cells(_run_cell, config, cells))
     rows = []
     for snr_db in config.snr_grid_db:
         rates, si_powers, crbs, sq_errors = [], [], [], []
@@ -386,6 +395,21 @@ def run_scheme(config: ExperimentConfig):
     return rows
 
 
+def _study_point(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients, snr_db: float):
+    """The :func:`monte_carlo_mse` row of one SNR point."""
+    scene = _scene(config, target_angle)
+    channels = _channel_set(config, scene, [config.root_seed, 100], snr_db)
+    result = jcas_optimize(scene, channels, _jcas_config(config, config.root_seed), coeffs=coeffs)
+    seeds = [config.root_seed + trial for trial in range(config.mse_trials)]
+    estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
+    return {
+        "snr_db": snr_db,
+        "mse_rad2": float(np.mean([(e - scene.target_angle) ** 2 for e in estimates])),
+        "crb_rad2": design_bound(scene, channels, coeffs, result, config.snapshots),
+        "trials": config.mse_trials,
+    }
+
+
 def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients):
     """Estimation error versus the bound across the configured SNR grid.
 
@@ -398,32 +422,17 @@ def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathC
     to the bound for ``snapshots`` samples at the optimized design.  The
     study reads no ``seeds``, ``direct_path_mag``, ``ris_path_mag`` or
     ``output_dir``.  Returns a list of dict rows with keys snr_db,
-    mse_rad2, crb_rad2, trials.
+    mse_rad2, crb_rad2, trials, in grid order.
+
+    The points run on every CPU like the cells of :func:`run_scheme` (see
+    :func:`_map_cells`).  An infeasible point raises CrbInfeasibleError;
+    when several fail, this process runs its own share first, so the error
+    raised may be that of a later failing point than the first one.
     """
     if config.mse_trials < 1:
         raise ConfigError("mse_trials must be >= 1 for the MSE study")
-    scene = _scene(config, target_angle)
-    jcas = _jcas_config(config, config.root_seed)
-    seeds = [config.root_seed + trial for trial in range(config.mse_trials)]
-    rows = []
-    for snr_db in config.snr_grid_db:
-        channels = _channel_set(config, scene, [config.root_seed, 100], snr_db)
-        result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-        ctx = build_sensing_context(scene, result.ris_phase, coeffs, channels.noise_radar)
-        bound = aoa_crb(
-            result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=config.snapshots
-        )
-        estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
-        squared_errors = [(e - scene.target_angle) ** 2 for e in estimates]
-        rows.append(
-            {
-                "snr_db": snr_db,
-                "mse_rad2": float(np.mean(squared_errors)),
-                "crb_rad2": float(bound),
-                "trials": config.mse_trials,
-            }
-        )
-    return rows
+    require_noise_subspace(config, "for the MSE study")
+    return _map_cells(_study_point, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
 
 
 def _nanmean(values):

@@ -38,6 +38,16 @@ def test_non_finite_snr_is_a_config_error(capsys, monkeypatch, argv):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "crb"])
+def test_empty_snr_grid_is_a_config_error(capsys, tmp_path, command):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "snr_grid_db": []}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: snr_grid_db must not be empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _printed(capsys, argv):
     assert cli.main(argv) == cli.EXIT_OK
     out = capsys.readouterr().out

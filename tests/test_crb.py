@@ -4,7 +4,6 @@ import pytest
 from fdjcas.crb import (
     UnobservableError,
     aoa_crb,
-    crb_within_threshold,
     fisher_core,
     fisher_information,
 )
@@ -95,17 +94,3 @@ class TestAoaCrb:
             aoa_crb(precoder, deriv, noise) / 8.0, rel=1e-12
         )
 
-
-class TestThreshold:
-    def test_below(self):
-        assert crb_within_threshold(0.005, 0.01) is True
-
-    def test_boundary_inclusive(self):
-        assert crb_within_threshold(0.01, 0.01) is True
-
-    def test_above(self):
-        assert crb_within_threshold(0.02, 0.01) is False
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            crb_within_threshold(-1.0, 0.01)

@@ -8,6 +8,7 @@ from fdjcas.channels import build_channel_set
 from fdjcas.crb import aoa_crb
 from fdjcas.estimation import CovarianceRankError, music_estimate, simulate_snapshots
 from fdjcas.experiments import (
+    ConfigError,
     ExperimentConfig,
     build_cell,
     estimate_angles,
@@ -285,6 +286,18 @@ class TestMonteCarlo:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="mse_trials"):
             monte_carlo_mse(self._config(mse_trials=0), self.ANGLE, PathCoefficients.random(3))
+
+    def test_streams_without_noise_subspace_rejected_before_optimizing(self, monkeypatch):
+        # MUSIC runs for every scheme in the study, not only the sensing ones
+        config = self._config(
+            n_bs_tx=6, n_bs_rx=4, ris_rows=2, ris_cols=2, n_streams=4,
+            scheme="ris_comm_only", mse_trials=2, snr_grid_db=[10.0],
+        )
+        optimized = []
+        monkeypatch.setattr(experiments, "jcas_optimize", lambda *a, **k: optimized.append(a))
+        with pytest.raises(ConfigError, match="n_streams"):
+            monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
+        assert optimized == []
 
     @pytest.mark.parametrize("scene_fields", [{}, {"n_bs_rx": 8}])
     def test_rows_equal_the_composed_study(self, scene_fields):

@@ -27,12 +27,15 @@ from fdjcas.experiments import (
     SCHEMES,
     build_cell,
     emit_outputs,
+    estimate_angles,
     load_config,
+    monte_carlo_mse,
     run_scheme,
     scheme_flags,
 )
 from fdjcas.geometry import InfeasibleGeometryError
 from fdjcas.optimizer import CrbInfeasibleError, jcas_optimize
+from fdjcas.steering import PathCoefficients
 
 FAST = dict(
     n_bs_tx=6, n_bs_rx=4, n_user=3, ris_rows=3, ris_cols=3, n_streams=2,
@@ -66,6 +69,7 @@ class TestConfig:
             ("snr_grid_db", (math.nan,)),
             ("snr_grid_db", (-math.inf,)),
             ("snr_grid_db", (0.0, math.inf)),
+            ("snr_grid_db", ()),
             ("crb_threshold", math.nan),
             ("crb_threshold", 0.0),
             ("crb_threshold", -1.0),
@@ -200,6 +204,31 @@ class TestRunScheme:
             assert np.isfinite(row["rate_bps_hz"])
             assert np.isfinite(row["crb_rad2"])
             assert np.isfinite(row["mse_rad2"])
+
+    def test_rows_equal_the_composed_cells(self):
+        # snapshot seeds root_seed + seed_index * trials + trial,
+        # trials = max(1, mse_trials // seeds)
+        config = ExperimentConfig(
+            scheme="ris_with_sensing",
+            **{
+                **FAST, "root_seed": 7, "seeds": 2, "mse_trials": 4, "crb_threshold": 1.0,
+                "snapshots": 16, "grid_resolution": 1e-2,
+            },
+        )
+        rates, crbs, sq_errors = [], [], []
+        for seed_index in range(2):
+            scene, channels, coeffs, jcas = build_cell(config, seed_index, 10.0)
+            result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
+            rates.append(result.trace.rate_bps_hz[-1])
+            crbs.append(result.trace.crb[-1])
+            seeds = [7 + seed_index * 2 + trial for trial in range(2)]
+            estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
+            sq_errors.extend((e - scene.target_angle) ** 2 for e in estimates)
+        (row,) = run_scheme(config)
+        assert row["feasible_seeds"] == 2
+        assert row["rate_bps_hz"] == float(np.mean(rates))
+        assert row["crb_rad2"] == float(np.mean(crbs))
+        assert row["mse_rad2"] == float(np.mean(sq_errors))
 
     def test_infeasible_point_flagged_not_dropped(self):
         config = ExperimentConfig(
@@ -378,13 +407,19 @@ class TestBuildCell:
 
 TEST_PID = os.getpid()
 RUN_CELL = experiments._run_cell
+STUDY_POINT = experiments._study_point
 
 
 def _cell_where(config, seed_index, snr_db):
-    """Stand-in for ``_run_cell``: the cell, the process that ran it and its
-    OpenBLAS thread count (None without OpenBLAS)."""
+    """The cell, the process that ran it and its OpenBLAS thread count
+    (None without OpenBLAS)."""
     blas = experiments._openblas_threads()
     return seed_index, snr_db, os.getpid(), blas[0]() if blas else None
+
+
+def _study_point_where(config, target_angle, coeffs, snr_db):
+    """``_study_point`` with the process that ran it."""
+    return {**STUDY_POINT(config, target_angle, coeffs, snr_db), "pid": os.getpid()}
 
 
 def _cell_failing_in_worker(config, seed_index, snr_db):
@@ -442,13 +477,12 @@ class TestCellPool:
         if blas is None:
             pytest.skip("numpy does not use OpenBLAS: cells run in this process")
         get_threads, set_threads = blas
-        monkeypatch.setattr(experiments, "_run_cell", _cell_where)
         _cpus(monkeypatch, cpus)
         cells = [(seed_index, snr_db) for snr_db in (0.0, 5.0) for seed_index in range(3)]
         original = get_threads()
         set_threads(2)
         try:
-            done = experiments._map_cells(ExperimentConfig(**FAST), cells)
+            done = experiments._map_cells(_cell_where, ExperimentConfig(**FAST), cells)
             after = get_threads()
         finally:
             set_threads(original)
@@ -461,18 +495,36 @@ class TestCellPool:
         assert multiprocessing.active_children() == []
 
     def test_other_threads_keep_cells_in_process(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_run_cell", _cell_where)
         _cpus(monkeypatch, 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            done = experiments._map_cells(ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
+            done = experiments._map_cells(_cell_where, ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
         assert [cell[2] for cell in done] == [TEST_PID, TEST_PID]
+
+    def test_study_points_on_the_pool_equal_serial_points(self, monkeypatch):
+        if experiments._openblas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS: points run in this process")
+        monkeypatch.setattr(experiments, "_study_point", _study_point_where)
+        config = ExperimentConfig(
+            **{**FAST, "snr_grid_db": (0.0, 10.0, 20.0), "mse_trials": 2, "snapshots": 16},
+            grid_resolution=1e-2,
+        )
+        _cpus(monkeypatch, 2)
+        parallel = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
+        assert multiprocessing.active_children() == []
+        _cpus(monkeypatch, 1)
+        serial = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
+        # this process runs every second point, the worker the other
+        assert [row.pop("pid") == TEST_PID for row in parallel] == [True, False, True]
+        assert [row.pop("pid") for row in serial] == [TEST_PID] * 3
+        assert parallel == serial
+        assert [row["snr_db"] for row in serial] == [0.0, 10.0, 20.0]
 
     def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
         if experiments._openblas_threads() is None:
