@@ -34,7 +34,7 @@ def _base_config(args) -> ExperimentConfig:
     overrides = {}
     if getattr(args, "scheme", None):
         overrides["scheme"] = args.scheme
-    if getattr(args, "snr", None):
+    if getattr(args, "snr", None) is not None:
         try:
             overrides["snr_grid_db"] = tuple(float(s) for s in args.snr.split(","))
         except ValueError as err:

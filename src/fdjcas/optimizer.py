@@ -5,7 +5,6 @@ them together."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -79,25 +78,6 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.iteration)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iter", "objective", "rate_bps_hz", "si_power", "crb", "lambda0", "mu_k"]
-            )
-            for row in zip(
-                self.iteration,
-                self.objective,
-                self.rate_bps_hz,
-                self.si_power,
-                self.crb,
-                self.lambda0,
-                self.mu_k,
-            ):
-                writer.writerow(
-                    [row[0]] + ["" if isinstance(x, float) and math.isnan(x) else repr(x) for x in row[1:]]
-                )
-
 
 @dataclass(frozen=True)
 class JcasConfig:
@@ -127,6 +107,10 @@ class JcasConfig:
         # a NaN fails the comparison too
         if not 0.0 < self.power_budget < math.inf:
             raise ValueError("power_budget must be finite and positive")
+        if not self.crb_threshold > 0.0:
+            raise ValueError("crb_threshold must be positive (inf disables it)")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be >= 0")
 
     @property
     def enforced_crb_threshold(self) -> float:
@@ -338,62 +322,38 @@ def precoder_update(
 
 
 def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS):
-    """Quadratic form (matrix, linear vector) of the phase-profile objective.
+    """Phase-profile objective p^H M p + 2 Re(d^T p) as one least-squares
+    residual, returned as (M, d, largest eigenvalue of M).
 
-    For the joint design the restriction of the interference power plus the
-    weighted through-combiner signal power to the phase vector p reads
-    p^H M p + 2 Re(d^T p) + const; M sums the interference and user Gram
-    pairings (each a Hadamard product with the precoder-weighted surface
-    Gram) and d collects the cross terms against the direct links.  The
-    ``"rate"`` variant drops the interference pieces and adds the
-    combiner-signal linear term so the form equals the weighted-MSE
-    restriction used by the communications-only benchmark.
-    """
-    if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
-        raise ValueError(f"unknown ris objective {objective!r}")
-    u = channels.bs_to_ris @ precoder
-    surface_gram = u @ u.conj().T
-    fj = combiner @ channels.ris_to_user
-    quad = fj.conj().T @ weight @ fj
-    right_user = (
-        precoder.conj().T
-        @ channels.bs_to_user.conj().T
-        @ combiner.conj().T
-        @ weight
-        @ fj
-    )
-    lin = np.einsum("ij,ji->i", u, right_user)
-    if objective == RIS_OBJECTIVE_JCAS:
-        quad = quad + channels.ris_to_bs.conj().T @ channels.ris_to_bs
-        right_si = precoder.conj().T @ channels.si_los.conj().T @ channels.ris_to_bs
-        lin = lin + np.einsum("ij,ji->i", u, right_si)
-    else:
-        lin = lin - np.einsum("ij,ji->i", u, weight @ fj)
-    return quad * surface_gram.T, lin
-
-
-def ris_lam_max(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS) -> float:
-    """Largest eigenvalue of the :func:`ris_quadratics` matrix, from its factor.
-
-    That matrix is ``(X X^H) * (conj(u) u^T)`` (elementwise) with
-    ``u = bs_to_ris @ precoder`` and ``X = [fj^H W^(1/2), ris_to_bs^H]``,
-    the second block for ``"jcas"`` only.  So it equals ``F F^H``, where
-    column (k, l) of ``F`` is ``X[:, k] * conj(u[:, l])``, and shares its
-    top eigenvalue with the small Gram ``F^H F``: at most
-    ``n_streams * (n_streams + n_bs_rx)`` square instead of surface-sized.
-    The weight root comes from an eigendecomposition with eigenvalues
-    clipped at zero, so a zero weight is allowed.
+    Both forms are ``||F^H p + c||^2`` up to a constant.  With
+    ``u = bs_to_ris @ precoder``, ``W = R R^H`` (eigenvalues clipped at
+    zero, so a zero weight is allowed),
+    ``X = (combiner @ ris_to_user)^H R`` and
+    ``c = R^H (combiner @ bs_to_user @ precoder)``, column (k, l) of ``F``
+    is ``X[:, k] * conj(u[:, l])``.  The ``"jcas"`` form (interference
+    power plus weighted through-combiner signal power) appends
+    ``ris_to_bs^H`` to ``X`` and ``si_los @ precoder`` to ``c``; the
+    ``"rate"`` form (the weighted-MSE restriction of the
+    communications-only benchmark) uses ``c - R^H`` instead.  So
+    ``M = F F^H``, ``d = conj(F c)``, and the top eigenvalue comes from the
+    small Gram ``F^H F``: at most ``n_streams * (n_streams + n_bs_rx)``
+    square instead of surface-sized.
     """
     if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
         raise ValueError(f"unknown ris objective {objective!r}")
     evals, evecs = np.linalg.eigh(_herm(weight))
-    fj = combiner @ channels.ris_to_user
-    x = fj.conj().T @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    x = (combiner @ channels.ris_to_user).conj().T @ root
+    c = root.conj().T @ (combiner @ channels.bs_to_user @ precoder)
     if objective == RIS_OBJECTIVE_JCAS:
         x = np.hstack([x, channels.ris_to_bs.conj().T])
+        c = np.vstack([c, channels.si_los @ precoder])
+    else:
+        c = c - root.conj().T
     u = channels.bs_to_ris @ precoder
     factor = (x[:, :, None] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
-    return float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
+    lam_max = float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
+    return factor @ factor.conj().T, np.conj(factor @ c.ravel()), lam_max
 
 
 def _objective(phi, m_phi, linear) -> float:
@@ -458,7 +418,8 @@ def ris_optimize(
     when the current value is exactly zero.  Each step does one ``M @ phi``
     product, shared by the objective value and the next update, in
     preallocated buffers; ``phi0`` is not modified.  ``lam_max`` is the
-    top eigenvalue of ``quad_matrix`` (e.g. from :func:`ris_lam_max`);
+    top eigenvalue of ``quad_matrix`` (e.g. the third value of
+    :func:`ris_quadratics`);
     without it a dense eigensolve supplies it.  Phase and values match
     iterated :func:`mm_step` (with the same ``lam_max``) and
     :func:`ris_objective_value` bit for bit.  Raises ValueError for a
@@ -581,8 +542,7 @@ def jcas_optimize(
                 err.achieved, err.threshold, context=f"outer iteration {it}"
             ) from err
         if config.ris_enabled:
-            quad, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
-            lam_max = ris_lam_max(precoder, combiner, weight, channels, objective=objective)
+            quad, lin, lam_max = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
             candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER, lam_max=lam_max)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)

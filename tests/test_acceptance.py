@@ -188,7 +188,7 @@ def test_criterion_03_quadratic_form_equivalence():
             noise_user=10.0 ** (-rng.uniform(0.0, 3.0)),
         )
         phi0, h_eff, v, f, w = random_reference_state(rng, channels)
-        quad, lin = ris_quadratics(v, f, w, channels)
+        quad, lin, _ = ris_quadratics(v, f, w, channels)
 
         def restricted(phi):
             he = effective_channel(channels, phi)

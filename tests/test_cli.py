@@ -168,6 +168,7 @@ def test_residual_si_mode_key_is_gone(capsys, tmp_path):
         ("outer_tol", "abc"),
         ("power_budget", [1.0]),
         ("--snr", "abc"),
+        ("--snr", ""),
     ],
 )
 def test_non_numeric_value_is_a_config_error(capsys, tmp_path, key, value):

@@ -10,7 +10,6 @@ from fdjcas.geometry import build_scene
 import fdjcas.optimizer as optimizer
 from fdjcas.optimizer import (
     CrbInfeasibleError,
-    IterationTrace,
     JcasConfig,
     dl_rate,
     dominant_precoder,
@@ -20,7 +19,6 @@ from fdjcas.optimizer import (
     mmse_combiner,
     mse_matrix,
     precoder_update,
-    ris_lam_max,
     ris_objective_value,
     ris_optimize,
     ris_quadratics,
@@ -248,7 +246,7 @@ class TestRisQuadratics:
         v = np.zeros((n_tx, 2), dtype=complex)
         f = np.zeros((2, small_channels.n_user), dtype=complex)
         w = np.zeros((2, 2), dtype=complex)
-        quad, lin = ris_quadratics(v, f, w, small_channels)
+        quad, lin, _ = ris_quadratics(v, f, w, small_channels)
         assert np.all(quad == 0.0)
         assert np.all(lin == 0.0)
 
@@ -258,7 +256,7 @@ class TestRisQuadratics:
             bs_to_user=eye, ris_to_user=eye, bs_to_ris=eye, ris_to_bs=eye,
             si_los=eye, si_nlos=np.zeros((3, 3), dtype=complex),
         )
-        quad, lin = ris_quadratics(eye, eye, eye, ch)
+        quad, lin, _ = ris_quadratics(eye, eye, eye, ch)
         assert np.allclose(quad, 2.0 * np.eye(3), atol=1e-14)
         assert np.allclose(lin, 2.0 * np.ones(3), atol=1e-14)
 
@@ -269,7 +267,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        quad, lin = ris_quadratics(v, f, w, small_channels)
+        quad, lin, _ = ris_quadratics(v, f, w, small_channels)
         assert np.allclose(quad, quad.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(quad).min() > -1e-10
 
@@ -292,7 +290,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        quad, lin = ris_quadratics(v, f, w, small_channels, objective="rate")
+        quad, lin, _ = ris_quadratics(v, f, w, small_channels, objective="rate")
 
         def weighted_mse(phi):
             he = effective_channel(small_channels, phi)
@@ -308,9 +306,8 @@ class TestRisQuadratics:
 
     def test_unknown_objective_rejected(self, small_channels):
         v = np.zeros((6, 2), dtype=complex)
-        for fn in (ris_quadratics, ris_lam_max):
-            with pytest.raises(ValueError):
-                fn(v, np.zeros((2, 3)), np.zeros((2, 2)), small_channels, objective="bogus")
+        with pytest.raises(ValueError):
+            ris_quadratics(v, np.zeros((2, 3)), np.zeros((2, 2)), small_channels, objective="bogus")
 
 
 def complex_normal(rng, shape):
@@ -333,6 +330,26 @@ def low_rank(rng, rows, cols, rank):
     return complex_normal(rng, (rows, rank)) @ complex_normal(rng, (rank, cols))
 
 
+def hadamard_quadratics(precoder, combiner, weight, channels, objective):
+    """(M, d) of the phase objective written out term by term: each Gram
+    pairing times the transposed surface Gram, and each cross term against
+    a direct link as a row-wise contraction with ``u``."""
+    u = channels.bs_to_ris @ precoder
+    fj = combiner @ channels.ris_to_user
+    quad = fj.conj().T @ weight @ fj
+    right_user = (
+        precoder.conj().T @ channels.bs_to_user.conj().T @ combiner.conj().T @ weight @ fj
+    )
+    lin = np.einsum("ij,ji->i", u, right_user)
+    if objective == "jcas":
+        quad = quad + channels.ris_to_bs.conj().T @ channels.ris_to_bs
+        right_si = precoder.conj().T @ channels.si_los.conj().T @ channels.ris_to_bs
+        lin = lin + np.einsum("ij,ji->i", u, right_si)
+    else:
+        lin = lin - np.einsum("ij,ji->i", u, weight @ fj)
+    return quad * (u @ u.conj().T).T, lin
+
+
 class TestRisLamMax:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -351,19 +368,21 @@ class TestRisLamMax:
         combiner = complex_normal(rng, (n_streams, channels.n_user))
         root = low_rank(rng, n_streams, n_streams, weight_rank)
         weight = root @ root.conj().T
-        quad, _ = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        quad, lin, factored = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
         dense = np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]
-        factored = ris_lam_max(precoder, combiner, weight, channels, objective=objective)
         assert abs(factored - dense) <= 1e-12 * abs(dense)
         if precoder_rank == 0:
             assert factored == 0.0
+        hadamard_quad, hadamard_lin = hadamard_quadratics(precoder, combiner, weight, channels, objective)
+        assert np.linalg.norm(quad - hadamard_quad) <= 1e-12 * np.linalg.norm(hadamard_quad)
+        assert np.linalg.norm(lin - hadamard_lin) <= 1e-12 * np.linalg.norm(hadamard_lin)
 
     def test_zero_precoder_and_weight(self, small_channels):
         v = np.zeros((small_channels.n_bs_tx, 2), dtype=complex)
         f = np.zeros((2, small_channels.n_user), dtype=complex)
         w = np.zeros((2, 2), dtype=complex)
         for objective in ("jcas", "rate"):
-            assert ris_lam_max(v, f, w, small_channels, objective=objective) == 0.0
+            assert ris_quadratics(v, f, w, small_channels, objective=objective)[2] == 0.0
 
 
 def random_quadratic(rng, n=16):
@@ -571,8 +590,12 @@ class TestRisOptimizeMatchesMmStep:
 
 
 class TestJcasConfig:
-    @pytest.mark.parametrize("name", ["power_budget"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "value, name",
+        [(bad, "power_budget") for bad in (math.nan, math.inf, 0.0, -1.0)]
+        + [(bad, "crb_threshold") for bad in (math.nan, 0.0, -1.0)]
+        + [(-3, "max_outer")],
+    )
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             JcasConfig(**{name: value})
@@ -610,6 +633,8 @@ class TestSolverInvariants:
         assert np.sum(np.abs(result.precoder) ** 2) <= config.power_budget * (1 + 1e-6)
         if sensing_enabled:
             assert result.trace.crb[-1] <= threshold * (1 + 1e-9)
+        merit = np.array(result.trace.objective)
+        assert np.all(np.diff(merit) <= 1e-6 * np.abs(merit[:-1]))
 
     def test_dominant_precoder_rejects_more_streams_than_antennas(self):
         h = np.ones((3, 4), dtype=complex)
@@ -726,15 +751,3 @@ class TestJcasOptimize:
             shapes.clear()
         # the bound is smaller than the surface, so a dense eigensolve would fail it
         assert bound < ExperimentConfig().ris_rows * ExperimentConfig().ris_cols
-
-    def test_trace_csv_round_trip(self, tmp_path):
-        trace = IterationTrace()
-        trace.append(0, 1.5, 2.5, 3.5, float("nan"), 0.0, 0.0)
-        trace.append(1, 1.0, 3.0, 2.0, 0.004, 0.5, 0.0)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,objective,rate_bps_hz,si_power,crb,lambda0,mu_k"
-        assert len(lines) == 3
-        assert lines[1].split(",")[4] == ""  # nan rendered empty
-        assert float(lines[2].split(",")[1]) == 1.0
