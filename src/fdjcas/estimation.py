@@ -117,8 +117,11 @@ def music_estimate(
     The noise subspace is the span of the smallest eigenvectors after
     removing ``signal_subspace_dim`` dominant ones; the estimate is the
     grid angle maximizing the inverse noise-subspace projection of the
-    receive steering vector.
+    receive steering vector.  Raises ValueError for a ``grid_resolution``
+    that is not finite and positive.
     """
+    if not 0.0 < grid_resolution < math.inf:
+        raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
     n_rx, snapshots = batch.samples.shape
     if not 0 < signal_subspace_dim < n_rx:
         raise ValueError("signal subspace dimension must lie in (0, n_bs_rx)")

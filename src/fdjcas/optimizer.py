@@ -356,21 +356,14 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     return factor @ factor.conj().T, np.conj(factor @ c.ravel()), lam_max
 
 
-def _objective(phi, m_phi, linear) -> float:
-    """p^H M p + 2 Re(d^T p) given ``m_phi = M @ phi``."""
-    return float(np.vdot(phi, m_phi).real + 2.0 * linear.dot(phi).real)
-
-
-def _mm_direction(phi, m_phi, lam_max, conj_linear, q, mag) -> None:
-    """Unnormalized MM update q = lam_max*phi - M phi - conj(d) given
-    ``m_phi = M @ phi``, and |q| + 0j, into the complex buffers ``q`` and
-    ``mag``.  ``mag`` is complex so that dividing by it needs no per-call
-    cast; its imaginary part must be zero on entry and stays zero.
-    """
-    np.multiply(lam_max, phi, q)
-    np.subtract(q, m_phi, q)
-    np.subtract(q, conj_linear, q)
-    np.abs(q, mag.real)
+def _augmented(quad_matrix, linear) -> np.ndarray:
+    """The (n+1) x n matrix ``A = [M; 2 d^T]``.  Its product with ``p`` holds
+    ``M @ p`` in the first n entries (bit for bit for n >= 2) and
+    ``2 d^T p`` in the last, so ``vdot([p; 1], A p).real`` is the objective."""
+    aug = np.vstack((quad_matrix, linear)).astype(complex, copy=False)
+    # doubling by addition is exact and keeps an infinite entry infinite
+    aug[-1] += aug[-1]
+    return aug
 
 
 def _tie_break(phi, q, mag, out) -> np.ndarray:
@@ -383,13 +376,19 @@ def _tie_break(phi, q, mag, out) -> np.ndarray:
 
 
 def ris_objective_value(phi, quad_matrix, linear) -> float:
-    """Value of the phase objective p^H M p + 2 Re(d^T p)."""
-    phi = np.asarray(phi)
-    return _objective(phi, quad_matrix @ phi, np.asarray(linear))
+    """Value of the phase objective p^H M p + 2 Re(d^T p).
+
+    Computed as ``vdot([p; 1], [M; 2 d^T] p).real``, the summation order of
+    the values :func:`ris_optimize` returns.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    return float(np.vdot(np.append(phi, 1.0), _augmented(quad_matrix, linear).dot(phi)).real)
 
 
 def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarray:
-    """One majorization-minimization step on the unit-modulus constraint set.
+    """One majorization-minimization step on the unit-modulus constraint set:
+    ``q = lam_max*p - M p - conj(d)``, then ``q/|q|``, with ``M p`` taken
+    from the augmented product of :func:`ris_optimize`.
 
     Elements whose update direction is exactly zero keep their previous
     phase (tie break).
@@ -398,7 +397,10 @@ def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarra
     if lam_max is None:
         lam_max = float(np.linalg.eigvalsh(_herm(quad_matrix))[-1])
     q, mag = np.empty_like(phi), np.zeros_like(phi)
-    _mm_direction(phi, quad_matrix @ phi, lam_max, np.conj(linear), q, mag)
+    np.multiply(lam_max, phi, q)
+    np.subtract(q, _augmented(quad_matrix, linear).dot(phi)[:-1], q)
+    np.subtract(q, np.conj(linear), q)
+    np.abs(q, mag.real)
     return _tie_break(phi, q, mag, np.empty_like(phi))
 
 
@@ -415,13 +417,16 @@ def ris_optimize(
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
-    when the current value is exactly zero.  Each step does one ``M @ phi``
-    product, shared by the objective value and the next update, in
-    preallocated buffers; ``phi0`` is not modified.  ``lam_max`` is the
-    top eigenvalue of ``quad_matrix`` (e.g. the third value of
-    :func:`ris_quadratics`);
-    without it a dense eigensolve supplies it.  Phase and values match
-    iterated :func:`mm_step` (with the same ``lam_max``) and
+    when the current value is exactly zero.  ``lam_max`` is the top
+    eigenvalue of ``quad_matrix`` (e.g. the third value of
+    :func:`ris_quadratics`); without it a dense eigensolve supplies it.
+
+    The augmented matrix ``A = [M; 2 d^T]`` is built once per call, and each
+    step makes one product ``A p`` and one ``vdot([p; 1], A p)``: the first
+    n entries of the product feed the next update and all of it the
+    objective value.  The steps run in preallocated buffers, and the phase
+    returned is an array of its own; ``phi0`` is not modified.  Phase and
+    values match iterated :func:`mm_step` (with the same ``lam_max``) and
     :func:`ris_objective_value` bit for bit.  Raises ValueError for a
     non-square ``quad_matrix``, mismatched lengths or non-finite inputs.
     """
@@ -429,46 +434,63 @@ def ris_optimize(
         raise ValueError("tol must be positive")
     quad_matrix = np.asarray(quad_matrix)
     linear = np.asarray(linear)
-    phi = np.array(phi0, dtype=complex)
+    phi0 = np.asarray(phi0, dtype=complex)
     if quad_matrix.ndim != 2 or quad_matrix.shape[0] != quad_matrix.shape[1]:
         raise ValueError(f"quad_matrix must be square, got shape {quad_matrix.shape}")
     n = quad_matrix.shape[0]
-    if phi.shape != (n,) or linear.shape != (n,):
+    if phi0.shape != (n,) or linear.shape != (n,):
         raise ValueError(
-            f"phi0 {phi.shape} and linear {linear.shape} must both have length {n} "
+            f"phi0 {phi0.shape} and linear {linear.shape} must both have length {n} "
             "to match quad_matrix"
         )
-    for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi), ("linear", linear)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} has non-finite entries")
+    aug = _augmented(quad_matrix, linear)
+    # one pass over A covers quad_matrix and linear; only a failure looks at
+    # each input to name it (2*linear may overflow where linear does not)
+    if not (np.isfinite(aug.view(float)).all() and np.isfinite(phi0).all()):
+        for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi0), ("linear", linear)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
     if lam_max is None:
         lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
     elif not math.isfinite(lam_max):
         raise ValueError("lam_max must be finite")
+    product = aug.dot
     conj_linear = np.conj(linear)
-    m_phi = quad_matrix @ phi
-    nxt, m_nxt, q, mag = (np.zeros_like(phi) for _ in range(4))
-    value = _objective(phi, m_phi, linear)
+    # [p; 1] and A p for the current (p) and next (x) phase; p, m_p, x, m_x
+    # are views of their first n entries, swapped with them after each step;
+    # |q| goes into the real part of the complex ``mag``, so q/mag needs no cast
+    p_aug, x_aug = np.ones(n + 1, dtype=complex), np.ones(n + 1, dtype=complex)
+    ap, ax = np.empty_like(p_aug), np.empty_like(p_aug)
+    p, x, m_p, m_x = p_aug[:n], x_aug[:n], ap[:n], ax[:n]
+    q, mag = np.empty(n, dtype=complex), np.zeros(n, dtype=complex)
+    mag_real = mag.real
+    multiply, subtract, absolute, divide, vdot = np.multiply, np.subtract, np.absolute, np.divide, np.vdot
+    p[...] = phi0
+    product(p, ap)
+    value = float(vdot(p_aug, ap).real)
     values = [value]
     # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
     # objective sends that step through the tie break instead.
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
-            _mm_direction(phi, m_phi, lam_max, conj_linear, q, mag)
-            np.divide(q, mag, nxt)
-            np.matmul(quad_matrix, nxt, m_nxt)
-            previous, value = value, _objective(nxt, m_nxt, linear)
+            multiply(lam_max, p, q)
+            subtract(q, m_p, q)
+            subtract(q, conj_linear, q)
+            absolute(q, mag_real)
+            divide(q, mag, x)
+            product(x, ax)
+            previous, value = value, float(vdot(x_aug, ax).real)
             if value != value:
-                _tie_break(phi, q, mag, nxt)
-                np.matmul(quad_matrix, nxt, m_nxt)
-                value = _objective(nxt, m_nxt, linear)
-            phi, nxt, m_phi, m_nxt = nxt, phi, m_nxt, m_phi
+                _tie_break(p, q, mag, x)
+                product(x, ax)
+                value = float(vdot(x_aug, ax).real)
+            p_aug, x_aug, p, x, ap, ax, m_p, m_x = x_aug, p_aug, x, p, ax, ap, m_x, m_p
             values.append(value)
             delta = abs(value - previous)
             scale = abs(value)
             if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
                 break
-    return phi, np.asarray(values)
+    return p, np.asarray(values)
 
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:

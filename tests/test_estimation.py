@@ -261,6 +261,13 @@ class TestMusicEstimate:
         with pytest.raises(ValueError):
             music_estimate(batch, 10, 1e-3)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, -0.01, np.inf])
+    def test_bad_grid_resolution_rejected(self, bad):
+        samples = random_unit_modulus(4 * 16, np.random.default_rng(11)).reshape(4, 16)
+        batch = estimation.SnapshotBatch(samples=samples, spacing=0.5, wavelength=1.0)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            music_estimate(batch, 1, bad)
+
 
 class TestMonteCarlo:
     ANGLE = np.deg2rad(20.0)

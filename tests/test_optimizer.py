@@ -589,6 +589,64 @@ class TestRisOptimizeMatchesMmStep:
         assert not np.array_equal(phi[1:], phi0[1:])
 
 
+def separate_product_step(phi, quad, lin, lam_max):
+    """The MM step with its own ``quad @ phi`` product: the sequence of
+    operations the solver's phase iterates (and so every ``fdjcas run``
+    CSV) are pinned to, independently of :func:`mm_step`."""
+    q = lam_max * phi - quad @ phi - np.conj(lin)
+    return q / np.abs(q)
+
+
+class TestRisOptimizeMatchesSeparateProducts:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        rank=st.integers(1, 24),
+        max_iter=st.integers(0, 30),
+    )
+    def test_capped_run(self, seed, n, rank, max_iter):
+        # low-rank M like the ris_quadratics forms, plus a linear term
+        rng = np.random.default_rng(seed)
+        factor = complex_normal(rng, (n, min(rank, n)))
+        quad = factor @ factor.conj().T
+        lin = complex_normal(rng, n)
+        phi0 = random_unit_modulus(n, rng)
+        lam_max = float(np.linalg.eigvalsh(quad)[-1])
+        phi, values = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter, lam_max=lam_max)
+        expect_phi = phi0
+        quad_terms, lin_terms = [], []
+        for step in range(len(values)):
+            if step:
+                expect_phi = separate_product_step(expect_phi, quad, lin, lam_max)
+            quad_terms.append(np.vdot(expect_phi, quad @ expect_phi).real)
+            lin_terms.append(2.0 * (lin @ expect_phi).real)
+        assert np.array_equal(phi, expect_phi)
+        # relative to the two terms the value adds up, which may cancel
+        quad_terms, lin_terms = np.array(quad_terms), np.array(lin_terms)
+        error = np.abs(values - (quad_terms + lin_terms))
+        assert np.all(error <= 1e-12 * (np.abs(quad_terms) + np.abs(lin_terms)))
+        # a run stops before its cap only where the values repeat exactly
+        assert len(values) == max_iter + 1 or values[-1] == values[-2]
+
+    def test_returned_phase_is_its_own_array(self):
+        rng = np.random.default_rng(23)
+        quad, lin = random_quadratic(rng, n=12)
+        phi0 = random_unit_modulus(12, rng)
+        before = phi0.copy()
+        for max_iter in (6, 7):
+            phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+            kept = phi.copy()
+            again, _ = ris_optimize(phi, quad, lin, tol=1e-300, max_iter=max_iter)
+            other, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+            assert np.array_equal(phi, kept)
+            assert np.array_equal(other, kept)
+            assert np.array_equal(phi0, before)
+            assert not np.shares_memory(phi, phi0)
+            assert not np.shares_memory(phi, again)
+            assert not np.shares_memory(phi, other)
+
+
 class TestJcasConfig:
     @pytest.mark.parametrize(
         "value, name",
