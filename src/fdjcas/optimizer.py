@@ -443,13 +443,10 @@ def ris_optimize(
             f"phi0 {phi0.shape} and linear {linear.shape} must both have length {n} "
             "to match quad_matrix"
         )
+    for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi0), ("linear", linear)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
     aug = _augmented(quad_matrix, linear)
-    # one pass over A covers quad_matrix and linear; only a failure looks at
-    # each input to name it (2*linear may overflow where linear does not)
-    if not (np.isfinite(aug.view(float)).all() and np.isfinite(phi0).all()):
-        for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi0), ("linear", linear)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
     if lam_max is None:
         lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
     elif not math.isfinite(lam_max):
