@@ -323,7 +323,7 @@ def precoder_update(
 
 def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS):
     """Phase-profile objective p^H M p + 2 Re(d^T p) as one least-squares
-    residual, returned as (M, d, largest eigenvalue of M).
+    residual, returned as (F, d, largest eigenvalue of M) with ``M = F F^H``.
 
     Both forms are ``||F^H p + c||^2`` up to a constant.  With
     ``u = bs_to_ris @ precoder``, ``W = R R^H`` (eigenvalues clipped at
@@ -335,9 +335,10 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     ``ris_to_bs^H`` to ``X`` and ``si_los @ precoder`` to ``c``; the
     ``"rate"`` form (the weighted-MSE restriction of the
     communications-only benchmark) uses ``c - R^H`` instead.  So
-    ``M = F F^H``, ``d = conj(F c)``, and the top eigenvalue comes from the
-    small Gram ``F^H F``: at most ``n_streams * (n_streams + n_bs_rx)``
-    square instead of surface-sized.
+    ``d = conj(F c)``, and the top eigenvalue comes from the small Gram
+    ``F^H F``.  ``F`` has one row per surface element and
+    ``n_streams * (n_streams + n_bs_rx)`` (``"jcas"``) or ``n_streams**2``
+    (``"rate"``) columns; the surface-sized ``M`` is never formed.
     """
     if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
         raise ValueError(f"unknown ris objective {objective!r}")
@@ -352,18 +353,45 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
         c = c - root.conj().T
     u = channels.bs_to_ris @ precoder
     factor = (x[:, :, None] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
-    lam_max = float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
-    return factor @ factor.conj().T, np.conj(factor @ c.ravel()), lam_max
+    return factor, np.conj(factor @ c.ravel()), _top_eigenvalue(factor)
 
 
-def _augmented(quad_matrix, linear) -> np.ndarray:
-    """The (n+1) x n matrix ``A = [M; 2 d^T]``.  Its product with ``p`` holds
-    ``M @ p`` in the first n entries (bit for bit for n >= 2) and
-    ``2 d^T p`` in the last, so ``vdot([p; 1], A p).real`` is the objective."""
-    aug = np.vstack((quad_matrix, linear)).astype(complex, copy=False)
-    # doubling by addition is exact and keeps an infinite entry infinite
-    aug[-1] += aug[-1]
-    return aug
+def _top_eigenvalue(factor) -> float:
+    """Largest eigenvalue of ``F F^H``, from the column-sized Gram ``F^H F``."""
+    return float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
+
+
+def _lead(factor, linear) -> np.ndarray:
+    """``[F^H; 2 d^T]``: its product with ``p`` is ``[F^H p; 2 d^T p]``."""
+    n, k = factor.shape
+    lead = np.empty((k + 1, n), dtype=complex)
+    np.conjugate(factor.T, out=lead[:k])
+    np.add(linear, linear, out=lead[k])
+    return lead
+
+
+def _mm_operators(factor, linear, lam_max):
+    """The two products of a factored MM step, and its direction.
+
+    ``lead`` (:func:`_lead`, (k+1) x n) maps ``p`` to ``[y; s]`` with
+    ``y = F^H p`` and ``s = 2 d^T p``, so ``Re vdot([y; 1], [y; s])`` is
+    the objective.  ``back = [F | conj(d)] / lam`` (n x (k+1)) maps
+    ``[y; 1]`` to ``z = (M p + conj(d)) / lam``, and ``direction(p, z, q)``
+    writes ``q = p - z``: the MM direction ``lam p - M p - conj(d)`` scaled
+    by ``1/lam``, which leaves ``q/|q|`` unchanged.  At ``lam = 0`` (then
+    ``F = 0``), or where the scaling overflows (a subnormal ``lam`` or a
+    huge ``d``), ``back`` stays unscaled and ``q = lam p - z``.
+    """
+    back = np.hstack((factor, np.conj(linear)[:, None]))
+    if lam_max > 0.0:
+        scaled = back * (1.0 / lam_max)
+        if np.isfinite(scaled).all():
+            return _lead(factor, linear), scaled, np.subtract
+
+    def direction(p, z, q):
+        return np.subtract(np.multiply(lam_max, p, q), z, q)
+
+    return _lead(factor, linear), back, direction
 
 
 def _tie_break(phi, q, mag, out) -> np.ndarray:
@@ -375,113 +403,134 @@ def _tie_break(phi, q, mag, out) -> np.ndarray:
     return out
 
 
-def ris_objective_value(phi, quad_matrix, linear) -> float:
-    """Value of the phase objective p^H M p + 2 Re(d^T p).
+def ris_objective_value(phi, factor, linear) -> float:
+    """Value of the phase objective p^H M p + 2 Re(d^T p), ``M = F F^H``.
 
-    Computed as ``vdot([p; 1], [M; 2 d^T] p).real``, the summation order of
-    the values :func:`ris_optimize` returns.
+    Computed as ``Re vdot([y; 1], [y; 2 d^T p])`` with ``y = F^H p``, summed
+    as the real dot product of the two vectors' real views: the arithmetic
+    of the values :func:`ris_optimize` returns.
     """
     phi = np.asarray(phi, dtype=complex)
-    return float(np.vdot(np.append(phi, 1.0), _augmented(quad_matrix, linear).dot(phi)).real)
+    factor, linear = np.asarray(factor, dtype=complex), np.asarray(linear, dtype=complex)
+    head = _lead(factor, linear).dot(phi)
+    return float(np.append(head[:-1], 1.0).view(float).dot(head.view(float)))
 
 
-def mm_step(phi, quad_matrix, linear, lam_max: float | None = None) -> np.ndarray:
-    """One majorization-minimization step on the unit-modulus constraint set:
-    ``q = lam_max*p - M p - conj(d)``, then ``q/|q|``, with ``M p`` taken
-    from the augmented product of :func:`ris_optimize`.
+def mm_step(phi, factor, linear, lam_max: float | None = None) -> np.ndarray:
+    """One majorization-minimization step on the unit-modulus constraint set
+    for ``M = F F^H``: ``q = lam_max*p - M p - conj(d)``, then ``q/|q|``.
 
+    ``M p`` is ``F (F^H p)``, in the arithmetic of :func:`ris_optimize`
+    (see there).  ``lam_max`` defaults to the top eigenvalue of ``M``.
     Elements whose update direction is exactly zero keep their previous
     phase (tie break).
     """
     phi = np.asarray(phi, dtype=complex)
+    factor, linear = np.asarray(factor, dtype=complex), np.asarray(linear, dtype=complex)
     if lam_max is None:
-        lam_max = float(np.linalg.eigvalsh(_herm(quad_matrix))[-1])
+        lam_max = _top_eigenvalue(factor)
+    lead, back, direction = _mm_operators(factor, linear, lam_max)
+    z = back.dot(np.append(lead.dot(phi)[:-1], 1.0))
     q, mag = np.empty_like(phi), np.zeros_like(phi)
-    np.multiply(lam_max, phi, q)
-    np.subtract(q, _augmented(quad_matrix, linear).dot(phi)[:-1], q)
-    np.subtract(q, np.conj(linear), q)
+    direction(phi, z, q)
     np.abs(q, mag.real)
     return _tie_break(phi, q, mag, np.empty_like(phi))
 
 
 def ris_optimize(
     phi0,
-    quad_matrix,
+    factor,
     linear,
     tol: float = RIS_TOL,
     max_iter: int = MAX_RIS_ITER,
     *,
     lam_max: float | None = None,
 ):
-    """Iterate :func:`mm_step` until the objective change is small.
+    """Iterate :func:`mm_step` on ``p^H F F^H p + 2 Re(d^T p)`` until the
+    objective change is small.
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
-    when the current value is exactly zero.  ``lam_max`` is the top
-    eigenvalue of ``quad_matrix`` (e.g. the third value of
-    :func:`ris_quadratics`); without it a dense eigensolve supplies it.
+    when the current value is exactly zero.  ``factor`` is ``F``, n x k with
+    one row per element (the first value of :func:`ris_quadratics`), and
+    ``lam_max`` the top eigenvalue of ``F F^H`` (its third value); without
+    it the k x k Gram ``F^H F`` supplies it.
 
-    The augmented matrix ``A = [M; 2 d^T]`` is built once per call, and each
-    step makes one product ``A p`` and one ``vdot([p; 1], A p)``: the first
-    n entries of the product feed the next update and all of it the
-    objective value.  The steps run in preallocated buffers, and the phase
+    The n x n ``M`` is never formed.  Each step makes two products: ``[F^H;
+    2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
+    ``[y; 1]`` is the objective value, and ``[F | conj(d)] / lam_max``
+    times ``[y; 1]`` gives ``z``, so that ``p - z`` is the MM direction
+    over ``lam_max``.  The steps run in preallocated buffers, and the phase
     returned is an array of its own; ``phi0`` is not modified.  Phase and
     values match iterated :func:`mm_step` (with the same ``lam_max``) and
     :func:`ris_objective_value` bit for bit.  Raises ValueError for a
-    non-square ``quad_matrix``, mismatched lengths or non-finite inputs.
+    negative ``max_iter``, a factor that is not 2-D with at least one
+    column, mismatched lengths, non-finite inputs, or a ``lam_max`` below
+    the largest squared row norm of ``F`` (a lower bound on the top
+    eigenvalue).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    quad_matrix = np.asarray(quad_matrix)
-    linear = np.asarray(linear)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    factor = np.asarray(factor, dtype=complex)
+    linear = np.asarray(linear, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
-    if quad_matrix.ndim != 2 or quad_matrix.shape[0] != quad_matrix.shape[1]:
-        raise ValueError(f"quad_matrix must be square, got shape {quad_matrix.shape}")
-    n = quad_matrix.shape[0]
+    if factor.ndim != 2 or factor.shape[1] == 0:
+        raise ValueError(f"factor must be 2-D with at least one column, got shape {factor.shape}")
+    n, k = factor.shape
     if phi0.shape != (n,) or linear.shape != (n,):
         raise ValueError(
             f"phi0 {phi0.shape} and linear {linear.shape} must both have length {n} "
-            "to match quad_matrix"
+            "to match the rows of factor"
         )
-    for name, arr in (("quad_matrix", quad_matrix), ("phi0", phi0), ("linear", linear)):
+    for name, arr in (("factor", factor), ("phi0", phi0), ("linear", linear)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    aug = _augmented(quad_matrix, linear)
     if lam_max is None:
-        lam_max = np.linalg.eigvalsh(_herm(quad_matrix))[-1]
+        lam_max = _top_eigenvalue(factor)
     elif not math.isfinite(lam_max):
         raise ValueError("lam_max must be finite")
-    product = aug.dot
-    conj_linear = np.conj(linear)
-    # [p; 1] and A p for the current (p) and next (x) phase; p, m_p, x, m_x
-    # are views of their first n entries, swapped with them after each step;
-    # |q| goes into the real part of the complex ``mag``, so q/mag needs no cast
-    p_aug, x_aug = np.ones(n + 1, dtype=complex), np.ones(n + 1, dtype=complex)
-    ap, ax = np.empty_like(p_aug), np.empty_like(p_aug)
-    p, x, m_p, m_x = p_aug[:n], x_aug[:n], ap[:n], ax[:n]
-    q, mag = np.empty(n, dtype=complex), np.zeros(n, dtype=complex)
+    else:
+        # e_i^H M e_i <= lam_max; the slack absorbs the Gram eigensolve's rounding
+        row_bound = float(np.max(np.einsum("ij,ij->i", factor, factor.conj()).real))
+        if lam_max < (1.0 - 1e-12) * row_bound:
+            raise ValueError(
+                f"lam_max {lam_max} is below the largest squared row norm of factor, {row_bound}"
+            )
+    lead, back, direction = _mm_operators(factor, linear, lam_max)
+    lead_dot, back_dot = lead.dot, back.dot
+    # ``head`` = [y; s] of the latest phase and ``tail`` = [y; 1]; the
+    # objective Re(vdot(tail, head)) is the dot of their real views.  |q|
+    # goes into the real part of the complex ``mag``, so q/mag needs no cast.
+    head, tail = np.empty(k + 1, dtype=complex), np.ones(k + 1, dtype=complex)
+    head_y, tail_y = head[:k], tail[:k]
+    head_real, tail_dot = head.view(float), tail.view(float).dot
+    p, x = phi0.copy(), np.empty(n, dtype=complex)
+    z, q, mag = np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.zeros(n, dtype=complex)
     mag_real = mag.real
-    multiply, subtract, absolute, divide, vdot = np.multiply, np.subtract, np.absolute, np.divide, np.vdot
-    p[...] = phi0
-    product(p, ap)
-    value = float(vdot(p_aug, ap).real)
+    absolute, divide, copyto = np.absolute, np.divide, np.copyto
+    lead_dot(p, head)
+    copyto(tail_y, head_y)
+    value = float(tail_dot(head_real))
     values = [value]
     # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
     # objective sends that step through the tie break instead.
     with np.errstate(invalid="ignore"):
         for _ in range(max_iter):
-            multiply(lam_max, p, q)
-            subtract(q, m_p, q)
-            subtract(q, conj_linear, q)
+            back_dot(tail, z)
+            direction(p, z, q)
             absolute(q, mag_real)
             divide(q, mag, x)
-            product(x, ax)
-            previous, value = value, float(vdot(x_aug, ax).real)
+            lead_dot(x, head)
+            copyto(tail_y, head_y)
+            previous, value = value, float(tail_dot(head_real))
             if value != value:
                 _tie_break(p, q, mag, x)
-                product(x, ax)
-                value = float(vdot(x_aug, ax).real)
-            p_aug, x_aug, p, x, ap, ax, m_p, m_x = x_aug, p_aug, x, p, ax, ap, m_x, m_p
+                lead_dot(x, head)
+                copyto(tail_y, head_y)
+                value = float(tail_dot(head_real))
+            p, x = x, p
             values.append(value)
             delta = abs(value - previous)
             scale = abs(value)
@@ -561,8 +610,8 @@ def jcas_optimize(
                 err.achieved, err.threshold, context=f"outer iteration {it}"
             ) from err
         if config.ris_enabled:
-            quad, lin, lam_max = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
-            candidate, _ = ris_optimize(phi, quad, lin, RIS_TOL, MAX_RIS_ITER, lam_max=lam_max)
+            factor, lin, lam_max = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+            candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER, lam_max=lam_max)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)
             if proposed[0] <= evaluated[0]:

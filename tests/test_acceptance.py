@@ -147,10 +147,9 @@ def test_criterion_02_mm_descent_and_fixed_point():
     for _ in range(200):
         n = int(rng.integers(16, 101))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        quad = x @ x.conj().T / n
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi0 = np.exp(2j * np.pi * rng.random(n))
-        _, values = ris_optimize(phi0, quad, lin, tol=1e-8, max_iter=500)
+        _, values = ris_optimize(phi0, x / np.sqrt(n), lin, tol=1e-8, max_iter=500)
         worst_step = max(worst_step, float(np.max(np.diff(values))) if len(values) > 1 else 0.0)
     worst_fixed = 0.0
     for _ in range(20):
@@ -159,16 +158,16 @@ def test_criterion_02_mm_descent_and_fixed_point():
         quad = x @ x.conj().T / n
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi, _ = ris_optimize(
-            np.exp(2j * np.pi * rng.random(n)), quad, lin, tol=1e-12, max_iter=20000
+            np.exp(2j * np.pi * rng.random(n)), x / np.sqrt(n), lin, tol=1e-12, max_iter=20000
         )
         lam_max = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1])
         for _ in range(2000):  # polish to the fixed point at converged objective
-            nxt = mm_step(phi, quad, lin, lam_max)
+            nxt = mm_step(phi, x / np.sqrt(n), lin, lam_max)
             if np.max(np.abs(nxt - phi)) < 1e-8:
                 phi = nxt
                 break
             phi = nxt
-        worst_fixed = max(worst_fixed, float(np.max(np.abs(mm_step(phi, quad, lin) - phi))))
+        worst_fixed = max(worst_fixed, float(np.max(np.abs(mm_step(phi, x / np.sqrt(n), lin) - phi))))
     elapsed = time.perf_counter() - start
     ok = worst_step <= 1e-9 and worst_fixed < 1e-6 and elapsed < 30.0
     report(
@@ -188,7 +187,7 @@ def test_criterion_03_quadratic_form_equivalence():
             noise_user=10.0 ** (-rng.uniform(0.0, 3.0)),
         )
         phi0, h_eff, v, f, w = random_reference_state(rng, channels)
-        quad, lin, _ = ris_quadratics(v, f, w, channels)
+        factor, lin, _ = ris_quadratics(v, f, w, channels)
 
         def restricted(phi):
             he = effective_channel(channels, phi)
@@ -198,10 +197,10 @@ def test_criterion_03_quadratic_form_equivalence():
             sig = float(np.real(np.trace(w @ hv @ hv.conj().T)))
             return si + sig
 
-        base = restricted(phi0) - ris_objective_value(phi0, quad, lin)
+        base = restricted(phi0) - ris_objective_value(phi0, factor, lin)
         for _ in range(100):
             p = np.exp(2j * np.pi * rng.random(channels.n_ris))
-            dev = restricted(p) - ris_objective_value(p, quad, lin)
+            dev = restricted(p) - ris_objective_value(p, factor, lin)
             worst = max(worst, abs(dev - base))
     ok = worst < 1e-8
     report(3, ok, f"max |deviation from constant| {worst:.2e} < 1e-8 over 20x100 profiles")

@@ -246,8 +246,8 @@ class TestRisQuadratics:
         v = np.zeros((n_tx, 2), dtype=complex)
         f = np.zeros((2, small_channels.n_user), dtype=complex)
         w = np.zeros((2, 2), dtype=complex)
-        quad, lin, _ = ris_quadratics(v, f, w, small_channels)
-        assert np.all(quad == 0.0)
+        factor, lin, _ = ris_quadratics(v, f, w, small_channels)
+        assert np.all(factor == 0.0)
         assert np.all(lin == 0.0)
 
     def test_identity_toy_hand_computed(self):
@@ -256,8 +256,8 @@ class TestRisQuadratics:
             bs_to_user=eye, ris_to_user=eye, bs_to_ris=eye, ris_to_bs=eye,
             si_los=eye, si_nlos=np.zeros((3, 3), dtype=complex),
         )
-        quad, lin, _ = ris_quadratics(eye, eye, eye, ch)
-        assert np.allclose(quad, 2.0 * np.eye(3), atol=1e-14)
+        factor, lin, _ = ris_quadratics(eye, eye, eye, ch)
+        assert np.allclose(factor @ factor.conj().T, 2.0 * np.eye(3), atol=1e-14)
         assert np.allclose(lin, 2.0 * np.ones(3), atol=1e-14)
 
     def test_objective_equivalence_sweep(self, small_channels):
@@ -267,9 +267,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        quad, lin, _ = ris_quadratics(v, f, w, small_channels)
-        assert np.allclose(quad, quad.conj().T, atol=1e-12)
-        assert np.linalg.eigvalsh(quad).min() > -1e-10
+        factor, lin, _ = ris_quadratics(v, f, w, small_channels)
 
         def restricted(phi):
             he = effective_channel(small_channels, phi)
@@ -278,7 +276,7 @@ class TestRisQuadratics:
             return si + sig
 
         devs = [
-            restricted(p) - ris_objective_value(p, quad, lin)
+            restricted(p) - ris_objective_value(p, factor, lin)
             for p in (random_unit_modulus(small_channels.n_ris, rng) for _ in range(100))
         ]
         assert np.max(np.abs(np.array(devs) - devs[0])) < 1e-8
@@ -290,7 +288,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        quad, lin, _ = ris_quadratics(v, f, w, small_channels, objective="rate")
+        factor, lin, _ = ris_quadratics(v, f, w, small_channels, objective="rate")
 
         def weighted_mse(phi):
             he = effective_channel(small_channels, phi)
@@ -299,7 +297,7 @@ class TestRisQuadratics:
             return float(np.real(np.trace(w @ e_hat)))
 
         devs = [
-            weighted_mse(p) - ris_objective_value(p, quad, lin)
+            weighted_mse(p) - ris_objective_value(p, factor, lin)
             for p in (random_unit_modulus(small_channels.n_ris, rng) for _ in range(50))
         ]
         assert np.max(np.abs(np.array(devs) - devs[0])) < 1e-8
@@ -368,7 +366,11 @@ class TestRisLamMax:
         combiner = complex_normal(rng, (n_streams, channels.n_user))
         root = low_rank(rng, n_streams, n_streams, weight_rank)
         weight = root @ root.conj().T
-        quad, lin, factored = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        factor, lin, factored = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        # one row per element; columns sized by the streams, not the surface
+        columns = n_streams * (n_streams + channels.n_bs_rx) if objective == "jcas" else n_streams**2
+        assert factor.shape == (channels.n_ris, columns)
+        quad = factor @ factor.conj().T
         dense = np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]
         assert abs(factored - dense) <= 1e-12 * abs(dense)
         if precoder_rank == 0:
@@ -386,20 +388,27 @@ class TestRisLamMax:
 
 
 def random_quadratic(rng, n=16):
+    """A random phase objective as (F, d): full-rank ``M = F F^H``."""
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    quad = x @ x.conj().T / n
     lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return quad, lin
+    return x / np.sqrt(n), lin
+
+
+def top_eigenvalue(factor):
+    """Largest eigenvalue of ``F F^H`` from the Gram ``F^H F``, as the solver
+    computes its default."""
+    gram = factor.conj().T @ factor
+    return float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1])
 
 
 class TestMmStep:
     def test_scaled_identity_jumps_to_linear_optimum(self):
         rng = np.random.default_rng(12)
         n = 8
-        quad = 2.5 * np.eye(n, dtype=complex)
+        factor = np.sqrt(2.5) * np.eye(n, dtype=complex)
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi = random_unit_modulus(n, rng)
-        out = mm_step(phi, quad, lin)
+        out = mm_step(phi, factor, lin)
         expect = np.exp(1j * np.angle(-np.conj(lin)))
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -412,21 +421,22 @@ class TestMmStep:
     def test_descent_over_random_instances(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):
-            quad, lin = random_quadratic(rng, n=8)
+            factor, lin = random_quadratic(rng, n=8)
             phi = random_unit_modulus(8, rng)
-            nxt = mm_step(phi, quad, lin)
-            assert ris_objective_value(nxt, quad, lin) <= ris_objective_value(phi, quad, lin) + 1e-9
+            nxt = mm_step(phi, factor, lin)
+            assert ris_objective_value(nxt, factor, lin) <= ris_objective_value(phi, factor, lin) + 1e-9
 
     def test_preserves_unit_modulus(self):
         rng = np.random.default_rng(15)
-        quad, lin = random_quadratic(rng, n=12)
+        factor, lin = random_quadratic(rng, n=12)
         phi = random_unit_modulus(12, rng)
-        out = mm_step(phi, quad, lin)
+        out = mm_step(phi, factor, lin)
         assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
 
     def test_majorizer_upper_bounds_objective(self):
         rng = np.random.default_rng(16)
-        quad, lin = random_quadratic(rng, n=10)
+        factor, lin = random_quadratic(rng, n=10)
+        quad = factor @ factor.conj().T
         lam_max = float(np.linalg.eigvalsh(quad)[-1])
         phi_n = random_unit_modulus(10, rng)
 
@@ -439,36 +449,36 @@ class TestMmStep:
                 + 2.0 * np.real(lin @ phi)
             )
 
-        assert abs(bound(phi_n) - ris_objective_value(phi_n, quad, lin)) < 1e-8
+        assert abs(bound(phi_n) - ris_objective_value(phi_n, factor, lin)) < 1e-8
         for _ in range(200):
             phi = random_unit_modulus(10, rng)
-            assert bound(phi) >= ris_objective_value(phi, quad, lin) - 1e-8
+            assert bound(phi) >= ris_objective_value(phi, factor, lin) - 1e-8
 
 
 class TestRisOptimize:
     def test_loose_tolerance_returns_after_first_step(self):
         rng = np.random.default_rng(17)
         n = 8
-        quad = 50.0 * np.eye(n, dtype=complex)
+        factor = np.sqrt(50.0) * np.eye(n, dtype=complex)
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi0 = random_unit_modulus(n, rng)
-        _, values = ris_optimize(phi0, quad, lin, tol=1.0, max_iter=100)
+        _, values = ris_optimize(phi0, factor, lin, tol=1.0, max_iter=100)
         assert len(values) == 2
 
     def test_converged_point_is_fixed(self):
         rng = np.random.default_rng(18)
-        quad, lin = random_quadratic(rng, n=16)
+        factor, lin = random_quadratic(rng, n=16)
         phi0 = random_unit_modulus(16, rng)
-        phi, _ = ris_optimize(phi0, quad, lin, tol=1e-12, max_iter=3000)
-        again = mm_step(phi, quad, lin)
+        phi, _ = ris_optimize(phi0, factor, lin, tol=1e-12, max_iter=3000)
+        again = mm_step(phi, factor, lin)
         assert np.max(np.abs(again - phi)) < 1e-6
 
     def test_monotone_over_random_instances(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
-            quad, lin = random_quadratic(rng, n=10)
+            factor, lin = random_quadratic(rng, n=10)
             phi0 = random_unit_modulus(10, rng)
-            _, values = ris_optimize(phi0, quad, lin, tol=1e-8, max_iter=200)
+            _, values = ris_optimize(phi0, factor, lin, tol=1e-8, max_iter=200)
             assert np.all(np.diff(values) <= 1e-9)
 
     def test_invalid_tolerance(self):
@@ -476,46 +486,67 @@ class TestRisOptimize:
             ris_optimize(np.ones(3, dtype=complex), np.eye(3, dtype=complex), np.zeros(3), tol=0.0)
 
     @pytest.mark.parametrize(
-        "quad, phi0, lin",
+        "factor, phi0, lin",
         [
-            (np.ones((3, 4), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
+            (np.ones((3, 4, 1), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
             (np.ones(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
+            (np.ones((3, 0), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
             (np.eye(3, dtype=complex), np.ones(4, dtype=complex), np.zeros(3)),
             (np.eye(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(4)),
         ],
-        ids=["non-square", "one-dimensional", "phi0-length", "linear-length"],
+        ids=["three-dimensional", "one-dimensional", "no-columns", "phi0-length", "linear-length"],
     )
-    def test_rejects_mismatched_shapes(self, quad, phi0, lin):
-        with pytest.raises(ValueError, match="quad_matrix"):
-            ris_optimize(phi0, quad, lin)
+    def test_rejects_mismatched_shapes(self, factor, phi0, lin):
+        with pytest.raises(ValueError, match="factor"):
+            ris_optimize(phi0, factor, lin)
 
-    @pytest.mark.parametrize("which", ["quad_matrix", "phi0", "linear"])
+    @pytest.mark.parametrize("which", ["factor", "phi0", "linear"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_inputs(self, which, bad):
         args = {
-            "quad_matrix": np.eye(4, dtype=complex),
+            "factor": np.eye(4, dtype=complex),
             "phi0": np.ones(4, dtype=complex),
             "linear": np.ones(4, dtype=complex),
         }
         args[which][-1] = bad
         with pytest.raises(ValueError, match=which):
-            ris_optimize(args["phi0"], args["quad_matrix"], args["linear"])
+            ris_optimize(args["phi0"], args["factor"], args["linear"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_lam_max(self, bad):
         with pytest.raises(ValueError, match="lam_max"):
             ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), lam_max=bad)
 
+    @pytest.mark.parametrize("max_iter", [-1, -3])
+    def test_rejects_negative_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), max_iter=max_iter)
 
-def iterate_mm_steps(phi0, quad, lin, tol, max_iter):
+    def test_rejects_lam_max_below_largest_row_norm(self):
+        rng = np.random.default_rng(24)
+        factor, lin = random_quadratic(rng, n=10)
+        phi0 = random_unit_modulus(10, rng)
+        row_bound = float(np.max(np.sum(np.abs(factor) ** 2, axis=1)))
+        for bad in (-1.0, 0.0, 0.999 * row_bound):
+            with pytest.raises(ValueError, match="lam_max"):
+                ris_optimize(phi0, factor, lin, lam_max=bad)
+        # one nonzero row: the top eigenvalue equals that row's squared
+        # norm, so the Gram eigenvalue passes despite its rounding
+        single = np.zeros_like(factor)
+        single[3] = factor[3]
+        for lam_max in (top_eigenvalue(single), float(np.sum(np.abs(factor[3]) ** 2))):
+            ris_optimize(phi0, single, lin, max_iter=5, lam_max=lam_max)
+
+
+def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
     """Reference solver: :func:`mm_step` and :func:`ris_objective_value`
     iterated by hand under the stopping rule of :func:`ris_optimize`."""
-    lam_max = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1])
+    lam_max = top_eigenvalue(factor)
     phi = np.asarray(phi0, dtype=complex)
-    values = [ris_objective_value(phi, quad, lin)]
+    values = [ris_objective_value(phi, factor, lin)]
     for _ in range(max_iter):
-        phi = mm_step(phi, quad, lin, lam_max)
-        values.append(ris_objective_value(phi, quad, lin))
+        phi = mm_step(phi, factor, lin, lam_max)
+        values.append(ris_objective_value(phi, factor, lin))
         delta = abs(values[-1] - values[-2])
         scale = abs(values[-1])
         if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
@@ -523,12 +554,12 @@ def iterate_mm_steps(phi0, quad, lin, tol, max_iter):
     return phi, np.asarray(values)
 
 
-def assert_matches_iterated_steps(phi0, quad, lin, tol, max_iter):
+def assert_matches_iterated_steps(phi0, factor, lin, tol, max_iter):
     """ris_optimize equals the hand-iterated steps bit for bit and leaves
     phi0 untouched; returns the number of steps taken."""
     before = phi0.copy()
-    phi, values = ris_optimize(phi0, quad, lin, tol=tol, max_iter=max_iter)
-    expect_phi, expect_values = iterate_mm_steps(phi0, quad, lin, tol, max_iter)
+    phi, values = ris_optimize(phi0, factor, lin, tol=tol, max_iter=max_iter)
+    expect_phi, expect_values = iterate_mm_steps(phi0, factor, lin, tol, max_iter)
     assert np.array_equal(phi, expect_phi)
     assert np.array_equal(values, expect_values)
     assert np.array_equal(phi0, before)
@@ -540,60 +571,66 @@ class TestRisOptimizeMatchesMmStep:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
     def test_tol_stopped_run(self, seed, n):
         rng = np.random.default_rng(seed)
-        quad, lin = random_quadratic(rng, n=n)
+        factor, lin = random_quadratic(rng, n=n)
         phi0 = random_unit_modulus(n, rng)
-        steps = assert_matches_iterated_steps(phi0, quad, lin, tol=1e-6, max_iter=10000)
+        steps = assert_matches_iterated_steps(phi0, factor, lin, tol=1e-6, max_iter=10000)
         assert steps < 10000
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), max_iter=st.integers(0, 30))
     def test_run_capped_at_max_iter(self, seed, n, max_iter):
         rng = np.random.default_rng(seed)
-        quad, lin = random_quadratic(rng, n=n)
+        factor, lin = random_quadratic(rng, n=n)
         phi0 = random_unit_modulus(n, rng)
-        steps = assert_matches_iterated_steps(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+        steps = assert_matches_iterated_steps(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
         assert steps == max_iter
 
     def test_given_lam_max_replaces_the_eigensolve(self):
         rng = np.random.default_rng(22)
-        quad, lin = random_quadratic(rng, n=12)
+        factor, lin = random_quadratic(rng, n=12)
         phi0 = random_unit_modulus(12, rng)
-        lam_max = 2.0 * float(np.linalg.eigvalsh(quad)[-1])
-        phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=10, lam_max=lam_max)
+        lam_max = 2.0 * top_eigenvalue(factor)
+        phi, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=10, lam_max=lam_max)
         expect = phi0
         for _ in range(10):
-            expect = mm_step(expect, quad, lin, lam_max)
+            expect = mm_step(expect, factor, lin, lam_max)
         assert np.array_equal(phi, expect)
 
     def test_zero_quad_and_linear_keep_every_phase(self):
         n = 6
         phi0 = random_unit_modulus(n, np.random.default_rng(20))
-        quad = np.zeros((n, n), dtype=complex)
+        factor = np.zeros((n, n), dtype=complex)
         lin = np.zeros(n, dtype=complex)
-        assert assert_matches_iterated_steps(phi0, quad, lin, tol=1e-5, max_iter=50) == 1
-        phi, _ = ris_optimize(phi0, quad, lin)
+        assert assert_matches_iterated_steps(phi0, factor, lin, tol=1e-5, max_iter=50) == 1
+        phi, _ = ris_optimize(phi0, factor, lin)
         assert np.array_equal(phi, phi0)
 
     def test_zero_direction_on_some_elements_keeps_their_phase(self):
-        # lam_max = 0 and a zero row/column with zero linear term make the
-        # first element's direction exactly zero at every step.
+        # F = 0 (so lam_max = 0) and a zero linear term make the first
+        # element's direction exactly zero at every step; the others jump
+        # to the optimum of the linear term.
         rng = np.random.default_rng(21)
         n = 7
-        quad = -np.diag(np.arange(n, dtype=float)).astype(complex)
+        factor = np.zeros((n, 3), dtype=complex)
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         lin[0] = 0.0
         phi0 = random_unit_modulus(n, rng)
-        assert_matches_iterated_steps(phi0, quad, lin, tol=1e-300, max_iter=10)
-        phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=10)
+        assert_matches_iterated_steps(phi0, factor, lin, tol=1e-300, max_iter=10)
+        phi, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=10)
         assert phi[0] == phi0[0]
-        assert not np.array_equal(phi[1:], phi0[1:])
+        assert np.allclose(phi[1:], -np.conj(lin[1:]) / np.abs(lin[1:]), rtol=0.0, atol=1e-15)
 
 
-def separate_product_step(phi, quad, lin, lam_max):
-    """The MM step with its own ``quad @ phi`` product: the sequence of
-    operations the solver's phase iterates (and so every ``fdjcas run``
-    CSV) are pinned to, independently of :func:`mm_step`."""
-    q = lam_max * phi - quad @ phi - np.conj(lin)
+def factored_reference_step(phi, factor, lin, lam_max):
+    """The MM step on the solver's two products, written out independently
+    of :func:`mm_step` on arrays of the same shapes and row-major layout:
+    ``[F^H; 2 d^T] p``, then ``[F | conj(d)] / lam_max`` times
+    ``[F^H p; 1]``.  The products go through ``ndarray.dot`` like the
+    solver's; ``@`` takes another path for some shapes (a one-element
+    surface)."""
+    lead = np.ascontiguousarray(np.vstack((factor.conj().T, 2.0 * lin)))
+    back = np.hstack((factor, np.conj(lin)[:, None])) * (1.0 / lam_max)
+    q = phi - back.dot(np.append(lead.dot(phi)[:-1], 1.0))
     return q / np.abs(q)
 
 
@@ -601,32 +638,28 @@ class TestRisOptimizeMatchesSeparateProducts:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 120),
+        n=st.integers(1, 120),
         rank=st.integers(1, 24),
         max_iter=st.integers(0, 30),
     )
     def test_capped_run(self, seed, n, rank, max_iter):
-        """The bit-for-bit phase assertion pins a platform property: that the
-        first n entries of the (n+1) x n augmented product ``A p`` sum in
-        the order of the n x n ``quad @ phi``.  It holds for the SkylakeX
-        gemv kernels of OpenBLAS 0.3.31 (numpy 2.4.6) at every n >= 2 and
-        is known to fail there at n = 1, hence the range of ``n``.  A
-        failure on another CPU or BLAS build can be a change of summation
-        order there, not a solver fault; the values check below is a
-        tolerance and holds either way."""
+        """The phase equals the factored reference step's bit for bit; both
+        run the same products on arrays of the same shapes.  The values
+        agree with ``vdot(p, M p) + 2 Re(d^T p)`` on the dense ``M = F F^H``
+        to a tolerance, since they are summed in another order."""
         # low-rank M like the ris_quadratics forms, plus a linear term
         rng = np.random.default_rng(seed)
-        factor = complex_normal(rng, (n, min(rank, n)))
+        factor = complex_normal(rng, (n, rank))
         quad = factor @ factor.conj().T
         lin = complex_normal(rng, n)
         phi0 = random_unit_modulus(n, rng)
-        lam_max = float(np.linalg.eigvalsh(quad)[-1])
-        phi, values = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter, lam_max=lam_max)
+        lam_max = top_eigenvalue(factor)
+        phi, values = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter, lam_max=lam_max)
         expect_phi = phi0
         quad_terms, lin_terms = [], []
         for step in range(len(values)):
             if step:
-                expect_phi = separate_product_step(expect_phi, quad, lin, lam_max)
+                expect_phi = factored_reference_step(expect_phi, factor, lin, lam_max)
             quad_terms.append(np.vdot(expect_phi, quad @ expect_phi).real)
             lin_terms.append(2.0 * (lin @ expect_phi).real)
         assert np.array_equal(phi, expect_phi)
@@ -639,20 +672,77 @@ class TestRisOptimizeMatchesSeparateProducts:
 
     def test_returned_phase_is_its_own_array(self):
         rng = np.random.default_rng(23)
-        quad, lin = random_quadratic(rng, n=12)
+        factor, lin = random_quadratic(rng, n=12)
         phi0 = random_unit_modulus(12, rng)
         before = phi0.copy()
         for max_iter in (6, 7):
-            phi, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+            phi, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
             kept = phi.copy()
-            again, _ = ris_optimize(phi, quad, lin, tol=1e-300, max_iter=max_iter)
-            other, _ = ris_optimize(phi0, quad, lin, tol=1e-300, max_iter=max_iter)
+            again, _ = ris_optimize(phi, factor, lin, tol=1e-300, max_iter=max_iter)
+            other, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
             assert np.array_equal(phi, kept)
             assert np.array_equal(other, kept)
             assert np.array_equal(phi0, before)
             assert not np.shares_memory(phi, phi0)
             assert not np.shares_memory(phi, again)
             assert not np.shares_memory(phi, other)
+
+
+def dense_reference_solve(phi0, factor, lin, lam_max, tol, max_iter):
+    """The MM solver on the dense ``M = F F^H``: ``q = lam_max p - M p -
+    conj(d)``, ``q/|q|``, under the stopping rule of :func:`ris_optimize`."""
+    quad = factor @ factor.conj().T
+
+    def value(p):
+        return np.vdot(p, quad @ p).real + 2.0 * (lin @ p).real
+
+    phi, values = phi0, [value(phi0)]
+    for _ in range(max_iter):
+        q = lam_max * phi - quad @ phi - np.conj(lin)
+        phi = q / np.abs(q)
+        values.append(value(phi))
+        delta = abs(values[-1] - values[-2])
+        scale = abs(values[-1])
+        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
+            break
+    return phi, np.asarray(values)
+
+
+def reference_phase_problem(objective, snr_db, seed_index, zero_state=False):
+    """Start phase and ``ris_quadratics`` output of a reference-dimension
+    cell at the initial point of :func:`jcas_optimize`; with
+    ``zero_state`` the precoder, combiner and weight are zero."""
+    scheme = "ris_with_sensing" if objective == "jcas" else "ris_comm_only"
+    _, channels, _, jcas = build_cell(ExperimentConfig(scheme=scheme, seeds=2), seed_index, snr_db)
+    phi = random_unit_modulus(channels.n_ris, np.random.default_rng([jcas.seed, 0]))
+    h_eff = effective_channel(channels, phi)
+    precoder = dominant_precoder(h_eff, jcas.n_streams, jcas.power_budget)
+    combiner = mmse_combiner(h_eff, precoder, channels.noise_user)
+    weight = weight_matrix(mse_matrix(h_eff, precoder, channels.noise_user))
+    if zero_state:
+        precoder, combiner, weight = np.zeros_like(precoder), np.zeros_like(combiner), np.zeros_like(weight)
+    return phi, ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+
+
+class TestRisOptimizeMatchesDenseReference:
+    @pytest.mark.parametrize("objective", ["jcas", "rate"])
+    @pytest.mark.parametrize("snr_db, seed_index", [(0.0, 0), (30.0, 1)])
+    def test_reference_cells(self, objective, snr_db, seed_index):
+        phi0, (factor, lin, lam_max) = reference_phase_problem(objective, snr_db, seed_index)
+        phi, values = ris_optimize(phi0, factor, lin, lam_max=lam_max)
+        expect_phi, expect_values = dense_reference_solve(
+            phi0, factor, lin, lam_max, optimizer.RIS_TOL, optimizer.MAX_RIS_ITER
+        )
+        assert len(values) == len(expect_values)
+        assert np.max(np.abs(phi - expect_phi)) <= 1e-12
+
+    @pytest.mark.parametrize("objective", ["jcas", "rate"])
+    def test_zero_precoder_and_weight_keep_every_phase(self, objective):
+        phi0, (factor, lin, lam_max) = reference_phase_problem(objective, 10.0, 0, zero_state=True)
+        assert lam_max == 0.0
+        phi, values = ris_optimize(phi0, factor, lin, lam_max=lam_max)
+        assert np.array_equal(phi, phi0)
+        assert np.array_equal(values, [0.0, 0.0])
 
 
 class TestJcasConfig:
@@ -789,13 +879,17 @@ class TestJcasOptimize:
 
         def recording(*args, **kwargs):
             phi, values = ris_optimize(*args, **kwargs)
-            calls.append((kwargs.get("lam_max"), values))
+            calls.append((np.shape(args[1]), kwargs.get("lam_max"), values))
             return phi, values
 
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
-        for cell, _ in self.run_reference_cells(max_outer=30):
+        n_ris = ExperimentConfig().ris_rows * ExperimentConfig().ris_cols
+        for cell, jcas in self.run_reference_cells(max_outer=30):
             assert calls, cell
-            for lam_max, values in calls:
+            columns = jcas.n_streams * (jcas.n_streams + ExperimentConfig().n_bs_rx)
+            for shape, lam_max, values in calls:
+                # the solver gets the factor, not a surface-sized matrix
+                assert shape[0] == n_ris and shape[1] <= columns < n_ris, (cell, shape)
                 assert lam_max is not None
                 assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1])), cell
             calls.clear()
