@@ -43,7 +43,7 @@ def _base_config(args) -> ExperimentConfig:
         overrides["seeds"] = args.seeds
     if getattr(args, "trials", None) is not None:
         overrides["mse_trials"] = args.trials
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         overrides["output_dir"] = args.out
     if overrides:
         config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})

@@ -135,6 +135,8 @@ class ExperimentConfig:
             require_noise_subspace(self, "for a sensing scheme with mse_trials > 0")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ConfigError("snr_grid_db must be sorted ascending")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

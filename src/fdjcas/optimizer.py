@@ -109,6 +109,8 @@ class JcasConfig:
             raise ValueError("power_budget must be finite and positive")
         if not self.crb_threshold > 0.0:
             raise ValueError("crb_threshold must be positive (inf disables it)")
+        if not 0.0 < self.outer_tol < math.inf:
+            raise ValueError("outer_tol must be finite and positive")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
 
@@ -323,7 +325,7 @@ def precoder_update(
 
 def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS):
     """Phase-profile objective p^H M p + 2 Re(d^T p) as one least-squares
-    residual, returned as (F, d, largest eigenvalue of M) with ``M = F F^H``.
+    residual, returned as (F, d) with ``M = F F^H``.
 
     Both forms are ``||F^H p + c||^2`` up to a constant.  With
     ``u = bs_to_ris @ precoder``, ``W = R R^H`` (eigenvalues clipped at
@@ -335,8 +337,7 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     ``ris_to_bs^H`` to ``X`` and ``si_los @ precoder`` to ``c``; the
     ``"rate"`` form (the weighted-MSE restriction of the
     communications-only benchmark) uses ``c - R^H`` instead.  So
-    ``d = conj(F c)``, and the top eigenvalue comes from the small Gram
-    ``F^H F``.  ``F`` has one row per surface element and
+    ``d = conj(F c)``.  ``F`` has one row per surface element and
     ``n_streams * (n_streams + n_bs_rx)`` (``"jcas"``) or ``n_streams**2``
     (``"rate"``) columns; the surface-sized ``M`` is never formed.
     """
@@ -353,121 +354,45 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
         c = c - root.conj().T
     u = channels.bs_to_ris @ precoder
     factor = (x[:, :, None] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
-    return factor, np.conj(factor @ c.ravel()), _top_eigenvalue(factor)
-
-
-def _top_eigenvalue(factor) -> float:
-    """Largest eigenvalue of ``F F^H``, from the column-sized Gram ``F^H F``."""
-    return float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
-
-
-def _lead(factor, linear) -> np.ndarray:
-    """``[F^H; 2 d^T]``: its product with ``p`` is ``[F^H p; 2 d^T p]``."""
-    n, k = factor.shape
-    lead = np.empty((k + 1, n), dtype=complex)
-    np.conjugate(factor.T, out=lead[:k])
-    np.add(linear, linear, out=lead[k])
-    return lead
-
-
-def _mm_operators(factor, linear, lam_max):
-    """The two products of a factored MM step, and its direction.
-
-    ``lead`` (:func:`_lead`, (k+1) x n) maps ``p`` to ``[y; s]`` with
-    ``y = F^H p`` and ``s = 2 d^T p``, so ``Re vdot([y; 1], [y; s])`` is
-    the objective.  ``back = [F | conj(d)] / lam`` (n x (k+1)) maps
-    ``[y; 1]`` to ``z = (M p + conj(d)) / lam``, and ``direction(p, z, q)``
-    writes ``q = p - z``: the MM direction ``lam p - M p - conj(d)`` scaled
-    by ``1/lam``, which leaves ``q/|q|`` unchanged.  At ``lam = 0`` (then
-    ``F = 0``), or where the scaling overflows (a subnormal ``lam`` or a
-    huge ``d``), ``back`` stays unscaled and ``q = lam p - z``.
-    """
-    back = np.hstack((factor, np.conj(linear)[:, None]))
-    if lam_max > 0.0:
-        scaled = back * (1.0 / lam_max)
-        if np.isfinite(scaled).all():
-            return _lead(factor, linear), scaled, np.subtract
-
-    def direction(p, z, q):
-        return np.subtract(np.multiply(lam_max, p, q), z, q)
-
-    return _lead(factor, linear), back, direction
-
-
-def _tie_break(phi, q, mag, out) -> np.ndarray:
-    """q/|q| into ``out``; elements whose direction is exactly zero keep
-    their phase from ``phi``."""
-    nonzero = mag.real > 0.0
-    out[...] = phi
-    out[nonzero] = q[nonzero] / mag[nonzero]
-    return out
+    return factor, np.conj(factor @ c.ravel())
 
 
 def ris_objective_value(phi, factor, linear) -> float:
-    """Value of the phase objective p^H M p + 2 Re(d^T p), ``M = F F^H``.
-
-    Computed as ``Re vdot([y; 1], [y; 2 d^T p])`` with ``y = F^H p``, summed
-    as the real dot product of the two vectors' real views: the arithmetic
-    of the values :func:`ris_optimize` returns.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    factor, linear = np.asarray(factor, dtype=complex), np.asarray(linear, dtype=complex)
-    head = _lead(factor, linear).dot(phi)
-    return float(np.append(head[:-1], 1.0).view(float).dot(head.view(float)))
+    """Value of the phase objective p^H M p + 2 Re(d^T p), ``M = F F^H``:
+    the first value :func:`ris_optimize` returns."""
+    return float(ris_optimize(phi, factor, linear, max_iter=0)[1][0])
 
 
-def mm_step(phi, factor, linear, lam_max: float | None = None) -> np.ndarray:
-    """One majorization-minimization step on the unit-modulus constraint set
-    for ``M = F F^H``: ``q = lam_max*p - M p - conj(d)``, then ``q/|q|``.
-
-    ``M p`` is ``F (F^H p)``, in the arithmetic of :func:`ris_optimize`
-    (see there).  ``lam_max`` defaults to the top eigenvalue of ``M``.
-    Elements whose update direction is exactly zero keep their previous
-    phase (tie break).
-    """
-    phi = np.asarray(phi, dtype=complex)
-    factor, linear = np.asarray(factor, dtype=complex), np.asarray(linear, dtype=complex)
-    if lam_max is None:
-        lam_max = _top_eigenvalue(factor)
-    lead, back, direction = _mm_operators(factor, linear, lam_max)
-    z = back.dot(np.append(lead.dot(phi)[:-1], 1.0))
-    q, mag = np.empty_like(phi), np.zeros_like(phi)
-    direction(phi, z, q)
-    np.abs(q, mag.real)
-    return _tie_break(phi, q, mag, np.empty_like(phi))
+def mm_step(phi, factor, linear) -> np.ndarray:
+    """One majorization-minimization step of :func:`ris_optimize` on the
+    unit-modulus constraint set for ``M = F F^H``."""
+    return ris_optimize(phi, factor, linear, max_iter=1)[0]
 
 
-def ris_optimize(
-    phi0,
-    factor,
-    linear,
-    tol: float = RIS_TOL,
-    max_iter: int = MAX_RIS_ITER,
-    *,
-    lam_max: float | None = None,
-):
-    """Iterate :func:`mm_step` on ``p^H F F^H p + 2 Re(d^T p)`` until the
-    objective change is small.
+def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX_RIS_ITER):
+    """Majorization-minimization of ``p^H F F^H p + 2 Re(d^T p)`` over
+    unit-modulus ``p``, stepped until the objective change is small.
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
     when the current value is exactly zero.  ``factor`` is ``F``, n x k with
-    one row per element (the first value of :func:`ris_quadratics`), and
-    ``lam_max`` the top eigenvalue of ``F F^H`` (its third value); without
-    it the k x k Gram ``F^H F`` supplies it.
+    one row per element, and ``linear`` is ``d``: the two values of
+    :func:`ris_quadratics`.  Each step sets ``q = lam p - M p - conj(d)``,
+    with ``lam`` the top eigenvalue of ``M = F F^H`` taken from the k x k
+    Gram ``F^H F``, and then ``p = q/|q|``; an element whose ``q`` is
+    exactly zero keeps its phase (tie break).
 
     The n x n ``M`` is never formed.  Each step makes two products: ``[F^H;
     2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
-    ``[y; 1]`` is the objective value, and ``[F | conj(d)] / lam_max``
-    times ``[y; 1]`` gives ``z``, so that ``p - z`` is the MM direction
-    over ``lam_max``.  The steps run in preallocated buffers, and the phase
-    returned is an array of its own; ``phi0`` is not modified.  Phase and
-    values match iterated :func:`mm_step` (with the same ``lam_max``) and
-    :func:`ris_objective_value` bit for bit.  Raises ValueError for a
-    negative ``max_iter``, a factor that is not 2-D with at least one
-    column, mismatched lengths, non-finite inputs, or a ``lam_max`` below
-    the largest squared row norm of ``F`` (a lower bound on the top
-    eigenvalue).
+    ``[y; 1]`` is the objective value, and ``[F | conj(d)] / lam`` times
+    ``[y; 1]`` gives ``z``, so that ``p - z`` is the MM direction over
+    ``lam``, which leaves ``q/|q|`` unchanged.  At ``lam = 0`` (then
+    ``F = 0``), or where the scaling overflows (a subnormal ``lam`` or a
+    huge ``d``), the second product stays unscaled and ``q = lam p - z``.
+    The steps run in preallocated buffers, and the phase returned is an
+    array of its own; ``phi0`` is not modified.  Raises ValueError for a
+    non-positive ``tol``, a negative ``max_iter``, a factor that is not 2-D
+    with at least one column, mismatched lengths, or non-finite inputs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -487,18 +412,18 @@ def ris_optimize(
     for name, arr in (("factor", factor), ("phi0", phi0), ("linear", linear)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    if lam_max is None:
-        lam_max = _top_eigenvalue(factor)
-    elif not math.isfinite(lam_max):
-        raise ValueError("lam_max must be finite")
+    lam = float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
+    lead = np.empty((k + 1, n), dtype=complex)
+    np.conjugate(factor.T, out=lead[:k])
+    np.add(linear, linear, out=lead[k])
+    back = np.hstack((factor, np.conj(linear)[:, None]))
+    if lam > 0.0 and np.isfinite(scaled := back * (1.0 / lam)).all():
+        back, direction = scaled, np.subtract
     else:
-        # e_i^H M e_i <= lam_max; the slack absorbs the Gram eigensolve's rounding
-        row_bound = float(np.max(np.einsum("ij,ij->i", factor, factor.conj()).real))
-        if lam_max < (1.0 - 1e-12) * row_bound:
-            raise ValueError(
-                f"lam_max {lam_max} is below the largest squared row norm of factor, {row_bound}"
-            )
-    lead, back, direction = _mm_operators(factor, linear, lam_max)
+
+        def direction(p, z, q):
+            return np.subtract(np.multiply(lam, p, q), z, q)
+
     lead_dot, back_dot = lead.dot, back.dot
     # ``head`` = [y; s] of the latest phase and ``tail`` = [y; 1]; the
     # objective Re(vdot(tail, head)) is the dot of their real views.  |q|
@@ -526,7 +451,7 @@ def ris_optimize(
             copyto(tail_y, head_y)
             previous, value = value, float(tail_dot(head_real))
             if value != value:
-                _tie_break(p, q, mag, x)
+                copyto(x, p, where=~(mag_real > 0.0))
                 lead_dot(x, head)
                 copyto(tail_y, head_y)
                 value = float(tail_dot(head_real))
@@ -610,8 +535,8 @@ def jcas_optimize(
                 err.achieved, err.threshold, context=f"outer iteration {it}"
             ) from err
         if config.ris_enabled:
-            factor, lin, lam_max = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
-            candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER, lam_max=lam_max)
+            factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+            candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
             proposed = _evaluate(precoder, candidate, channels, config)
             evaluated = _evaluate(precoder, phi, channels, config)
             if proposed[0] <= evaluated[0]:

@@ -155,14 +155,12 @@ def test_criterion_02_mm_descent_and_fixed_point():
     for _ in range(20):
         n = 64
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        quad = x @ x.conj().T / n
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi, _ = ris_optimize(
             np.exp(2j * np.pi * rng.random(n)), x / np.sqrt(n), lin, tol=1e-12, max_iter=20000
         )
-        lam_max = float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1])
         for _ in range(2000):  # polish to the fixed point at converged objective
-            nxt = mm_step(phi, x / np.sqrt(n), lin, lam_max)
+            nxt = mm_step(phi, x / np.sqrt(n), lin)
             if np.max(np.abs(nxt - phi)) < 1e-8:
                 phi = nxt
                 break
@@ -187,7 +185,7 @@ def test_criterion_03_quadratic_form_equivalence():
             noise_user=10.0 ** (-rng.uniform(0.0, 3.0)),
         )
         phi0, h_eff, v, f, w = random_reference_state(rng, channels)
-        factor, lin, _ = ris_quadratics(v, f, w, channels)
+        factor, lin = ris_quadratics(v, f, w, channels)
 
         def restricted(phi):
             he = effective_channel(channels, phi)

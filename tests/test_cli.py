@@ -183,3 +183,21 @@ def test_non_numeric_value_is_a_config_error(capsys, tmp_path, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("output_dir", 5), ("output_dir", ["a"]), ("output_dir", ""), ("--out", "")],
+)
+def test_bad_output_dir_is_a_config_error(capsys, monkeypatch, tmp_path, key, value):
+    def no_cells(config):
+        raise AssertionError("a cell ran before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_scheme", no_cells)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(SMALL if key.startswith("--") else {**SMALL, key: value}))
+    argv = ["run", str(path)] + ([key, value] if key.startswith("--") else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: output_dir must be a non-empty string" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

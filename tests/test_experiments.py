@@ -102,6 +102,9 @@ class TestConfig:
             ("n_streams", 20),
             # MUSIC needs n_streams < n_bs_rx when the MSE column is on
             ("n_streams", 10),
+            ("output_dir", ""),
+            ("output_dir", 5),
+            ("output_dir", ["a"]),
         ],
     )
     def test_bad_values_rejected(self, field, value):

@@ -246,7 +246,7 @@ class TestRisQuadratics:
         v = np.zeros((n_tx, 2), dtype=complex)
         f = np.zeros((2, small_channels.n_user), dtype=complex)
         w = np.zeros((2, 2), dtype=complex)
-        factor, lin, _ = ris_quadratics(v, f, w, small_channels)
+        factor, lin = ris_quadratics(v, f, w, small_channels)
         assert np.all(factor == 0.0)
         assert np.all(lin == 0.0)
 
@@ -256,7 +256,7 @@ class TestRisQuadratics:
             bs_to_user=eye, ris_to_user=eye, bs_to_ris=eye, ris_to_bs=eye,
             si_los=eye, si_nlos=np.zeros((3, 3), dtype=complex),
         )
-        factor, lin, _ = ris_quadratics(eye, eye, eye, ch)
+        factor, lin = ris_quadratics(eye, eye, eye, ch)
         assert np.allclose(factor @ factor.conj().T, 2.0 * np.eye(3), atol=1e-14)
         assert np.allclose(lin, 2.0 * np.ones(3), atol=1e-14)
 
@@ -267,7 +267,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        factor, lin, _ = ris_quadratics(v, f, w, small_channels)
+        factor, lin = ris_quadratics(v, f, w, small_channels)
 
         def restricted(phi):
             he = effective_channel(small_channels, phi)
@@ -288,7 +288,7 @@ class TestRisQuadratics:
         h_eff = effective_channel(small_channels, phi0)
         f = mmse_combiner(h_eff, v, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v, small_channels.noise_user))
-        factor, lin, _ = ris_quadratics(v, f, w, small_channels, objective="rate")
+        factor, lin = ris_quadratics(v, f, w, small_channels, objective="rate")
 
         def weighted_mse(phi):
             he = effective_channel(small_channels, phi)
@@ -357,6 +357,9 @@ class TestRisLamMax:
         data=st.data(),
     )
     def test_matches_dense_eigenvalue(self, seed, n_streams, objective, data):
+        """One solver step is the dense MM step ``(lam p - M p - conj(d))/|.|``
+        with ``lam`` the top eigenvalue of the dense ``M``, and ``(F, d)`` is
+        the term-by-term ``(M, d)``."""
         # precoder and weight of any rank from zero to full
         precoder_rank = data.draw(st.integers(0, n_streams), label="precoder_rank")
         weight_rank = data.draw(st.integers(0, n_streams), label="weight_rank")
@@ -366,25 +369,34 @@ class TestRisLamMax:
         combiner = complex_normal(rng, (n_streams, channels.n_user))
         root = low_rank(rng, n_streams, n_streams, weight_rank)
         weight = root @ root.conj().T
-        factor, lin, factored = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
         # one row per element; columns sized by the streams, not the surface
         columns = n_streams * (n_streams + channels.n_bs_rx) if objective == "jcas" else n_streams**2
         assert factor.shape == (channels.n_ris, columns)
         quad = factor @ factor.conj().T
-        dense = np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]
-        assert abs(factored - dense) <= 1e-12 * abs(dense)
-        if precoder_rank == 0:
-            assert factored == 0.0
+        # the solver's step size is the dense top eigenvalue of M = F F^H
+        lam = np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]
+        phi = random_unit_modulus(channels.n_ris, rng)
+        q = lam * phi - quad @ phi - np.conj(lin)
+        mag = np.abs(q)
+        moved = mag > 0.0
+        expect = phi.copy()
+        expect[moved] = q[moved] / mag[moved]
+        assert np.max(np.abs(mm_step(phi, factor, lin) - expect)) <= 1e-12
         hadamard_quad, hadamard_lin = hadamard_quadratics(precoder, combiner, weight, channels, objective)
         assert np.linalg.norm(quad - hadamard_quad) <= 1e-12 * np.linalg.norm(hadamard_quad)
         assert np.linalg.norm(lin - hadamard_lin) <= 1e-12 * np.linalg.norm(hadamard_lin)
 
     def test_zero_precoder_and_weight(self, small_channels):
+        # F = 0, so the step size is zero and every direction is zero
         v = np.zeros((small_channels.n_bs_tx, 2), dtype=complex)
         f = np.zeros((2, small_channels.n_user), dtype=complex)
         w = np.zeros((2, 2), dtype=complex)
+        phi = random_unit_modulus(small_channels.n_ris, np.random.default_rng(25))
         for objective in ("jcas", "rate"):
-            assert ris_quadratics(v, f, w, small_channels, objective=objective)[2] == 0.0
+            factor, lin = ris_quadratics(v, f, w, small_channels, objective=objective)
+            assert np.all(factor == 0.0)
+            assert np.array_equal(mm_step(phi, factor, lin), phi)
 
 
 def random_quadratic(rng, n=16):
@@ -396,7 +408,7 @@ def random_quadratic(rng, n=16):
 
 def top_eigenvalue(factor):
     """Largest eigenvalue of ``F F^H`` from the Gram ``F^H F``, as the solver
-    computes its default."""
+    computes its step size."""
     gram = factor.conj().T @ factor
     return float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1])
 
@@ -512,40 +524,20 @@ class TestRisOptimize:
         with pytest.raises(ValueError, match=which):
             ris_optimize(args["phi0"], args["factor"], args["linear"])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_lam_max(self, bad):
-        with pytest.raises(ValueError, match="lam_max"):
-            ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), lam_max=bad)
-
     @pytest.mark.parametrize("max_iter", [-1, -3])
     def test_rejects_negative_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), max_iter=max_iter)
 
-    def test_rejects_lam_max_below_largest_row_norm(self):
-        rng = np.random.default_rng(24)
-        factor, lin = random_quadratic(rng, n=10)
-        phi0 = random_unit_modulus(10, rng)
-        row_bound = float(np.max(np.sum(np.abs(factor) ** 2, axis=1)))
-        for bad in (-1.0, 0.0, 0.999 * row_bound):
-            with pytest.raises(ValueError, match="lam_max"):
-                ris_optimize(phi0, factor, lin, lam_max=bad)
-        # one nonzero row: the top eigenvalue equals that row's squared
-        # norm, so the Gram eigenvalue passes despite its rounding
-        single = np.zeros_like(factor)
-        single[3] = factor[3]
-        for lam_max in (top_eigenvalue(single), float(np.sum(np.abs(factor[3]) ** 2))):
-            ris_optimize(phi0, single, lin, max_iter=5, lam_max=lam_max)
-
 
 def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
-    """Reference solver: :func:`mm_step` and :func:`ris_objective_value`
-    iterated by hand under the stopping rule of :func:`ris_optimize`."""
-    lam_max = top_eigenvalue(factor)
+    """Reference solver: fresh single steps (:func:`mm_step`) and values
+    (:func:`ris_objective_value`), iterated by hand under the stopping rule
+    of :func:`ris_optimize`."""
     phi = np.asarray(phi0, dtype=complex)
     values = [ris_objective_value(phi, factor, lin)]
     for _ in range(max_iter):
-        phi = mm_step(phi, factor, lin, lam_max)
+        phi = mm_step(phi, factor, lin)
         values.append(ris_objective_value(phi, factor, lin))
         delta = abs(values[-1] - values[-2])
         scale = abs(values[-1])
@@ -555,8 +547,9 @@ def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
 
 
 def assert_matches_iterated_steps(phi0, factor, lin, tol, max_iter):
-    """ris_optimize equals the hand-iterated steps bit for bit and leaves
-    phi0 untouched; returns the number of steps taken."""
+    """ris_optimize, which carries its state from step to step, equals the
+    hand-iterated fresh single steps bit for bit and leaves phi0 untouched;
+    returns the number of steps taken."""
     before = phi0.copy()
     phi, values = ris_optimize(phi0, factor, lin, tol=tol, max_iter=max_iter)
     expect_phi, expect_values = iterate_mm_steps(phi0, factor, lin, tol, max_iter)
@@ -584,17 +577,6 @@ class TestRisOptimizeMatchesMmStep:
         phi0 = random_unit_modulus(n, rng)
         steps = assert_matches_iterated_steps(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
         assert steps == max_iter
-
-    def test_given_lam_max_replaces_the_eigensolve(self):
-        rng = np.random.default_rng(22)
-        factor, lin = random_quadratic(rng, n=12)
-        phi0 = random_unit_modulus(12, rng)
-        lam_max = 2.0 * top_eigenvalue(factor)
-        phi, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=10, lam_max=lam_max)
-        expect = phi0
-        for _ in range(10):
-            expect = mm_step(expect, factor, lin, lam_max)
-        assert np.array_equal(phi, expect)
 
     def test_zero_quad_and_linear_keep_every_phase(self):
         n = 6
@@ -654,7 +636,7 @@ class TestRisOptimizeMatchesSeparateProducts:
         lin = complex_normal(rng, n)
         phi0 = random_unit_modulus(n, rng)
         lam_max = top_eigenvalue(factor)
-        phi, values = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter, lam_max=lam_max)
+        phi, values = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
         expect_phi = phi0
         quad_terms, lin_terms = [], []
         for step in range(len(values)):
@@ -709,9 +691,10 @@ def dense_reference_solve(phi0, factor, lin, lam_max, tol, max_iter):
 
 
 def reference_phase_problem(objective, snr_db, seed_index, zero_state=False):
-    """Start phase and ``ris_quadratics`` output of a reference-dimension
-    cell at the initial point of :func:`jcas_optimize`; with
-    ``zero_state`` the precoder, combiner and weight are zero."""
+    """Start phase, then ``ris_quadratics`` output and the top eigenvalue of
+    the dense ``M = F F^H``, of a reference-dimension cell at the initial
+    point of :func:`jcas_optimize`; with ``zero_state`` the precoder,
+    combiner and weight are zero."""
     scheme = "ris_with_sensing" if objective == "jcas" else "ris_comm_only"
     _, channels, _, jcas = build_cell(ExperimentConfig(scheme=scheme, seeds=2), seed_index, snr_db)
     phi = random_unit_modulus(channels.n_ris, np.random.default_rng([jcas.seed, 0]))
@@ -721,7 +704,9 @@ def reference_phase_problem(objective, snr_db, seed_index, zero_state=False):
     weight = weight_matrix(mse_matrix(h_eff, precoder, channels.noise_user))
     if zero_state:
         precoder, combiner, weight = np.zeros_like(precoder), np.zeros_like(combiner), np.zeros_like(weight)
-    return phi, ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+    factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+    quad = factor @ factor.conj().T
+    return phi, (factor, lin, float(np.linalg.eigvalsh(0.5 * (quad + quad.conj().T))[-1]))
 
 
 class TestRisOptimizeMatchesDenseReference:
@@ -729,7 +714,7 @@ class TestRisOptimizeMatchesDenseReference:
     @pytest.mark.parametrize("snr_db, seed_index", [(0.0, 0), (30.0, 1)])
     def test_reference_cells(self, objective, snr_db, seed_index):
         phi0, (factor, lin, lam_max) = reference_phase_problem(objective, snr_db, seed_index)
-        phi, values = ris_optimize(phi0, factor, lin, lam_max=lam_max)
+        phi, values = ris_optimize(phi0, factor, lin)
         expect_phi, expect_values = dense_reference_solve(
             phi0, factor, lin, lam_max, optimizer.RIS_TOL, optimizer.MAX_RIS_ITER
         )
@@ -740,7 +725,7 @@ class TestRisOptimizeMatchesDenseReference:
     def test_zero_precoder_and_weight_keep_every_phase(self, objective):
         phi0, (factor, lin, lam_max) = reference_phase_problem(objective, 10.0, 0, zero_state=True)
         assert lam_max == 0.0
-        phi, values = ris_optimize(phi0, factor, lin, lam_max=lam_max)
+        phi, values = ris_optimize(phi0, factor, lin)
         assert np.array_equal(phi, phi0)
         assert np.array_equal(values, [0.0, 0.0])
 
@@ -750,6 +735,7 @@ class TestJcasConfig:
         "value, name",
         [(bad, "power_budget") for bad in (math.nan, math.inf, 0.0, -1.0)]
         + [(bad, "crb_threshold") for bad in (math.nan, 0.0, -1.0)]
+        + [(bad, "outer_tol") for bad in (math.nan, math.inf, 0.0, -1.0)]
         + [(-3, "max_outer")],
     )
     def test_bad_values_rejected(self, name, value):
@@ -873,13 +859,13 @@ class TestJcasOptimize:
                     yield (scheme, snr_db, seed_index), jcas
 
     def test_phase_steps_descend_on_reference_cells(self, monkeypatch):
-        # the factored lam_max is exact to rounding, with no safety factor,
+        # the solver's step size is exact to rounding, with no safety factor,
         # so the MM majorizer must still give a non-increasing objective
         calls = []
 
         def recording(*args, **kwargs):
             phi, values = ris_optimize(*args, **kwargs)
-            calls.append((np.shape(args[1]), kwargs.get("lam_max"), values))
+            calls.append((np.shape(args[1]), values))
             return phi, values
 
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
@@ -887,10 +873,9 @@ class TestJcasOptimize:
         for cell, jcas in self.run_reference_cells(max_outer=30):
             assert calls, cell
             columns = jcas.n_streams * (jcas.n_streams + ExperimentConfig().n_bs_rx)
-            for shape, lam_max, values in calls:
+            for shape, values in calls:
                 # the solver gets the factor, not a surface-sized matrix
                 assert shape[0] == n_ris and shape[1] <= columns < n_ris, (cell, shape)
-                assert lam_max is not None
                 assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1])), cell
             calls.clear()
 
