@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
@@ -302,9 +303,12 @@ def design_bound(scene, channels, coeffs, result, snapshots: int = 1) -> float:
     return aoa_crb(result.precoder, ctx.path_response_deriv, ctx.noise_cov, snapshots=snapshots)
 
 
+@functools.cache
 def _openblas_threads():
     """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or
-    None when numpy links another BLAS."""
+    None when numpy links another BLAS.  Looked up once per process: the
+    glob and the ``dlopen`` cost about 0.1 ms, and every parallel
+    ``_map_cells`` call asks."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         lib = ctypes.CDLL(str(path))

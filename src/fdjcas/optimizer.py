@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,6 +185,16 @@ def dl_rate(h_eff, precoder, noise_user: float) -> float:
     return float(logdet / LN2)
 
 
+def _probe_power(lam, evals, row_power, out) -> float:
+    """Precoder power ``float(np.sum(row_power / (evals + lam) ** 2))`` at
+    the power multiplier ``lam``, computed in the buffer ``out`` with the
+    same operations in the same order, so bit for bit the same value."""
+    np.add(evals, lam, out=out)
+    np.square(out, out=out)
+    np.divide(row_power, out, out=out)
+    return float(out.sum())
+
+
 def _solve_power_constrained(core, rhs, power_budget):
     """Minimizer of the quadratic surrogate under the transmit power cap.
 
@@ -191,7 +202,8 @@ def _solve_power_constrained(core, rhs, power_budget):
     the unconstrained (min-norm) solution already fits the budget
     (complementary slackness); otherwise it is bisected until the power
     matches the budget to the relative tolerance.  The normal equations
-    are diagonalized once so each multiplier probe is closed-form.
+    are diagonalized once so each multiplier probe is closed-form, and the
+    probes share one preallocated buffer.
     """
     evals, evecs = np.linalg.eigh(_herm(core))
     rotated = evecs.conj().T @ rhs
@@ -199,9 +211,6 @@ def _solve_power_constrained(core, rhs, power_budget):
 
     def precoder_at(lam):
         return evecs @ (rotated / (evals + lam)[:, None])
-
-    def power_at(lam):
-        return float(np.sum(row_power / (evals + lam) ** 2))
 
     total = float(np.sum(row_power))
     if total == 0.0:
@@ -215,14 +224,15 @@ def _solve_power_constrained(core, rhs, power_budget):
         p0 = float(np.sum(np.abs(v0) ** 2))
         if p0 <= power_budget:
             return v0, 0.0
+    probe = np.empty_like(evals)
     lo, hi = 0.0, 1.0
     guard = 0
-    while power_at(hi) >= power_budget and guard < 200:
+    while _probe_power(hi, evals, row_power, probe) >= power_budget and guard < 200:
         hi *= 2.0
         guard += 1
     for _ in range(MAX_BISECT):
         lam = 0.5 * (lo + hi)
-        power = power_at(lam)
+        power = _probe_power(lam, evals, row_power, probe)
         if abs(power - power_budget) < BISECT_TOL * power_budget:
             precoder = precoder_at(lam)
             break
@@ -236,6 +246,26 @@ def _solve_power_constrained(core, rhs, power_budget):
     return precoder, lam
 
 
+class _PhaseTerms(NamedTuple):
+    """Channel terms that depend on the phase profile alone.
+
+    ``h_eff`` is the effective downlink channel, ``leak`` the SI channel and
+    ``leak_gram`` its Gram ``leak^H leak`` (both None without the SI term),
+    and ``fisher`` the Fisher core (None without the CRB constraint).
+    """
+
+    h_eff: np.ndarray
+    leak: np.ndarray | None
+    leak_gram: np.ndarray | None
+    fisher: np.ndarray | None
+
+
+def _phase_terms(h_eff, leak=None, path_response_deriv=None, noise_cov=None) -> _PhaseTerms:
+    leak_gram = None if leak is None else leak.conj().T @ leak
+    fisher = None if path_response_deriv is None else fisher_core(path_response_deriv, noise_cov)
+    return _PhaseTerms(h_eff, leak, leak_gram, fisher)
+
+
 def precoder_update(
     combiner,
     weight,
@@ -246,6 +276,8 @@ def precoder_update(
     path_response_deriv=None,
     noise_cov=None,
     include_si: bool = True,
+    *,
+    phase_terms: _PhaseTerms | None = None,
 ):
     """Precoder minimizing the weighted-MSE-plus-interference surrogate
     under the power budget and, when finite, the angle-accuracy bound.
@@ -257,23 +289,35 @@ def precoder_update(
     feasible value; if no multiplier up to ``MU_MAX`` satisfies the bound,
     CrbInfeasibleError reports the best bound achieved.
 
+    ``phase_terms`` is the phase profile's channel terms that
+    :func:`jcas_optimize` keeps from one outer iteration to the next: the
+    effective channel, the SI channel and its Gram when ``include_si``,
+    and the Fisher core when the threshold is finite.  Given, it replaces
+    ``channels``, ``phi``, ``path_response_deriv`` and ``noise_cov``;
+    otherwise the terms are built from those arguments.  Both ways give
+    bit-identical results.
+
     Returns (precoder, lambda0, mu).
     """
-    phi = np.asarray(phi)
-    h_eff = effective_channel(channels, phi)
+    constrain = math.isfinite(crb_threshold)
+    if phase_terms is None:
+        if constrain and (path_response_deriv is None or noise_cov is None):
+            raise ValueError("CRB constraint requires the response derivative and noise covariance")
+        phase_terms = _phase_terms(
+            effective_channel(channels, phi),
+            si_channel(channels, phi) if include_si else None,
+            *((path_response_deriv, noise_cov) if constrain else ()),
+        )
+    h_eff = phase_terms.h_eff
     rhs = h_eff.conj().T @ combiner.conj().T @ weight
     fh = combiner @ h_eff
     gram = fh.conj().T @ weight @ fh
     if include_si:
-        leak = si_channel(channels, phi)
-        gram = gram + leak.conj().T @ leak
+        gram = gram + phase_terms.leak_gram
     gram = _herm(gram)
 
-    constrain = math.isfinite(crb_threshold)
     if constrain:
-        if path_response_deriv is None or noise_cov is None:
-            raise ValueError("CRB constraint requires the response derivative and noise covariance")
-        fisher_mat = fisher_core(path_response_deriv, noise_cov)
+        fisher_mat = phase_terms.fisher
 
         def crb_of(v):
             fisher = float(2.0 * np.sum(np.real(np.conj(v) * (fisher_mat @ v))))
@@ -495,6 +539,12 @@ def jcas_optimize(
     objective, rate, interference power, bound value and multipliers; row
     zero is the initialized state.  Infeasibility of the sensing constraint
     propagates with the iteration index attached.
+
+    What depends only on the phase profile (the effective channel, the SI
+    channel and its Gram, and the Fisher core when the bound is enforced)
+    is built at the start and again only when the guard accepts a phase,
+    from the channels computed to evaluate the proposal, and reaches
+    :func:`precoder_update` through its ``phase_terms`` keyword.
     """
     if config.ris_enabled:
         rng = np.random.default_rng([config.seed, 0])
@@ -502,22 +552,30 @@ def jcas_optimize(
     else:
         phi = np.zeros(channels.n_ris, dtype=complex)
     sensing = config.sensing_enabled
+    constrain = math.isfinite(config.enforced_crb_threshold)
     objective = RIS_OBJECTIVE_JCAS if sensing else RIS_OBJECTIVE_RATE
 
+    def phase_terms(h_eff, leak):
+        # the Fisher core comes from ``ctx`` as it is at the call
+        if not constrain:
+            return _phase_terms(h_eff, leak)
+        return _phase_terms(h_eff, leak, ctx.path_response_deriv, ctx.noise_cov)
+
     noise_user = channels.noise_user
-    h_eff = effective_channel(channels, phi)
-    precoder = dominant_precoder(h_eff, config.n_streams, config.power_budget)
     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar) if sensing else None
+    leak = si_channel(channels, phi) if sensing else None
+    terms = phase_terms(effective_channel(channels, phi), leak)
+    precoder = dominant_precoder(terms.h_eff, config.n_streams, config.power_budget)
 
     trace = IterationTrace()
     lam0 = mu = 0.0
     previous = _record(
-        trace, 0, precoder, ctx, _evaluate(precoder, phi, channels, config), lam0, mu
+        trace, 0, precoder, ctx, _evaluate(precoder, terms.h_eff, terms.leak, noise_user), lam0, mu
     )
 
     for it in range(1, config.max_outer + 1):
-        combiner = mmse_combiner(h_eff, precoder, noise_user)
-        weight = weight_matrix(mse_matrix(h_eff, precoder, noise_user))
+        combiner = mmse_combiner(terms.h_eff, precoder, noise_user)
+        weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise_user))
         try:
             precoder, lam0, mu = precoder_update(
                 combiner,
@@ -526,27 +584,26 @@ def jcas_optimize(
                 phi,
                 config.power_budget,
                 crb_threshold=config.enforced_crb_threshold,
-                path_response_deriv=ctx.path_response_deriv if ctx is not None else None,
-                noise_cov=ctx.noise_cov if ctx is not None else None,
                 include_si=sensing,
+                phase_terms=terms,
             )
         except CrbInfeasibleError as err:
             raise CrbInfeasibleError(
                 err.achieved, err.threshold, context=f"outer iteration {it}"
             ) from err
+        evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise_user)
         if config.ris_enabled:
             factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
             candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
-            proposed = _evaluate(precoder, candidate, channels, config)
-            evaluated = _evaluate(precoder, phi, channels, config)
+            h_eff = effective_channel(channels, candidate)
+            leak = si_channel(channels, candidate) if sensing else None
+            proposed = _evaluate(precoder, h_eff, leak, noise_user)
             if proposed[0] <= evaluated[0]:
                 phi = candidate
                 evaluated = proposed
-                h_eff = effective_channel(channels, phi)
                 if sensing:
                     ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-        else:
-            evaluated = _evaluate(precoder, phi, channels, config)
+                terms = phase_terms(h_eff, leak)
         current = _record(trace, it, precoder, ctx, evaluated, lam0, mu)
         if abs(current - previous) <= config.outer_tol * max(abs(previous), 1e-300):
             break
@@ -555,21 +612,24 @@ def jcas_optimize(
     return JcasResult(precoder=precoder, ris_phase=phi, trace=trace)
 
 
-def _evaluate(precoder, phi, channels, config):
-    """Recorded objective, downlink rate and SI power of one state.
+def _evaluate(precoder, h_eff, leak, noise_user):
+    """Recorded objective, downlink rate and SI power of one state, given
+    the effective channel and the SI channel of its phase profile.
 
     The objective is the interference power minus the rate: the
     rate-equivalent value of the weighted-MSE surrogate at the tight
     combiner/weight pair, the quantity the alternating updates provably do
-    not increase.  The SI power is NaN when the run does not sense.
+    not increase.  ``leak`` is None when the run does not sense; the SI
+    power is then NaN.
 
     Returns (objective, rate, si_power).
     """
-    rate = dl_rate(effective_channel(channels, phi), precoder, channels.noise_user)
+    rate = dl_rate(h_eff, precoder, noise_user)
     value = -rate
     si_power = math.nan
-    if config.sensing_enabled:
-        si_power = float(np.real(np.trace(si_matrix(precoder, phi, channels))))
+    if leak is not None:
+        leak_v = leak @ precoder
+        si_power = float(np.real(np.trace(_herm(leak_v @ leak_v.conj().T))))
         value += si_power
     return value, rate, si_power
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdjcas.channels import ChannelSet, build_channel_set
+from fdjcas.crb import fisher_core
 from fdjcas.experiments import SCHEMES, ExperimentConfig, build_cell, scheme_flags
 from fdjcas.geometry import build_scene
 import fdjcas.optimizer as optimizer
@@ -238,6 +239,59 @@ class TestPrecoderUpdate:
             )
         assert err.value.achieved > err.value.threshold
         assert "rad^2" in str(err.value)
+
+
+class TestSolvePowerConstrained:
+    @staticmethod
+    def problem(rank, n=6, streams=2, seed=0):
+        """Hermitian PSD core of the given rank and a right-hand side in its range."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        core = a @ a.conj().T
+        rhs = core @ (rng.standard_normal((n, streams)) + 1j * rng.standard_normal((n, streams)))
+        return core, rhs
+
+    def test_zero_rhs_gives_zero_precoder(self):
+        core, rhs = self.problem(rank=6)
+        v, lam = optimizer._solve_power_constrained(core, np.zeros_like(rhs), 1.0)
+        assert lam == 0.0
+        assert v.shape == rhs.shape and np.all(v == 0.0)
+
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_slack_budget_gives_min_norm_solution(self, rank):
+        core, rhs = self.problem(rank)
+        expected = np.linalg.pinv(core, rcond=1e-10, hermitian=True) @ rhs
+        power = float(np.sum(np.abs(expected) ** 2))
+        v, lam = optimizer._solve_power_constrained(core, rhs, 2.0 * power)
+        assert lam == 0.0
+        assert np.linalg.norm(v - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_binding_budget_is_met(self, rank):
+        core, rhs = self.problem(rank)
+        expected = np.linalg.pinv(core, rcond=1e-10, hermitian=True) @ rhs
+        budget = 0.25 * float(np.sum(np.abs(expected) ** 2))
+        v, lam = optimizer._solve_power_constrained(core, rhs, budget)
+        assert lam > 0.0
+        assert abs(float(np.sum(np.abs(v) ** 2)) - budget) < 1e-6 * budget
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        log_lam=st.floats(-12.0, 12.0),
+        log_scale=st.floats(-8.0, 8.0),
+    )
+    def test_buffered_probe_matches_expression_bit_for_bit(self, seed, n, log_lam, log_scale):
+        rng = np.random.default_rng(seed)
+        evals = np.sort(rng.exponential(10.0**log_scale, n))
+        evals[: rng.integers(0, n + 1)] = 0.0  # a rank-deficient core
+        row_power = rng.exponential(1.0, n)
+        lam = 10.0**log_lam
+        out = np.empty_like(evals)
+        buffered = optimizer._probe_power(lam, evals, row_power, out)
+        expected = float(np.sum(row_power / (evals + lam) ** 2))
+        assert buffered.hex() == expected.hex()
 
 
 class TestRisQuadratics:
@@ -844,6 +898,114 @@ class TestJcasOptimize:
             # the initial state, then the proposal and the current phase
             # (RIS schemes) or the current state alone (no-RIS schemes)
             assert len(calls) == 1 + per_iteration * iterations
+
+    @pytest.mark.parametrize(
+        "scheme, reference", [*((scheme, False) for scheme in SCHEMES), ("ris_with_sensing", True)]
+    )
+    def test_phase_terms_built_once_per_phase(
+        self, scheme, reference, small_scene, small_channels, monkeypatch
+    ):
+        counts = dict.fromkeys(("effective_channel", "si_channel", "fisher_core"), 0)
+        proposals, phases = [], []
+
+        def counting(name):
+            original = getattr(optimizer, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        def recording_ris(*args, **kwargs):
+            phi, values = ris_optimize(*args, **kwargs)
+            proposals.append(phi)
+            return phi, values
+
+        def recording_precoder(*args, **kwargs):
+            phases.append(args[3])
+            return precoder_update(*args, **kwargs)
+
+        for name in counts:
+            monkeypatch.setattr(optimizer, name, counting(name))
+        monkeypatch.setattr(optimizer, "ris_optimize", recording_ris)
+        monkeypatch.setattr(optimizer, "precoder_update", recording_precoder)
+        ris_enabled, sensing = scheme_flags(scheme)
+        if reference:
+            # the guard never accepts a sensing phase on the small scene; at
+            # 0 dB, seed index 2, it accepts one within the first iterations
+            config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=10)
+            scene, channels, coeffs, jcas = build_cell(config, 2, 0.0)
+        else:
+            scene, channels, coeffs = small_scene, small_channels, PathCoefficients.random(7)
+            # a finite threshold the cell meets, so the sensing schemes are constrained
+            jcas = JcasConfig(
+                crb_threshold=0.01, ris_enabled=ris_enabled, sensing_enabled=sensing,
+                n_streams=2, seed=7, max_outer=10,
+            )
+        result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
+        # a proposal was accepted iff the next precoder update (or the result) uses it
+        following = phases[1 : len(proposals)] + [result.ris_phase]
+        accepted = sum(np.array_equal(p, q) for p, q in zip(proposals, following))
+        assert len(phases) == len(result.trace) - 1
+        assert len(proposals) == (len(phases) if ris_enabled else 0)
+        assert accepted > 0 if ris_enabled and (reference or not sensing) else accepted == 0
+        # the initial phase, then each proposal; an accepted proposal's
+        # channels are reused, not rebuilt
+        assert counts["effective_channel"] == 1 + len(proposals)
+        assert counts["si_channel"] == (1 + len(proposals) if sensing else 0)
+        assert counts["fisher_core"] == (1 + accepted if sensing else 0)
+
+    def test_prebuilt_phase_terms_match_a_fresh_build(self, monkeypatch):
+        # every precoder update of the outer loop, called again without the
+        # terms the loop kept, must give the same bits: a record left stale
+        # after an accepted phase would not
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return precoder_update(*args, **kwargs)
+
+        def outcome(args, kwargs):
+            try:
+                v, lam, mu = precoder_update(*args, **kwargs)
+            except CrbInfeasibleError as err:
+                return "infeasible", err.achieved
+            return v.tobytes(), lam, mu
+
+        monkeypatch.setattr(optimizer, "precoder_update", recording)
+        outcomes = []
+        for scheme in SCHEMES:
+            config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=30)
+            for snr_db in (0.0, 30.0):
+                # at 0 dB the sensing bound is infeasible at seed index 1, and
+                # the guard accepts a sensing phase at seed index 2
+                for seed_index in (1, 2):
+                    scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
+                    try:
+                        jcas_optimize(scene, channels, jcas, coeffs)
+                    except CrbInfeasibleError:
+                        pass
+                    for args, kwargs in calls:
+                        fresh = {k: v for k, v in kwargs.items() if k != "phase_terms"}
+                        if math.isfinite(fresh["crb_threshold"]):
+                            ctx = build_sensing_context(scene, args[3], coeffs, channels.noise_radar)
+                            fresh.update(
+                                path_response_deriv=ctx.path_response_deriv, noise_cov=ctx.noise_cov
+                            )
+                            # a stale Fisher core changes the outputs only
+                            # where it moves the bound across the threshold
+                            kept_fisher = kwargs["phase_terms"].fisher
+                            assert kept_fisher.tobytes() == fisher_core(
+                                ctx.path_response_deriv, ctx.noise_cov
+                            ).tobytes(), (scheme, snr_db, seed_index)
+                        kept = outcome(args, kwargs)
+                        assert kept == outcome(args, fresh), (scheme, snr_db, seed_index)
+                        outcomes.append(kept)
+                    calls.clear()
+        # the cells include infeasible ones, where the sensing multiplier
+        # doubles up to its cap before the error
+        assert any(kept[0] == "infeasible" for kept in outcomes)
 
     @staticmethod
     def run_reference_cells(max_outer):
