@@ -40,13 +40,11 @@ from .optimizer import (
     ris_optimize,
     ris_quadratics,
     si_channel,
-    si_matrix,
     weight_matrix,
 )
 from .steering import (
     PathCoefficients,
     SensingContext,
-    SteeringSet,
     build_sensing_context,
     path_matrix,
     path_matrix_derivative,

@@ -23,7 +23,7 @@ from .channels import build_channel_set
 from .crb import aoa_crb
 from .estimation import music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
-from .optimizer import CrbInfeasibleError, JcasConfig, jcas_optimize
+from .optimizer import JcasConfig, jcas_optimize, jcas_optimize_batch
 from .steering import PathCoefficients, build_sensing_context
 
 SCHEME_RIS_SENSING = "ris_with_sensing"
@@ -259,13 +259,20 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
     return scene, channels, coeffs, jcas
 
 
-def _run_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
-    """Optimize one cell; returns a metrics dict or None when infeasible."""
-    scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
-    try:
-        result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-    except CrbInfeasibleError:
-        return None
+def _run_cells(config: ExperimentConfig, cells) -> list:
+    """Optimize ``(seed_index, snr_db)`` cells as one lockstep batch; a
+    metrics dict per cell, or None where the cell is infeasible."""
+    built = [build_cell(config, seed_index, snr_db) for seed_index, snr_db in cells]
+    results = jcas_optimize_batch([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+    return [
+        None if result is None else _cell_metrics(config, seed_index, cell, result)
+        for (seed_index, _), cell, result in zip(cells, built, results)
+    ]
+
+
+def _cell_metrics(config: ExperimentConfig, seed_index: int, cell, result) -> dict:
+    """The metrics of one optimized cell, with its MUSIC trials when sensing."""
+    scene, channels, coeffs, jcas = cell
     metrics = {
         "rate_bps_hz": result.trace.rate_bps_hz[-1],
         "si_power": result.trace.si_power[-1],
@@ -322,45 +329,74 @@ def _openblas_threads():
     return None
 
 
-def _map_cells(cell_fn, config: ExperimentConfig, cells) -> list:
-    """``cell_fn(config, *cell)`` of every cell, in order.
+def _run_share(send, share_fn, config: ExperimentConfig, share) -> None:
+    """Body of a forked worker: send ``(True, share_fn(config, share))``,
+    or ``(False, error)`` when it raises."""
+    try:
+        outcome = True, share_fn(config, share)
+    except Exception as err:
+        outcome = False, err
+    send.send(outcome)
+    send.close()
+
+
+def _map_cells(share_fn, config: ExperimentConfig, cells) -> list:
+    """The results of every cell, in order, from ``share_fn(config,
+    share)``, which returns one result per cell of the list ``share``.
 
     With more than one CPU in the affinity mask (``taskset`` narrows it),
-    this process runs every ``workers``-th cell, starting with the first,
-    while forked worker processes run the others.  Every process uses one
-    OpenBLAS thread meanwhile: forked workers inherit the parent's thread
-    pool, and with 2 threads in each of 2 processes on 2 cores a two-cell
-    sensing call ran 2.3x slower than in one process.  The cells all run
-    here when there is one CPU or one cell, when numpy's BLAS is not
-    OpenBLAS, or when other Python threads are alive, because forking a
-    threaded process can deadlock the child.  Each cell has its own seed
-    streams, so the results are the same either way.  ``cell_fn`` must be
-    a module-level function, so that the pool can pickle it.
+    each of ``workers`` processes runs one share, ``cells[i::workers]``,
+    in one call: this process the first, and one forked worker process
+    each of the others, which sends its results back through a pipe.
+    Every process uses one OpenBLAS thread meanwhile: forked workers
+    inherit the parent's thread pool, and with 2 threads in each of 2
+    processes on 2 cores a two-cell sensing call ran 2.3x slower than in
+    one process.  All cells form one share here when there is one CPU or
+    one cell, when numpy's BLAS is not OpenBLAS, or when other Python
+    threads are alive, because forking a threaded process can deadlock the
+    child.  Each cell has its own seed streams, so the results are the
+    same either way.  An error raised in a worker is raised here.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(cells), cpus)
     blas = _openblas_threads() if workers > 1 and threading.active_count() == 1 else None
     if blas is None:
-        return [cell_fn(config, *cell) for cell in cells]
-    # imported here: one-cell calls never fork, and the pool modules take ~20 ms to import
+        return share_fn(config, cells)
+    # imported here: one-cell calls never fork
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker would import numpy and fdjcas afresh on every call
-    pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))
+    context = multiprocessing.get_context("fork")
     get_threads, set_threads = blas
     previous = get_threads()
-    set_threads(1)  # before the first submit forks the workers, so they inherit it
+    set_threads(1)  # before forking the workers, so they inherit it
+    started, finished = [], False
     try:
-        futures = {
-            i: pool.submit(cell_fn, config, *cell)
-            for i, cell in enumerate(cells)
-            if i % workers
-        }
-        own = iter([cell_fn(config, *cell) for cell in cells[::workers]])
-        return [futures[i].result() if i in futures else next(own) for i in range(len(cells))]
+        for i in range(1, workers):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_run_share, args=(send, share_fn, config, cells[i::workers]))
+            worker.start()
+            send.close()
+            started.append((worker, receive))
+        results = [None] * len(cells)
+        results[::workers] = share_fn(config, cells[::workers])
+        for i, (worker, receive) in enumerate(started, 1):
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"worker process exited with code {worker.exitcode}") from None
+            if not ok:
+                raise value
+            results[i::workers] = value
+        finished = True
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker, receive in started:
+            receive.close()
+            if not finished:
+                worker.terminate()
+            worker.join()
         set_threads(previous)
 
 
@@ -370,10 +406,11 @@ def run_scheme(config: ExperimentConfig):
     Cells whose sensing constraint is infeasible are excluded from the
     averages but counted; a point with no feasible seed is emitted with
     the ``infeasible`` status instead of being dropped.  Cells run on
-    every CPU of the affinity mask (see :func:`_map_cells`).
+    every CPU of the affinity mask, each process's share as one lockstep
+    batch (see :func:`_map_cells`).
     """
     cells = [(seed_index, snr_db) for snr_db in config.snr_grid_db for seed_index in range(config.seeds)]
-    results = iter(_map_cells(_run_cell, config, cells))
+    results = iter(_map_cells(_run_cells, config, cells))
     rows = []
     for snr_db in config.snr_grid_db:
         rates, si_powers, crbs, sq_errors = [], [], [], []
@@ -416,6 +453,11 @@ def _study_point(config: ExperimentConfig, target_angle: float, coeffs: PathCoef
     }
 
 
+def _study_points(config: ExperimentConfig, points) -> list:
+    """The :func:`monte_carlo_mse` rows of ``(target_angle, coeffs, snr_db)`` points, one at a time."""
+    return [_study_point(config, *point) for point in points]
+
+
 def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients):
     """Estimation error versus the bound across the configured SNR grid.
 
@@ -438,7 +480,7 @@ def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathC
     if config.mse_trials < 1:
         raise ConfigError("mse_trials must be >= 1 for the MSE study")
     require_noise_subspace(config, "for the MSE study")
-    return _map_cells(_study_point, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
+    return _map_cells(_study_points, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
 
 
 def _nanmean(values):

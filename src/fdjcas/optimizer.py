@@ -1,18 +1,21 @@
 """Alternating transceiver design: weighted-MMSE combiner/weights, the
 power- and CRB-constrained precoder with nested multiplier bisection, the
 majorization-minimization phase-profile solver, and the outer loop tying
-them together."""
+them together, run in lockstep over a stack of cells.  The stages of the
+outer loop take a stack of cells along a leading axis, with one noise
+variance per cell shaped ``(n_cells, 1, 1)``, and give each cell the bits
+it gets alone."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChannelSet
-from .crb import UnobservableError, aoa_crb, fisher_core
+from .crb import aoa_crb, fisher_core
 from .geometry import Scene
 from .steering import PathCoefficients, build_sensing_context
 
@@ -23,6 +26,10 @@ MAX_RIS_ITER = 500
 # multiplier bisections: relative tolerance, step cap, largest sensing multiplier
 BISECT_TOL = 1e-6
 MAX_BISECT = 200
+# power bisection steps evaluated per probe call (a tree of 2**levels - 1 midpoints)
+PROBE_LEVELS = 3
+# growing sensing multipliers solved per stacked call
+MU_PROBES = 8
 MU_MAX = 1e12
 
 RIS_OBJECTIVE_JCAS = "jcas"
@@ -128,14 +135,19 @@ class JcasResult:
     trace: IterationTrace
 
 
+def _ct(mat):
+    """Conjugate transpose of the last two axes."""
+    return mat.conj().swapaxes(-1, -2)
+
+
 def _herm(mat):
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + _ct(mat))
 
 
 def effective_channel(channels: ChannelSet, phi) -> np.ndarray:
     """Downlink channel combining the direct link and the reflected path."""
     phi = np.asarray(phi)
-    return channels.bs_to_user + channels.ris_to_user @ (phi[:, None] * channels.bs_to_ris)
+    return channels.bs_to_user + channels.ris_to_user @ (phi[..., :, None] * channels.bs_to_ris)
 
 
 def si_channel(channels: ChannelSet, phi) -> np.ndarray:
@@ -145,24 +157,23 @@ def si_channel(channels: ChannelSet, phi) -> np.ndarray:
     objective; the stochastic residual is simulation-only.
     """
     phi = np.asarray(phi)
-    return channels.si_los + channels.ris_to_bs @ (phi[:, None] * channels.bs_to_ris)
+    return channels.si_los + channels.ris_to_bs @ (phi[..., :, None] * channels.bs_to_ris)
 
 
-def mmse_combiner(h_eff, precoder, noise_user: float) -> np.ndarray:
+def mmse_combiner(h_eff, precoder, noise_user) -> np.ndarray:
     """MSE-optimal linear receive filter for the downlink streams."""
     hv = h_eff @ precoder
-    rx_cov = _herm(hv @ hv.conj().T) + noise_user * np.eye(h_eff.shape[0])
-    return np.linalg.solve(rx_cov, hv).conj().T
+    rx_cov = _herm(hv @ _ct(hv)) + noise_user * np.eye(h_eff.shape[-2])
+    return _ct(np.linalg.solve(rx_cov, hv))
 
 
-def mse_matrix(h_eff, precoder, noise_user: float) -> np.ndarray:
+def mse_matrix(h_eff, precoder, noise_user) -> np.ndarray:
     """Stream error covariance under the MSE-optimal combiner.
 
     Hermitian with eigenvalues in (0, 1].
     """
     hv = h_eff @ precoder
-    d = precoder.shape[1]
-    core = np.eye(d) + hv.conj().T @ hv / noise_user
+    core = np.eye(precoder.shape[-1]) + _ct(hv) @ hv / noise_user
     return _herm(np.linalg.inv(_herm(core)))
 
 
@@ -171,79 +182,198 @@ def weight_matrix(mse, priority: float = 1.0) -> np.ndarray:
     return _herm((priority / LN2) * np.linalg.inv(mse))
 
 
-def si_matrix(precoder, phi, channels: ChannelSet) -> np.ndarray:
-    """Covariance of the residual self-interference hitting the radar array."""
-    leak = si_channel(channels, phi) @ precoder
-    return _herm(leak @ leak.conj().T)
-
-
-def dl_rate(h_eff, precoder, noise_user: float) -> float:
-    """Achievable downlink rate in bits/s/Hz."""
+def dl_rate(h_eff, precoder, noise_user):
+    """Achievable downlink rate in bits/s/Hz; one per cell for a stack."""
     hv = h_eff @ precoder
-    gram = _herm(np.eye(h_eff.shape[0]) + hv @ hv.conj().T / noise_user)
-    _, logdet = np.linalg.slogdet(gram)
-    return float(logdet / LN2)
+    gram = _herm(np.eye(h_eff.shape[-2]) + hv @ _ct(hv) / noise_user)
+    rate = np.linalg.slogdet(gram)[1] / LN2
+    return float(rate) if rate.ndim == 0 else rate
 
 
-def _probe_power(lam, evals, row_power, out) -> float:
-    """Precoder power ``float(np.sum(row_power / (evals + lam) ** 2))`` at
-    the power multiplier ``lam``, computed in the buffer ``out`` with the
-    same operations in the same order, so bit for bit the same value."""
+def _probe_power(lam, evals, row_power, out):
+    """Precoder power ``np.sum(row_power / (evals + lam) ** 2, axis=-1)``
+    at the power multiplier ``lam`` (a column, one per row, for a stack),
+    computed in the buffer ``out`` with the same operations in the same
+    order, so bit for bit the same value."""
     np.add(evals, lam, out=out)
     np.square(out, out=out)
     np.divide(row_power, out, out=out)
-    return float(out.sum())
+    return np.add.reduce(out, axis=-1)
+
+
+def _bisection_mids(lo, hi) -> list:
+    """Midpoints of the next ``PROBE_LEVELS`` bisection steps from the
+    bracket (lo, hi), breadth first: node k bisects its interval, node
+    2k + 1 the upper half and node 2k + 2 the lower half."""
+    bounds, mids = [(lo, hi)], []
+    for node in range(2**PROBE_LEVELS - 1):
+        a, b = bounds[node]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        bounds += ((mid, b), (a, mid))
+    return mids
+
+
+def _bisect_power(evals, row_power, power_budget) -> np.ndarray:
+    """Power multiplier of each row whose min-norm solution exceeds the
+    budget: the first of 1, 2, 4, ... (at most ``2**200``) whose power is
+    below the budget bounds it, then bisection from zero stops when the
+    power matches the budget to the relative tolerance, or at the upper
+    end after ``MAX_BISECT`` steps.
+
+    Each row's bracket stops moving once its own test passes.  One probe
+    call evaluates ``2**PROBE_LEVELS - 1`` multipliers of every row: the
+    next doublings, or the tree of midpoints the next ``PROBE_LEVELS``
+    bisection steps can reach.  Walking the tree takes exactly the steps,
+    and so the bits, of probing one multiplier at a time.
+    """
+    n_rows, width = len(evals), 2**PROBE_LEVELS - 1
+    tree = np.empty((n_rows, width, evals.shape[-1]))
+    evals, row_power = evals[:, None], row_power[:, None]
+    hi, growing, first = [1.0] * n_rows, range(n_rows), 0
+    while growing:
+        lams = [2.0 ** (first + k) for k in range(width)]
+        powers = _probe_power(np.array(lams)[:, None], evals, row_power, tree).tolist()
+        still = []
+        for i in growing:
+            for k, power in enumerate(powers[i]):
+                if first + k == 200 or not power >= power_budget:
+                    hi[i] = lams[k]
+                    break
+            else:
+                still.append(i)
+        growing, first = still, first + width
+    lo, live = [0.0] * n_rows, range(n_rows)
+    tol = BISECT_TOL * power_budget
+    for start in range(0, MAX_BISECT, PROBE_LEVELS):
+        mids = [_bisection_mids(a, b) for a, b in zip(lo, hi)]
+        powers = _probe_power(np.array(mids)[..., None], evals, row_power, tree).tolist()
+        still = []
+        for i in live:
+            node, mid, power = 0, mids[i], powers[i]
+            for _ in range(min(PROBE_LEVELS, MAX_BISECT - start)):
+                if abs(power[node] - power_budget) < tol:
+                    hi[i] = mid[node]
+                    break
+                if power[node] > power_budget:
+                    lo[i], node = mid[node], 2 * node + 1
+                else:
+                    hi[i], node = mid[node], 2 * node + 2
+            else:
+                still.append(i)
+        live = still
+        if not live:
+            break
+    # a row that meets the tolerance ends at that midpoint, any other at its upper end
+    return np.array(hi)
 
 
 def _solve_power_constrained(core, rhs, power_budget):
     """Minimizer of the quadratic surrogate under the transmit power cap.
 
-    Returns (precoder, lambda0).  The multiplier stays exactly zero when
+    Returns (precoder, lambda0), or arrays of both for a stack of
+    problems along a leading axis.  The multiplier stays exactly zero when
     the unconstrained (min-norm) solution already fits the budget
     (complementary slackness); otherwise it is bisected until the power
     matches the budget to the relative tolerance.  The normal equations
-    are diagonalized once so each multiplier probe is closed-form, and the
-    probes share one preallocated buffer.
+    are diagonalized once so each multiplier probe is closed-form.
     """
-    evals, evecs = np.linalg.eigh(_herm(core))
-    rotated = evecs.conj().T @ rhs
-    row_power = np.sum(np.abs(rotated) ** 2, axis=1)
-
-    def precoder_at(lam):
-        return evecs @ (rotated / (evals + lam)[:, None])
-
-    total = float(np.sum(row_power))
-    if total == 0.0:
-        return np.zeros(rhs.shape, dtype=complex), 0.0
-    cutoff = max(float(evals[-1]), 1.0) * 1e-12
-    mask = evals > cutoff
-    null_power = float(np.sum(row_power[~mask]))
-    if null_power <= 1e-16 * total:
-        safe = np.where(mask, evals, 1.0)
-        v0 = evecs @ (np.where(mask, 1.0, 0.0)[:, None] * rotated / safe[:, None])
-        p0 = float(np.sum(np.abs(v0) ** 2))
-        if p0 <= power_budget:
-            return v0, 0.0
-    probe = np.empty_like(evals)
-    lo, hi = 0.0, 1.0
-    guard = 0
-    while _probe_power(hi, evals, row_power, probe) >= power_budget and guard < 200:
-        hi *= 2.0
-        guard += 1
-    for _ in range(MAX_BISECT):
-        lam = 0.5 * (lo + hi)
-        power = _probe_power(lam, evals, row_power, probe)
-        if abs(power - power_budget) < BISECT_TOL * power_budget:
-            precoder = precoder_at(lam)
-            break
-        if power > power_budget:
-            lo = lam
-        else:
-            hi = lam
-    else:
-        lam = hi
-        precoder = precoder_at(lam)
+    if core.ndim == 2:
+        precoder, lam = _solve_power_constrained(core[None], rhs[None], power_budget)
+        return precoder[0], float(lam[0])
+    # ``eigh`` reads one triangle, and ``precoder_update``'s cores are Hermitian to the bit
+    evals, evecs = np.linalg.eigh(core)
+    rotated = _ct(evecs) @ rhs
+    row_power = np.sum(np.abs(rotated) ** 2, axis=-1)
+    total = row_power.sum(axis=-1)
+    kept = evals > np.maximum(evals[:, -1:], 1.0) * 1e-12
+    # a row sums its own number of null-space entries, so one at a time
+    null_power = [np.add.reduce(power[~row]) for power, row in zip(row_power, kept)]
+    precoder = evecs @ (np.where(kept, 1.0, 0.0)[..., None] * rotated / np.where(kept, evals, 1.0)[..., None])
+    zero, bisect = [], []
+    for row, (power, null, fit) in enumerate(
+        zip(total.tolist(), null_power, np.sum(np.abs(precoder) ** 2, axis=(-2, -1)).tolist())
+    ):
+        if power == 0.0:
+            zero.append(row)
+        elif not (null <= 1e-16 * power and fit <= power_budget):
+            bisect.append(row)
+    # a zero right-hand side gives the zero precoder; a slack row keeps the min-norm one
+    if zero:
+        precoder[zero] = 0.0
+    lam = np.zeros(len(core))
+    if bisect:
+        rows = slice(None) if len(bisect) == len(core) else bisect
+        lam[rows] = _bisect_power(evals[rows], row_power[rows], power_budget)
+        precoder[rows] = evecs[rows] @ (rotated[rows] / (evals[rows] + lam[rows, None])[..., None])
     return precoder, lam
+
+
+def _bound(precoder, fisher) -> np.ndarray:
+    """Single-snapshot angle bound ``1 / (2 Re tr(V^H F V))`` of each
+    design of a stack, inf where the information is not finite and
+    positive."""
+    info = 2.0 * np.sum(np.real(np.conj(precoder) * (fisher @ precoder)), axis=(-2, -1))
+    return np.array([1.0 / x if 0.0 < x < math.inf else math.inf for x in info.tolist()])
+
+
+def _raise_multiplier(gram, rhs, fisher, power_budget, threshold, precoder, lam, bound):
+    """Sensing-multiplier search of :func:`precoder_update` for a stack of
+    rows whose bound misses ``threshold`` at zero multiplier.
+
+    Each row tries the multipliers 1, 2, 4, ... up to ``MU_MAX`` in turn
+    until its bound is met, then bisects toward the smallest feasible
+    value; a row leaves once its own test passes.  The growing multipliers
+    are solved ``MU_PROBES`` at a time for every row in one stack, and
+    read in order.  Returns (precoder, lambda0, mu, bound).  A row whose
+    bound no multiplier meets gets ``mu = inf`` and the candidate with the
+    smallest bound found, the zero-multiplier one (``precoder``, ``lam``)
+    included.
+    """
+    n = len(gram)
+
+    def solve_at(rows, mu):
+        cand, cand_lam = _solve_power_constrained(
+            gram[rows] + (2.0 * mu)[:, None, None] * fisher[rows], rhs[rows], power_budget
+        )
+        return cand, cand_lam, _bound(cand, fisher[rows])
+
+    out_v, out_lam, out_mu, out_bound = precoder.copy(), lam.copy(), np.full(n, math.inf), bound.copy()
+    ladder = [2.0**k for k in range(int(math.log2(MU_MAX)) + 1)]
+    mu_lo, mu_hi = np.zeros(n), np.ones(n)
+    rows = range(n)
+    for start in range(0, len(ladder), MU_PROBES):
+        mus = ladder[start : start + MU_PROBES]
+        cand, cand_lam, cand_bound = solve_at(np.repeat(rows, len(mus)), np.tile(mus, len(rows)))
+        still = []
+        for j, row in enumerate(rows):
+            for k, mu in enumerate(mus):
+                at, value = j * len(mus) + k, cand_bound[j * len(mus) + k]
+                if value < out_bound[row] or value <= threshold:
+                    out_v[row], out_lam[row], out_bound[row] = cand[at], cand_lam[at], value
+                if value <= threshold:
+                    out_mu[row], mu_hi[row] = mu, mu
+                    mu_lo[row] = ladder[start + k - 1] if start + k else 0.0
+                    break
+            else:
+                still.append(row)
+        rows = still
+        if not rows:
+            break
+    rows = np.flatnonzero(out_mu < math.inf)
+    for _ in range(MAX_BISECT):
+        rows = rows[~(np.abs(out_bound[rows] - threshold) <= BISECT_TOL * threshold)]
+        if not rows.size:
+            break
+        mid = 0.5 * (mu_lo[rows] + mu_hi[rows])
+        cand, cand_lam, cand_bound = solve_at(rows, mid)
+        met = cand_bound <= threshold
+        out_v[rows[met]], out_lam[rows[met]] = cand[met], cand_lam[met]
+        out_mu[rows[met]], out_bound[rows[met]] = mid[met], cand_bound[met]
+        mu_hi[rows[met]] = mid[met]
+        mu_lo[rows[~met]] = mid[~met]
+        rows = rows[~((mu_hi[rows] - mu_lo[rows]) <= BISECT_TOL * np.maximum(mu_hi[rows], 1.0))]
+    return out_v, out_lam, out_mu, out_bound
 
 
 class _PhaseTerms(NamedTuple):
@@ -251,7 +381,8 @@ class _PhaseTerms(NamedTuple):
 
     ``h_eff`` is the effective downlink channel, ``leak`` the SI channel and
     ``leak_gram`` its Gram ``leak^H leak`` (both None without the SI term),
-    and ``fisher`` the Fisher core (None without the CRB constraint).
+    and ``fisher`` the Fisher core (None without the CRB constraint).  A
+    stack of cells carries one leading axis on every term.
     """
 
     h_eff: np.ndarray
@@ -261,7 +392,7 @@ class _PhaseTerms(NamedTuple):
 
 
 def _phase_terms(h_eff, leak=None, path_response_deriv=None, noise_cov=None) -> _PhaseTerms:
-    leak_gram = None if leak is None else leak.conj().T @ leak
+    leak_gram = None if leak is None else _ct(leak) @ leak
     fisher = None if path_response_deriv is None else fisher_core(path_response_deriv, noise_cov)
     return _PhaseTerms(h_eff, leak, leak_gram, fisher)
 
@@ -297,6 +428,12 @@ def precoder_update(
     otherwise the terms are built from those arguments.  Both ways give
     bit-identical results.
 
+    A stack of cells (a leading axis on ``combiner``, ``weight`` and
+    ``phi`` or the terms) is solved in one call, each cell bit for bit as
+    alone, and returns arrays.  A stacked cell whose bound is infeasible
+    does not raise: its ``mu`` is inf and its precoder is the candidate
+    with the smallest bound found.
+
     Returns (precoder, lambda0, mu).
     """
     constrain = math.isfinite(crb_threshold)
@@ -308,63 +445,33 @@ def precoder_update(
             si_channel(channels, phi) if include_si else None,
             *((path_response_deriv, noise_cov) if constrain else ()),
         )
+    single = np.ndim(combiner) == 2
+    if single:
+        combiner, weight = combiner[None], weight[None]
+        phase_terms = _PhaseTerms(*(None if term is None else term[None] for term in phase_terms))
     h_eff = phase_terms.h_eff
-    rhs = h_eff.conj().T @ combiner.conj().T @ weight
+    rhs = _ct(h_eff) @ _ct(combiner) @ weight
     fh = combiner @ h_eff
-    gram = fh.conj().T @ weight @ fh
+    gram = _ct(fh) @ weight @ fh
     if include_si:
         gram = gram + phase_terms.leak_gram
     gram = _herm(gram)
 
+    precoder, lam = _solve_power_constrained(gram, rhs, power_budget)
+    mu = np.zeros(len(gram))
     if constrain:
-        fisher_mat = phase_terms.fisher
-
-        def crb_of(v):
-            fisher = float(2.0 * np.sum(np.real(np.conj(v) * (fisher_mat @ v))))
-            if not np.isfinite(fisher) or fisher <= 0.0:
-                return math.inf
-            return 1.0 / fisher
-
-    def solve_at(mu):
-        core = gram if mu == 0.0 else gram + (2.0 * mu) * fisher_mat
-        return _solve_power_constrained(core, rhs, power_budget)
-
-    precoder, lam = solve_at(0.0)
-    if not constrain:
-        return precoder, lam, 0.0
-    achieved = crb_of(precoder)
-    if achieved <= crb_threshold:
-        return precoder, lam, 0.0
-
-    best = achieved
-    mu_lo, mu_hi = 0.0, 1.0
-    feasible = None
-    while mu_hi <= MU_MAX:
-        cand, cand_lam = solve_at(mu_hi)
-        cand_crb = crb_of(cand)
-        best = min(best, cand_crb)
-        if cand_crb <= crb_threshold:
-            feasible = (cand, cand_lam, mu_hi, cand_crb)
-            break
-        mu_lo = mu_hi
-        mu_hi *= 2.0
-    if feasible is None:
-        raise CrbInfeasibleError(best, crb_threshold)
-    for _ in range(MAX_BISECT):
-        if abs(feasible[3] - crb_threshold) <= BISECT_TOL * crb_threshold:
-            break
-        mid = 0.5 * (mu_lo + mu_hi)
-        cand, cand_lam = solve_at(mid)
-        cand_crb = crb_of(cand)
-        if cand_crb <= crb_threshold:
-            mu_hi = mid
-            feasible = (cand, cand_lam, mid, cand_crb)
-        else:
-            mu_lo = mid
-        if (mu_hi - mu_lo) <= BISECT_TOL * max(mu_hi, 1.0):
-            break
-    precoder, lam, mu, _ = feasible
-    return precoder, lam, mu
+        bound = _bound(precoder, phase_terms.fisher)
+        rows = [row for row, value in enumerate(bound.tolist()) if value > crb_threshold]
+        if rows:
+            precoder[rows], lam[rows], mu[rows], bound[rows] = _raise_multiplier(
+                gram[rows], rhs[rows], phase_terms.fisher[rows], power_budget, crb_threshold,
+                precoder[rows], lam[rows], bound[rows],
+            )
+    if not single:
+        return precoder, lam, mu
+    if mu[0] == math.inf:
+        raise CrbInfeasibleError(float(bound[0]), crb_threshold)
+    return precoder[0], float(lam[0]), float(mu[0])
 
 
 def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: str = RIS_OBJECTIVE_JCAS):
@@ -383,22 +490,23 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     communications-only benchmark) uses ``c - R^H`` instead.  So
     ``d = conj(F c)``.  ``F`` has one row per surface element and
     ``n_streams * (n_streams + n_bs_rx)`` (``"jcas"``) or ``n_streams**2``
-    (``"rate"``) columns; the surface-sized ``M`` is never formed.
+    (``"rate"``) columns; the surface-sized ``M`` is never formed.  A stack
+    of cells gives one ``F`` and one ``d`` per cell along a leading axis.
     """
     if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
         raise ValueError(f"unknown ris objective {objective!r}")
     evals, evecs = np.linalg.eigh(_herm(weight))
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    x = (combiner @ channels.ris_to_user).conj().T @ root
-    c = root.conj().T @ (combiner @ channels.bs_to_user @ precoder)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    x = _ct(combiner @ channels.ris_to_user) @ root
+    c = _ct(root) @ (combiner @ channels.bs_to_user @ precoder)
     if objective == RIS_OBJECTIVE_JCAS:
-        x = np.hstack([x, channels.ris_to_bs.conj().T])
-        c = np.vstack([c, channels.si_los @ precoder])
+        x = np.concatenate([x, _ct(channels.ris_to_bs)], axis=-1)
+        c = np.concatenate([c, channels.si_los @ precoder], axis=-2)
     else:
-        c = c - root.conj().T
+        c = c - _ct(root)
     u = channels.bs_to_ris @ precoder
-    factor = (x[:, :, None] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
-    return factor, np.conj(factor @ c.ravel())
+    factor = (x[..., :, :, None] * u.conj()[..., :, None, :]).reshape(u.shape[:-1] + (-1,))
+    return factor, np.conj((factor @ c.reshape(c.shape[:-2] + (-1, 1)))[..., 0])
 
 
 def ris_objective_value(phi, factor, linear) -> float:
@@ -511,12 +619,193 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
     """Power-normalized dominant eigenvectors of the channel covariance;
     the initialization point of the alternating design."""
-    if not 0 < n_streams <= h_eff.shape[1]:
-        raise ValueError(f"n_streams {n_streams} must lie in [1, n_tx = {h_eff.shape[1]}]")
-    cov = _herm(h_eff.conj().T @ h_eff)
+    if not 0 < n_streams <= h_eff.shape[-1]:
+        raise ValueError(f"n_streams {n_streams} must lie in [1, n_tx = {h_eff.shape[-1]}]")
+    cov = _herm(_ct(h_eff) @ h_eff)
     _, evecs = np.linalg.eigh(cov)
-    top = evecs[:, -n_streams:][:, ::-1]
+    top = evecs[..., -n_streams:][..., ::-1]
     return np.sqrt(power_budget / n_streams) * top
+
+
+class _Links(NamedTuple):
+    """The channel matrices the design reads, one leading axis per cell."""
+
+    bs_to_user: np.ndarray
+    ris_to_user: np.ndarray
+    bs_to_ris: np.ndarray
+    ris_to_bs: np.ndarray
+    si_los: np.ndarray
+
+
+class _Lockstep:
+    """The alternating design of a stack of cells, advanced one outer
+    iteration per :meth:`step`.
+
+    Every array of the state holds the cells still running along its
+    leading axis, and ``cells`` maps each row to the cell's position in
+    the batch.  A cell leaves the stack when its merit stalls, when its
+    angle bound is infeasible (its outcome is then the error), or at
+    ``max_outer``; ``outcomes`` holds what each cell ended with.  The
+    stacked stages give every cell the bits it gets alone, so a cell's
+    result does not depend on its batch-mates.  The phase solver runs one
+    cell at a time.
+    """
+
+    def __init__(self, cells):
+        cells = list(cells)
+        if len({replace(config, seed=0) for _, _, config, _ in cells}) != 1:
+            raise ValueError("the cells of a batch must share every solver option but the seed")
+        self.scenes, channels, configs, self.coeffs = (list(column) for column in zip(*cells))
+        config = self.config = configs[0]
+        self.sensing = config.sensing_enabled
+        self.constrain = math.isfinite(config.enforced_crb_threshold)
+        self.objective = RIS_OBJECTIVE_JCAS if self.sensing else RIS_OBJECTIVE_RATE
+        self.noise_radar = [ch.noise_radar for ch in channels]
+        self.cells = np.arange(len(cells))
+        self.outcomes = [None] * len(cells)
+        self.traces = [IterationTrace() for _ in cells]
+        self.iteration = 0
+        self.links = _Links(*(np.stack([getattr(ch, name) for ch in channels]) for name in _Links._fields))
+        self.noise_user = np.array([ch.noise_user for ch in channels])[:, None, None]
+        if config.ris_enabled:
+            self.phi = np.stack(
+                [np.exp(2j * np.pi * np.random.default_rng([c.seed, 0]).random(ch.n_ris)) for c, ch in zip(configs, channels)]
+            )
+        else:
+            self.phi = np.zeros((len(cells), channels[0].n_ris), dtype=complex)
+        self.deriv = self.noise_cov = None
+        if self.sensing:
+            self.deriv, self.noise_cov = self._sensing_context(self.cells)
+        leak = si_channel(self.links, self.phi) if self.sensing else None
+        self.terms = self._phase_terms(effective_channel(self.links, self.phi), leak, self.cells)
+        self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
+        zero = np.zeros(len(cells))
+        evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
+        self.merit = self._record(self.precoder, evaluated, zero, zero)
+
+    def _sensing_context(self, rows):
+        """Stacked response derivative and radar noise covariance of ``rows`` at their phase."""
+        contexts = [
+            build_sensing_context(self.scenes[cell], self.phi[row], self.coeffs[cell], self.noise_radar[cell])
+            for row, cell in zip(np.arange(len(self.cells))[rows].tolist(), self.cells[rows].tolist())
+        ]
+        return np.stack([c.path_response_deriv for c in contexts]), np.stack([c.noise_cov for c in contexts])
+
+    def _phase_terms(self, h_eff, leak, rows):
+        # the Fisher core comes from the sensing context as it is at the call
+        if not self.constrain:
+            return _phase_terms(h_eff, leak)
+        return _phase_terms(h_eff, leak, self.deriv[rows], self.noise_cov[rows])
+
+    def _record(self, precoder, evaluated, lam0, mu):
+        objective, rate, si_power = evaluated
+        crb = aoa_crb(precoder, self.deriv, self.noise_cov).tolist() if self.sensing else [math.nan] * len(rate)
+        rows = zip(self.cells.tolist(), objective.tolist(), rate.tolist(), si_power.tolist(), crb, lam0.tolist(), mu.tolist())
+        for cell, *row in rows:
+            self.traces[cell].append(self.iteration, *row)
+        return objective
+
+    def _leave(self, stopped):
+        """Drop the ``stopped`` rows from every stacked array of the state."""
+        keep = ~stopped
+        self.cells, self.phi, self.precoder, self.merit, self.noise_user = (
+            a[keep] for a in (self.cells, self.phi, self.precoder, self.merit, self.noise_user)
+        )
+        self.links = _Links(*(a[keep] for a in self.links))
+        self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
+        if self.sensing:
+            self.deriv, self.noise_cov = self.deriv[keep], self.noise_cov[keep]
+
+    def _finish(self, stopped):
+        for row in np.flatnonzero(stopped):
+            cell = self.cells[row]
+            self.outcomes[cell] = JcasResult(self.precoder[row].copy(), self.phi[row].copy(), self.traces[cell])
+        self._leave(stopped)
+
+    def step(self):
+        """One outer iteration of every cell in the stack: combiner,
+        weights, precoder, then a guarded phase proposal and the record."""
+        self.iteration += 1
+        config, terms, noise = self.config, self.terms, self.noise_user
+        combiner = mmse_combiner(terms.h_eff, self.precoder, noise)
+        weight = weight_matrix(mse_matrix(terms.h_eff, self.precoder, noise))
+        precoder, lam0, mu = precoder_update(
+            combiner,
+            weight,
+            self.links,
+            self.phi,
+            config.power_budget,
+            crb_threshold=config.enforced_crb_threshold,
+            include_si=self.sensing,
+            phase_terms=terms,
+        )
+        if math.inf in mu.tolist():
+            infeasible = mu == math.inf
+            achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
+            for cell, value in zip(self.cells[infeasible], achieved.tolist()):
+                self.outcomes[cell] = CrbInfeasibleError(
+                    value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
+                )
+            self._leave(infeasible)
+            if not len(self.cells):
+                return
+            keep = ~infeasible
+            combiner, weight, precoder, lam0, mu = (a[keep] for a in (combiner, weight, precoder, lam0, mu))
+            terms, noise = self.terms, self.noise_user
+        evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise)
+        if config.ris_enabled:
+            factor, lin = ris_quadratics(precoder, combiner, weight, self.links, objective=self.objective)
+            candidate = np.empty_like(self.phi)
+            for row, (p, f, d) in enumerate(zip(self.phi, factor, lin)):
+                candidate[row] = ris_optimize(p, f, d, RIS_TOL, MAX_RIS_ITER)[0]
+            h_eff = effective_channel(self.links, candidate)
+            leak = si_channel(self.links, candidate) if self.sensing else None
+            proposed = _evaluate(precoder, h_eff, leak, noise)
+            rows = [row for row, (new, old) in enumerate(zip(proposed[0].tolist(), evaluated[0].tolist())) if new <= old]
+            if rows:
+                if len(rows) == len(candidate):
+                    rows = slice(None)
+                self._accept(rows, candidate, h_eff, leak)
+                evaluated = tuple(_put_rows(old, rows, new[rows]) for old, new in zip(evaluated, proposed))
+        self.precoder = precoder
+        merit = self._record(precoder, evaluated, lam0, mu)
+        stalled = [
+            abs(now - before) <= config.outer_tol * max(abs(before), 1e-300)
+            for now, before in zip(merit.tolist(), self.merit.tolist())
+        ]
+        self.merit = merit
+        if any(stalled):
+            self._finish(np.array(stalled))
+
+    def _accept(self, rows, candidate, h_eff, leak):
+        """Move ``rows`` (a list, or ``slice(None)`` for every row) to their
+        proposed phase and rebuild what depends on it, from the channels
+        computed for the proposal."""
+        self.phi = _put_rows(self.phi, rows, candidate[rows])
+        if self.sensing:
+            deriv, noise_cov = self._sensing_context(rows)
+            self.deriv, self.noise_cov = _put_rows(self.deriv, rows, deriv), _put_rows(self.noise_cov, rows, noise_cov)
+        new = self._phase_terms(h_eff[rows], None if leak is None else leak[rows], rows)
+        self.terms = _PhaseTerms(
+            *(None if old is None else _put_rows(old, rows, value) for old, value in zip(self.terms, new))
+        )
+
+    def run(self) -> list:
+        """Step until every cell has stopped; returns ``outcomes``."""
+        while len(self.cells) and self.iteration < self.config.max_outer:
+            self.step()
+        self._finish(np.ones(len(self.cells), dtype=bool))
+        return self.outcomes
+
+
+def _put_rows(stack, rows, values):
+    """``stack`` with ``rows`` replaced by ``values``, as a new array;
+    ``values`` itself when ``rows`` is every row."""
+    if rows == slice(None):
+        return values
+    out = stack.copy()
+    out[rows] = values
+    return out
 
 
 def jcas_optimize(
@@ -538,83 +827,41 @@ def jcas_optimize(
     channel and echo term vanishes.  The trace records the end-of-iteration
     objective, rate, interference power, bound value and multipliers; row
     zero is the initialized state.  Infeasibility of the sensing constraint
-    propagates with the iteration index attached.
+    raises CrbInfeasibleError with the iteration index attached.
 
     What depends only on the phase profile (the effective channel, the SI
     channel and its Gram, and the Fisher core when the bound is enforced)
     is built at the start and again only when the guard accepts a phase,
     from the channels computed to evaluate the proposal, and reaches
-    :func:`precoder_update` through its ``phase_terms`` keyword.
+    :func:`precoder_update` through its ``phase_terms`` keyword.  The cell
+    runs as a batch of one of :func:`jcas_optimize_batch`.
     """
-    if config.ris_enabled:
-        rng = np.random.default_rng([config.seed, 0])
-        phi = np.exp(2j * np.pi * rng.random(channels.n_ris))
-    else:
-        phi = np.zeros(channels.n_ris, dtype=complex)
-    sensing = config.sensing_enabled
-    constrain = math.isfinite(config.enforced_crb_threshold)
-    objective = RIS_OBJECTIVE_JCAS if sensing else RIS_OBJECTIVE_RATE
+    (outcome,) = _Lockstep([(scene, channels, config, coeffs)]).run()
+    if isinstance(outcome, CrbInfeasibleError):
+        raise outcome
+    return outcome
 
-    def phase_terms(h_eff, leak):
-        # the Fisher core comes from ``ctx`` as it is at the call
-        if not constrain:
-            return _phase_terms(h_eff, leak)
-        return _phase_terms(h_eff, leak, ctx.path_response_deriv, ctx.noise_cov)
 
-    noise_user = channels.noise_user
-    ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar) if sensing else None
-    leak = si_channel(channels, phi) if sensing else None
-    terms = phase_terms(effective_channel(channels, phi), leak)
-    precoder = dominant_precoder(terms.h_eff, config.n_streams, config.power_budget)
+def jcas_optimize_batch(cells) -> list:
+    """:func:`jcas_optimize` of every ``(scene, channels, config, coeffs)``
+    cell, run in lockstep; None for a cell whose angle bound is infeasible.
 
-    trace = IterationTrace()
-    lam0 = mu = 0.0
-    previous = _record(
-        trace, 0, precoder, ctx, _evaluate(precoder, terms.h_eff, terms.leak, noise_user), lam0, mu
-    )
-
-    for it in range(1, config.max_outer + 1):
-        combiner = mmse_combiner(terms.h_eff, precoder, noise_user)
-        weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise_user))
-        try:
-            precoder, lam0, mu = precoder_update(
-                combiner,
-                weight,
-                channels,
-                phi,
-                config.power_budget,
-                crb_threshold=config.enforced_crb_threshold,
-                include_si=sensing,
-                phase_terms=terms,
-            )
-        except CrbInfeasibleError as err:
-            raise CrbInfeasibleError(
-                err.achieved, err.threshold, context=f"outer iteration {it}"
-            ) from err
-        evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise_user)
-        if config.ris_enabled:
-            factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
-            candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
-            h_eff = effective_channel(channels, candidate)
-            leak = si_channel(channels, candidate) if sensing else None
-            proposed = _evaluate(precoder, h_eff, leak, noise_user)
-            if proposed[0] <= evaluated[0]:
-                phi = candidate
-                evaluated = proposed
-                if sensing:
-                    ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-                terms = phase_terms(h_eff, leak)
-        current = _record(trace, it, precoder, ctx, evaluated, lam0, mu)
-        if abs(current - previous) <= config.outer_tol * max(abs(previous), 1e-300):
-            break
-        previous = current
-
-    return JcasResult(precoder=precoder, ris_phase=phi, trace=trace)
+    The cells must have the same dimensions and share every
+    :class:`JcasConfig` option but ``seed``; scenes, channels (noise
+    included) and coefficients may differ.  Each outer iteration stacks the
+    cells still running into one call of every stage but the phase solver,
+    and each cell's result is bit for bit the one it gets alone.
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    return [None if isinstance(o, CrbInfeasibleError) else o for o in _Lockstep(cells).run()]
 
 
 def _evaluate(precoder, h_eff, leak, noise_user):
-    """Recorded objective, downlink rate and SI power of one state, given
-    the effective channel and the SI channel of its phase profile.
+    """Recorded objective, downlink rate and SI power of a stack of
+    states, given the effective channel and the SI channel of each one's
+    phase profile.
 
     The objective is the interference power minus the rate: the
     rate-equivalent value of the weighted-MSE surrogate at the tight
@@ -622,25 +869,12 @@ def _evaluate(precoder, h_eff, leak, noise_user):
     not increase.  ``leak`` is None when the run does not sense; the SI
     power is then NaN.
 
-    Returns (objective, rate, si_power).
+    Returns (objective, rate, si_power), one entry per state each.
     """
     rate = dl_rate(h_eff, precoder, noise_user)
-    value = -rate
-    si_power = math.nan
-    if leak is not None:
-        leak_v = leak @ precoder
-        si_power = float(np.real(np.trace(_herm(leak_v @ leak_v.conj().T))))
-        value += si_power
-    return value, rate, si_power
-
-
-def _record(trace, iteration, precoder, ctx, evaluated, lam0, mu):
-    objective, rate, si_power = evaluated
-    crb_value = math.nan
-    if ctx is not None:
-        try:
-            crb_value = aoa_crb(precoder, ctx.path_response_deriv, ctx.noise_cov)
-        except UnobservableError:
-            crb_value = math.nan
-    trace.append(iteration, objective, rate, si_power, crb_value, lam0, mu)
-    return objective
+    if leak is None:
+        return -rate, rate, np.full(rate.shape, math.nan)
+    leak_v = leak @ precoder
+    # the trace sums real parts apart from imaginary ones, so it needs no _herm
+    si_power = np.real(np.trace(leak_v @ _ct(leak_v), axis1=-2, axis2=-1))
+    return si_power - rate, rate, si_power

@@ -409,15 +409,15 @@ class TestBuildCell:
 
 
 TEST_PID = os.getpid()
-RUN_CELL = experiments._run_cell
+RUN_CELLS = experiments._run_cells
 STUDY_POINT = experiments._study_point
 
 
-def _cell_where(config, seed_index, snr_db):
-    """The cell, the process that ran it and its OpenBLAS thread count
-    (None without OpenBLAS)."""
+def _cells_where(config, cells):
+    """Each cell, the process that ran it, its OpenBLAS thread count (None
+    without OpenBLAS) and the share it ran in."""
     blas = experiments._openblas_threads()
-    return seed_index, snr_db, os.getpid(), blas[0]() if blas else None
+    return [(*cell, os.getpid(), blas[0]() if blas else None, list(cells)) for cell in cells]
 
 
 def _study_point_where(config, target_angle, coeffs, snr_db):
@@ -425,10 +425,11 @@ def _study_point_where(config, target_angle, coeffs, snr_db):
     return {**STUDY_POINT(config, target_angle, coeffs, snr_db), "pid": os.getpid()}
 
 
-def _cell_failing_in_worker(config, seed_index, snr_db):
+def _cells_failing_in_worker(config, cells):
     if os.getpid() != TEST_PID:
+        seed_index, snr_db = cells[0]
         raise ValueError(f"cell {seed_index} at {snr_db} dB failed")
-    return RUN_CELL(config, seed_index, snr_db)
+    return RUN_CELLS(config, cells)
 
 
 @pytest.fixture()
@@ -474,6 +475,25 @@ class TestCellPool:
             assert [row["status"] for row in serial] == ["infeasible", "ok"]
             assert not math.isnan(serial[1]["mse_rad2"])
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("seeds, grid", [(3, (0.0, 20.0)), (1, (0.0, 10.0, 20.0))])
+    def test_rows_equal_on_one_two_and_three_cpus(self, monkeypatch, scheme, seeds, grid):
+        # each process runs its share as one lockstep batch: the 6 cells of
+        # the first grid in shares of 6, 3 and 2, the 3 cells of the second
+        # in shares of 3, 2 and 1; at 1e-3 the sensing cells at 0 dB are infeasible
+        config = ExperimentConfig(
+            scheme=scheme,
+            **{**FAST, "seeds": seeds, "snr_grid_db": grid, "mse_trials": 6, "crb_threshold": 1e-3},
+        )
+        rows = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            rows.append(run_scheme(config))
+            assert multiprocessing.active_children() == []
+        assert rows[0] == rows[1] == rows[2]
+        if scheme.endswith("with_sensing"):
+            assert rows[0][0]["status"] == "infeasible"
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_cells_run_in_order_with_one_blas_thread(self, monkeypatch, cpus):
         blas = experiments._openblas_threads()
@@ -485,14 +505,16 @@ class TestCellPool:
         original = get_threads()
         set_threads(2)
         try:
-            done = experiments._map_cells(_cell_where, ExperimentConfig(**FAST), cells)
+            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), cells)
             after = get_threads()
         finally:
             set_threads(original)
         assert [cell[:2] for cell in done] == cells
         pids = [cell[2] for cell in done]
-        # this process runs every ``cpus``-th cell, workers the rest
+        # this process runs every ``cpus``-th cell, workers the rest, and
+        # each process runs its share ``cells[i::cpus]`` in one call
         assert [pid == TEST_PID for pid in pids] == [i % cpus == 0 for i in range(len(cells))]
+        assert [cell[4] for cell in done] == [cells[i % cpus :: cpus] for i in range(len(cells))]
         assert {cell[3] for cell in done} == ({2} if cpus == 1 else {1})
         assert after == 2
         assert multiprocessing.active_children() == []
@@ -503,7 +525,7 @@ class TestCellPool:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            done = experiments._map_cells(_cell_where, ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
+            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
         finally:
             release.set()
             other.join(timeout=10)
@@ -532,7 +554,7 @@ class TestCellPool:
     def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
         if experiments._openblas_threads() is None:
             pytest.skip("numpy does not use OpenBLAS: cells run in this process")
-        monkeypatch.setattr(experiments, "_run_cell", _cell_failing_in_worker)
+        monkeypatch.setattr(experiments, "_run_cells", _cells_failing_in_worker)
         _cpus(monkeypatch, 2)
         config = ExperimentConfig(scheme="no_ris_comm_only", **FAST)
         with pytest.raises(ValueError) as err:

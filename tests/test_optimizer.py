@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdjcas.channels import ChannelSet, build_channel_set
 from fdjcas.crb import fisher_core
 from fdjcas.experiments import SCHEMES, ExperimentConfig, build_cell, scheme_flags
-from fdjcas.geometry import build_scene
+from fdjcas.geometry import InfeasibleGeometryError, build_scene
 import fdjcas.optimizer as optimizer
 from fdjcas.optimizer import (
     CrbInfeasibleError,
@@ -16,6 +16,7 @@ from fdjcas.optimizer import (
     dominant_precoder,
     effective_channel,
     jcas_optimize,
+    jcas_optimize_batch,
     mm_step,
     mmse_combiner,
     mse_matrix,
@@ -24,7 +25,6 @@ from fdjcas.optimizer import (
     ris_optimize,
     ris_quadratics,
     si_channel,
-    si_matrix,
     weight_matrix,
 )
 from fdjcas.steering import PathCoefficients, build_sensing_context
@@ -32,6 +32,15 @@ from fdjcas.steering import PathCoefficients, build_sensing_context
 from conftest import random_unit_modulus
 
 LN2 = math.log(2.0)
+
+
+def si_matrix(precoder, phi, channels):
+    """Covariance of the self-interference hitting the radar array: the
+    reference the SI power and the ``"jcas"`` phase form are checked
+    against."""
+    leak = si_channel(channels, phi) @ precoder
+    cov = leak @ leak.conj().T
+    return 0.5 * (cov + cov.conj().T)
 
 
 def scalar_channelset(direct, ris_rx, ris_tx, user=1.0):
@@ -292,6 +301,51 @@ class TestSolvePowerConstrained:
         buffered = optimizer._probe_power(lam, evals, row_power, out)
         expected = float(np.sum(row_power / (evals + lam) ** 2))
         assert buffered.hex() == expected.hex()
+
+
+    @staticmethod
+    def one_probe_at_a_time(evals, row_power, budget):
+        """The power multiplier of one row, probing one value at a time:
+        the reference the stacked tree walk must match bit for bit."""
+
+        def power(lam):
+            return float(np.sum(row_power / (evals + lam) ** 2))
+
+        lo, hi, guard = 0.0, 1.0, 0
+        while power(hi) >= budget and guard < 200:
+            hi *= 2.0
+            guard += 1
+        for _ in range(optimizer.MAX_BISECT):
+            lam = 0.5 * (lo + hi)
+            value = power(lam)
+            if abs(value - budget) < optimizer.BISECT_TOL * budget:
+                return lam
+            if value > budget:
+                lo = lam
+            else:
+                hi = lam
+        return hi
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        n=st.integers(1, 20),
+        log_power=st.floats(-150.0, 8.0),
+        log_budget=st.floats(-4.0, 4.0),
+    )
+    # deep bisections: from (0, 1) toward 1e-50 (about 190 steps) and
+    # toward 1e-70, which 200 steps do not reach
+    @example(seed=0, rows=1, n=1, log_power=-100.0, log_budget=0.0)
+    @example(seed=0, rows=2, n=1, log_power=-140.0, log_budget=0.0)
+    def test_tree_walk_matches_one_probe_at_a_time(self, seed, rows, n, log_power, log_budget):
+        rng = np.random.default_rng(seed)
+        evals = np.sort(rng.exponential(1.0, (rows, n)), axis=1)
+        evals[:, : rng.integers(0, n + 1)] = 0.0  # rank-deficient cores
+        row_power = 10.0**log_power * rng.exponential(1.0, (rows, n))
+        budget = 10.0**log_budget
+        expected = [self.one_probe_at_a_time(e, r, budget) for e, r in zip(evals, row_power)]
+        assert optimizer._bisect_power(evals, row_power, budget).tolist() == expected
 
 
 class TestRisQuadratics:
@@ -832,12 +886,123 @@ class TestSolverInvariants:
         merit = np.array(result.trace.objective)
         assert np.all(np.diff(merit) <= 1e-6 * np.abs(merit[:-1]))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        bs_ris_angle=st.floats(-1.2, 1.2),
+        bs_ris_distance=st.floats(2.0, 8.0),
+        target_range=st.floats(10.0, 80.0),
+        placement=st.sampled_from(["target_on_ris_rows", "target_on_ris_columns", "user_at_ris"]),
+        scheme=st.sampled_from(SCHEMES),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_degenerate_geometry_fails_cleanly(
+        self, bs_ris_angle, bs_ris_distance, target_range, placement, scheme, seed
+    ):
+        # the target straight along a surface axis from its reference
+        # element makes the angle derivatives singular; a user on that
+        # element has no angle at all
+        ris_x, ris_z = bs_ris_distance * np.cos(bs_ris_angle), bs_ris_distance * np.sin(bs_ris_angle)
+        target_angle = {
+            "target_on_ris_rows": np.arccos(ris_x / target_range),
+            "target_on_ris_columns": np.arcsin(ris_z / target_range),
+            "user_at_ris": np.deg2rad(20.0),
+        }[placement]
+        user = (
+            {"user_range": bs_ris_distance, "user_angle": bs_ris_angle} if placement == "user_at_ris" else {}
+        )
+        scene = build_scene(
+            n_bs_tx=6, n_bs_rx=4, ris_rows=3, ris_cols=3, bs_ris_angle=bs_ris_angle,
+            bs_ris_distance=bs_ris_distance, target_range=target_range, target_angle=target_angle, **user,
+        )
+        ris_enabled, sensing_enabled = scheme_flags(scheme)
+        config = JcasConfig(ris_enabled=ris_enabled, sensing_enabled=sensing_enabled, seed=seed, max_outer=5)
+
+        def run():
+            channels = build_channel_set(scene, n_user_antennas=3, seed=seed, noise_user=0.1, noise_radar=0.1)
+            return jcas_optimize(scene, channels, config, PathCoefficients.random(seed))
+
+        if placement == "user_at_ris" or sensing_enabled:
+            with pytest.raises(InfeasibleGeometryError):
+                run()
+            return
+        # a scheme that does not sense never looks at the target
+        result = run()
+        for values in (result.precoder, result.ris_phase, result.trace.objective, result.trace.rate_bps_hz):
+            assert np.all(np.isfinite(values))
+
     def test_dominant_precoder_rejects_more_streams_than_antennas(self):
         h = np.ones((3, 4), dtype=complex)
         assert dominant_precoder(h, 4, 1.0).shape == (4, 4)
         for n_streams in (0, 5):
             with pytest.raises(ValueError, match="n_streams"):
                 dominant_precoder(h, n_streams, 1.0)
+
+
+TRACE_COLUMNS = ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0", "mu_k")
+
+
+def assert_batch_matches_cells_alone(scheme, cells, max_outer):
+    """``jcas_optimize_batch`` of reference-dimension ``(seed_index,
+    snr_db)`` cells against ``jcas_optimize`` of each cell alone, bit for
+    bit; returns each cell's end: converged, capped or infeasible."""
+    config = ExperimentConfig(scheme=scheme, seeds=6, max_outer=max_outer)
+    built = [build_cell(config, seed_index, snr_db) for seed_index, snr_db in cells]
+    batch = jcas_optimize_batch([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+    ends = []
+    for cell, (scene, channels, coeffs, jcas), result in zip(cells, built, batch):
+        try:
+            alone = jcas_optimize(scene, channels, jcas, coeffs)
+        except CrbInfeasibleError:
+            assert result is None, cell
+            ends.append("infeasible")
+            continue
+        assert result.precoder.tobytes() == alone.precoder.tobytes(), cell
+        assert result.ris_phase.tobytes() == alone.ris_phase.tobytes(), cell
+        for name in TRACE_COLUMNS:
+            got, expected = np.array(getattr(result.trace, name)), np.array(getattr(alone.trace, name))
+            assert got.tobytes() == expected.tobytes(), (cell, name)
+        ends.append("capped" if len(alone.trace) - 1 == max_outer else "converged")
+    return ends
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        cells=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0])), min_size=1, max_size=6
+        ),
+        max_outer=st.sampled_from([3, 12]),
+    )
+    def test_batch_equals_cells_run_alone(self, scheme, cells, max_outer):
+        assert_batch_matches_cells_alone(scheme, cells, max_outer)
+
+    def test_batch_mixing_infeasible_converged_and_capped_cells(self):
+        # ris_with_sensing at reference size: seed index 1 is infeasible at
+        # 0 and 10 dB, the others converge within 10 iterations at 0-10 dB
+        # and run to the cap at 30 dB
+        cells = [(0, 0.0), (1, 0.0), (2, 10.0), (1, 10.0), (0, 30.0), (3, 30.0)]
+        ends = assert_batch_matches_cells_alone("ris_with_sensing", cells, max_outer=10)
+        assert ends == ["converged", "infeasible", "converged", "infeasible", "capped", "capped"]
+
+    def test_infeasible_cell_leaves_the_batch(self):
+        # seed index 1 is infeasible at 0 dB; its neighbours run on alone
+        ends = assert_batch_matches_cells_alone("ris_with_sensing", [(0, 0.0), (1, 0.0), (2, 0.0)], max_outer=10)
+        assert ends == ["converged", "infeasible", "converged"]
+        # alone, the cell raises with the outer iteration it failed at
+        config = ExperimentConfig(scheme="ris_with_sensing", seeds=3, max_outer=10)
+        scene, channels, coeffs, jcas = build_cell(config, 1, 0.0)
+        with pytest.raises(CrbInfeasibleError, match=r"^outer iteration 1: CRB constraint infeasible") as err:
+            jcas_optimize(scene, channels, jcas, coeffs)
+        assert err.value.achieved > err.value.threshold == config.crb_threshold
+
+    def test_cells_must_share_solver_options(self, small_scene, small_channels):
+        coeffs = PathCoefficients.random(1)
+        cells = [(small_scene, small_channels, JcasConfig(seed=seed, max_outer=2), coeffs) for seed in (1, 2)]
+        assert [len(r.trace) for r in jcas_optimize_batch(cells)] == [3, 3]
+        with pytest.raises(ValueError, match="share every solver option"):
+            jcas_optimize_batch([cells[0], (small_scene, small_channels, JcasConfig(max_outer=3), coeffs)])
+        assert jcas_optimize_batch([]) == []
 
 
 class TestJcasOptimize:
@@ -923,7 +1088,9 @@ class TestJcasOptimize:
             return phi, values
 
         def recording_precoder(*args, **kwargs):
-            phases.append(args[3])
+            # ``jcas_optimize`` runs a batch of one: every stage gets a one-row stack
+            (phase,) = args[3]
+            phases.append(phase)
             return precoder_update(*args, **kwargs)
 
         for name in counts:
@@ -957,9 +1124,9 @@ class TestJcasOptimize:
         assert counts["fisher_core"] == (1 + accepted if sensing else 0)
 
     def test_prebuilt_phase_terms_match_a_fresh_build(self, monkeypatch):
-        # every precoder update of the outer loop, called again without the
-        # terms the loop kept, must give the same bits: a record left stale
-        # after an accepted phase would not
+        # every precoder update of the outer loop, called again on its cell
+        # without the terms the loop kept, must give the same bits: a
+        # record left stale after an accepted phase would not
         calls = []
 
         def recording(*args, **kwargs):
@@ -987,20 +1154,33 @@ class TestJcasOptimize:
                     except CrbInfeasibleError:
                         pass
                     for args, kwargs in calls:
+                        # ``jcas_optimize`` runs a batch of one: each call
+                        # carries a one-row stack, and the fresh call is the
+                        # single-cell form of the same update
+                        (combiner,), (weight,), (phi,) = args[0], args[1], args[3]
                         fresh = {k: v for k, v in kwargs.items() if k != "phase_terms"}
                         if math.isfinite(fresh["crb_threshold"]):
-                            ctx = build_sensing_context(scene, args[3], coeffs, channels.noise_radar)
+                            ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
                             fresh.update(
                                 path_response_deriv=ctx.path_response_deriv, noise_cov=ctx.noise_cov
                             )
                             # a stale Fisher core changes the outputs only
                             # where it moves the bound across the threshold
-                            kept_fisher = kwargs["phase_terms"].fisher
+                            (kept_fisher,) = kwargs["phase_terms"].fisher
                             assert kept_fisher.tobytes() == fisher_core(
                                 ctx.path_response_deriv, ctx.noise_cov
                             ).tobytes(), (scheme, snr_db, seed_index)
-                        kept = outcome(args, kwargs)
-                        assert kept == outcome(args, fresh), (scheme, snr_db, seed_index)
+                        stack = precoder_update(*args, **kwargs)
+                        (v,), (lam,), (mu,) = stack
+                        if mu == math.inf:
+                            # a stacked infeasible cell returns the precoder
+                            # with the best bound instead of raising
+                            (best,) = optimizer._bound(stack[0], kwargs["phase_terms"].fisher)
+                            kept = "infeasible", float(best)
+                        else:
+                            kept = v.tobytes(), lam, mu
+                        single = outcome((combiner, weight, channels, phi, *args[4:]), fresh)
+                        assert kept == single, (scheme, snr_db, seed_index)
                         outcomes.append(kept)
                     calls.clear()
         # the cells include infeasible ones, where the sensing multiplier
