@@ -1,7 +1,8 @@
 """Alternating transceiver design: weighted-MMSE combiner/weights, the
-power- and CRB-constrained precoder with nested multiplier bisection, the
-majorization-minimization phase-profile solver, and the outer loop tying
-them together, run in lockstep over a stack of cells.  The stages of the
+power-constrained precoder (power-multiplier bisection) with its
+angle-bound feasibility check, the majorization-minimization
+phase-profile solver, and the outer loop tying them together, run in
+lockstep over a stack of cells.  The stages of the
 outer loop take a stack of cells along a leading axis, with one noise
 variance per cell shaped ``(n_cells, 1, 1)``, and give each cell the bits
 it gets alone."""
@@ -23,21 +24,21 @@ LN2 = math.log(2.0)
 # MM phase solver: relative objective tolerance and step cap per call
 RIS_TOL = 1e-5
 MAX_RIS_ITER = 500
-# multiplier bisections: relative tolerance, step cap, largest sensing multiplier
+# power-multiplier bisection: relative tolerance of the power match, step cap
 BISECT_TOL = 1e-6
 MAX_BISECT = 200
 # power bisection steps evaluated per probe call (a tree of 2**levels - 1 midpoints)
 PROBE_LEVELS = 3
-# growing sensing multipliers solved per stacked call
-MU_PROBES = 8
-MU_MAX = 1e12
 
 RIS_OBJECTIVE_JCAS = "jcas"
 RIS_OBJECTIVE_RATE = "rate"
 
 
 class CrbInfeasibleError(RuntimeError):
-    """The angle-accuracy constraint cannot be met at the power budget."""
+    """The precoder update's design misses the angle-accuracy bound.
+
+    ``achieved`` is the bound of the power-constrained precoder at zero
+    sensing multiplier, which no larger multiplier improves."""
 
     def __init__(self, achieved: float, threshold: float, context: str = ""):
         self.achieved = achieved
@@ -45,8 +46,8 @@ class CrbInfeasibleError(RuntimeError):
         self.context = context
         prefix = f"{context}: " if context else ""
         super().__init__(
-            f"{prefix}CRB constraint infeasible: achieved {achieved:.6g} rad^2 "
-            f"against threshold {threshold:.6g} rad^2 at full power"
+            f"{prefix}CRB constraint infeasible: the zero-multiplier precoder achieves "
+            f"{achieved:.6g} rad^2 against threshold {threshold:.6g} rad^2"
         )
 
     def __reduce__(self):
@@ -177,9 +178,9 @@ def mse_matrix(h_eff, precoder, noise_user) -> np.ndarray:
     return _herm(np.linalg.inv(_herm(core)))
 
 
-def weight_matrix(mse, priority: float = 1.0) -> np.ndarray:
+def weight_matrix(mse) -> np.ndarray:
     """Stream weighting that ties MSE minimization to the rate objective."""
-    return _herm((priority / LN2) * np.linalg.inv(mse))
+    return _herm((1.0 / LN2) * np.linalg.inv(mse))
 
 
 def dl_rate(h_eff, precoder, noise_user):
@@ -271,16 +272,13 @@ def _bisect_power(evals, row_power, power_budget) -> np.ndarray:
 def _solve_power_constrained(core, rhs, power_budget):
     """Minimizer of the quadratic surrogate under the transmit power cap.
 
-    Returns (precoder, lambda0), or arrays of both for a stack of
-    problems along a leading axis.  The multiplier stays exactly zero when
-    the unconstrained (min-norm) solution already fits the budget
-    (complementary slackness); otherwise it is bisected until the power
-    matches the budget to the relative tolerance.  The normal equations
+    Takes a stack of problems along a leading axis and returns arrays
+    (precoder, lambda0), one entry per problem.  The multiplier stays
+    exactly zero when the unconstrained (min-norm) solution already fits
+    the budget (complementary slackness); otherwise it is bisected until
+    the power matches the budget to the relative tolerance.  The normal equations
     are diagonalized once so each multiplier probe is closed-form.
     """
-    if core.ndim == 2:
-        precoder, lam = _solve_power_constrained(core[None], rhs[None], power_budget)
-        return precoder[0], float(lam[0])
     # ``eigh`` reads one triangle, and ``precoder_update``'s cores are Hermitian to the bit
     evals, evecs = np.linalg.eigh(core)
     rotated = _ct(evecs) @ rhs
@@ -315,65 +313,6 @@ def _bound(precoder, fisher) -> np.ndarray:
     positive."""
     info = 2.0 * np.sum(np.real(np.conj(precoder) * (fisher @ precoder)), axis=(-2, -1))
     return np.array([1.0 / x if 0.0 < x < math.inf else math.inf for x in info.tolist()])
-
-
-def _raise_multiplier(gram, rhs, fisher, power_budget, threshold, precoder, lam, bound):
-    """Sensing-multiplier search of :func:`precoder_update` for a stack of
-    rows whose bound misses ``threshold`` at zero multiplier.
-
-    Each row tries the multipliers 1, 2, 4, ... up to ``MU_MAX`` in turn
-    until its bound is met, then bisects toward the smallest feasible
-    value; a row leaves once its own test passes.  The growing multipliers
-    are solved ``MU_PROBES`` at a time for every row in one stack, and
-    read in order.  Returns (precoder, lambda0, mu, bound).  A row whose
-    bound no multiplier meets gets ``mu = inf`` and the candidate with the
-    smallest bound found, the zero-multiplier one (``precoder``, ``lam``)
-    included.
-    """
-    n = len(gram)
-
-    def solve_at(rows, mu):
-        cand, cand_lam = _solve_power_constrained(
-            gram[rows] + (2.0 * mu)[:, None, None] * fisher[rows], rhs[rows], power_budget
-        )
-        return cand, cand_lam, _bound(cand, fisher[rows])
-
-    out_v, out_lam, out_mu, out_bound = precoder.copy(), lam.copy(), np.full(n, math.inf), bound.copy()
-    ladder = [2.0**k for k in range(int(math.log2(MU_MAX)) + 1)]
-    mu_lo, mu_hi = np.zeros(n), np.ones(n)
-    rows = range(n)
-    for start in range(0, len(ladder), MU_PROBES):
-        mus = ladder[start : start + MU_PROBES]
-        cand, cand_lam, cand_bound = solve_at(np.repeat(rows, len(mus)), np.tile(mus, len(rows)))
-        still = []
-        for j, row in enumerate(rows):
-            for k, mu in enumerate(mus):
-                at, value = j * len(mus) + k, cand_bound[j * len(mus) + k]
-                if value < out_bound[row] or value <= threshold:
-                    out_v[row], out_lam[row], out_bound[row] = cand[at], cand_lam[at], value
-                if value <= threshold:
-                    out_mu[row], mu_hi[row] = mu, mu
-                    mu_lo[row] = ladder[start + k - 1] if start + k else 0.0
-                    break
-            else:
-                still.append(row)
-        rows = still
-        if not rows:
-            break
-    rows = np.flatnonzero(out_mu < math.inf)
-    for _ in range(MAX_BISECT):
-        rows = rows[~(np.abs(out_bound[rows] - threshold) <= BISECT_TOL * threshold)]
-        if not rows.size:
-            break
-        mid = 0.5 * (mu_lo[rows] + mu_hi[rows])
-        cand, cand_lam, cand_bound = solve_at(rows, mid)
-        met = cand_bound <= threshold
-        out_v[rows[met]], out_lam[rows[met]] = cand[met], cand_lam[met]
-        out_mu[rows[met]], out_bound[rows[met]] = mid[met], cand_bound[met]
-        mu_hi[rows[met]] = mid[met]
-        mu_lo[rows[~met]] = mid[~met]
-        rows = rows[~((mu_hi[rows] - mu_lo[rows]) <= BISECT_TOL * np.maximum(mu_hi[rows], 1.0))]
-    return out_v, out_lam, out_mu, out_bound
 
 
 class _PhaseTerms(NamedTuple):
@@ -411,14 +350,19 @@ def precoder_update(
     phase_terms: _PhaseTerms | None = None,
 ):
     """Precoder minimizing the weighted-MSE-plus-interference surrogate
-    under the power budget and, when finite, the angle-accuracy bound.
+    under the power budget, checked against the angle-accuracy bound when
+    its threshold is finite.
 
     The stationary solution is a regularized normal-equations solve whose
-    power multiplier is found by bisection (zero when slack).  When the
-    CRB threshold is finite and violated at zero sensing multiplier, the
-    multiplier is grown geometrically and bisected toward the smallest
-    feasible value; if no multiplier up to ``MU_MAX`` satisfies the bound,
-    CrbInfeasibleError reports the best bound achieved.
+    power multiplier is found by bisection (zero when slack).  The sensing
+    multiplier ``mu`` stays zero: entering the core as ``gram + 2 mu F``,
+    it would penalize the Fisher information ``g(V) = tr(V^H F V)``.  If
+    ``V_mu`` minimizes the surrogate plus ``2 mu g`` over the power ball,
+    adding the optimality inequalities of ``mu > nu`` gives
+    ``(mu - nu) (g(V_mu) - g(V_nu)) <= 0``, and the bound ``1 / (2 g)``
+    never falls as ``mu`` grows.  A design whose bound exceeds the
+    threshold at zero multiplier is therefore infeasible, and
+    CrbInfeasibleError reports that bound as ``achieved``.
 
     ``phase_terms`` is the phase profile's channel terms that
     :func:`jcas_optimize` keeps from one outer iteration to the next: the
@@ -431,8 +375,8 @@ def precoder_update(
     A stack of cells (a leading axis on ``combiner``, ``weight`` and
     ``phi`` or the terms) is solved in one call, each cell bit for bit as
     alone, and returns arrays.  A stacked cell whose bound is infeasible
-    does not raise: its ``mu`` is inf and its precoder is the candidate
-    with the smallest bound found.
+    does not raise: its ``mu`` is inf and its precoder is the
+    zero-multiplier one.
 
     Returns (precoder, lambda0, mu).
     """
@@ -461,12 +405,7 @@ def precoder_update(
     mu = np.zeros(len(gram))
     if constrain:
         bound = _bound(precoder, phase_terms.fisher)
-        rows = [row for row, value in enumerate(bound.tolist()) if value > crb_threshold]
-        if rows:
-            precoder[rows], lam[rows], mu[rows], bound[rows] = _raise_multiplier(
-                gram[rows], rhs[rows], phase_terms.fisher[rows], power_budget, crb_threshold,
-                precoder[rows], lam[rows], bound[rows],
-            )
+        mu[bound > crb_threshold] = math.inf
     if not single:
         return precoder, lam, mu
     if mu[0] == math.inf:
@@ -817,9 +756,9 @@ def jcas_optimize(
     """Run the alternating design until the objective stalls.
 
     Each outer iteration updates the combiner, the stream weights, the
-    precoder (with its multiplier searches), and finally the phase profile,
-    after which the radar response derivative is refreshed since it depends
-    on the profile.  A phase proposal from the inner solver is kept only
+    precoder (power bisection, then the bound check), and finally the
+    phase profile, after which the radar response derivative is refreshed
+    since it depends on the profile.  A phase proposal from the inner solver is kept only
     when it does not increase the recorded objective: the phase quadratics
     penalize through-combiner signal power alongside the interference, so
     an unguarded step can undo precoder progress once the interference is

@@ -109,18 +109,18 @@ class TestMseMatrix:
 
 class TestWeightMatrix:
     def test_identity_at_log2_priority(self):
-        w = weight_matrix(np.eye(3, dtype=complex), priority=LN2)
+        w = LN2 * weight_matrix(np.eye(3, dtype=complex))
         assert np.allclose(w, np.eye(3), atol=1e-14)
 
     def test_scalar(self):
-        w = weight_matrix(np.array([[0.5 + 0.0j]]), priority=LN2)
+        w = LN2 * weight_matrix(np.array([[0.5 + 0.0j]]))
         assert w[0, 0] == pytest.approx(2.0, abs=1e-14)
 
     def test_product_is_scaled_identity(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         e = x @ x.conj().T + np.eye(3)
-        w = weight_matrix(e, priority=1.0)
+        w = weight_matrix(e)
         assert np.allclose(w @ e, np.eye(3) / LN2, atol=1e-10)
 
 
@@ -249,6 +249,87 @@ class TestPrecoderUpdate:
         assert err.value.achieved > err.value.threshold
         assert "rad^2" in str(err.value)
 
+    @staticmethod
+    def sensing_state(scene, seed, snr_db):
+        """Combiner, weight, channels, phase and sensing context of a
+        random precoder-update input on ``scene``, drawn from ``seed``."""
+        rng = np.random.default_rng(seed)
+        noise = 10.0 ** (-snr_db / 10.0)
+        scene = scene.with_target_angle(rng.uniform(-1.0, 1.0))
+        channels = build_channel_set(
+            scene, n_user_antennas=3, nlos_si_power=0.01, seed=seed, noise_user=noise, noise_radar=noise
+        )
+        phi = random_unit_modulus(channels.n_ris, rng)
+        h_eff = effective_channel(channels, phi)
+        v0 = complex_normal(rng, (channels.n_bs_tx, 2)) / 4
+        f = mmse_combiner(h_eff, v0, noise)
+        w = weight_matrix(mse_matrix(h_eff, v0, noise))
+        ctx = build_sensing_context(scene, phi, PathCoefficients.random(seed), noise)
+        return f, w, channels, phi, ctx
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        snr_db=st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+        budget=st.sampled_from([0.1, 1.0, 10.0]),
+        pick=st.integers(0, 3),
+    )
+    def test_infeasible_iff_zero_multiplier_bound_misses(self, small_scene, seeds, snr_db, budget, pick):
+        # a larger sensing multiplier never lowers the bound, so a design is
+        # infeasible exactly when its zero-multiplier precoder misses the
+        # threshold, and that precoder is what the update returns
+        states = [self.sensing_state(small_scene, seed, snr_db) for seed in seeds]
+        solves, solve = [], optimizer._solve_power_constrained
+
+        def counting(*args):
+            solves.append(1)
+            return solve(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_solve_power_constrained", counting)
+            zero = []
+            for f, w, channels, phi, ctx in states:
+                v, lam, mu = precoder_update(f, w, channels, phi, budget)
+                assert mu == 0.0
+                fisher = fisher_core(ctx.path_response_deriv, ctx.noise_cov)
+                (bound,) = optimizer._bound(v[None], fisher[None])
+                assert 0.0 < bound < math.inf
+                zero.append((v, lam, bound))
+            for (f, w, channels, phi, ctx), (v0, lam0, bound) in zip(states, zero):
+                for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
+                    threshold = bound * factor
+                    solves.clear()
+                    args = (f, w, channels, phi, budget, threshold, ctx.path_response_deriv, ctx.noise_cov)
+                    if bound > threshold:
+                        with pytest.raises(CrbInfeasibleError) as err:
+                            precoder_update(*args)
+                        assert err.value.achieved.hex() == bound.hex()
+                        assert err.value.threshold == threshold
+                    else:
+                        v, lam, mu = precoder_update(*args)
+                        assert (v.tobytes(), lam, mu) == (v0.tobytes(), lam0, 0.0)
+                    assert len(solves) == 1
+            # the stacked form: every row checked against one threshold
+            bounds = np.array([bound for _, _, bound in zero])
+            terms = optimizer._phase_terms(
+                np.stack([effective_channel(channels, phi) for _, _, channels, phi, _ in states]),
+                np.stack([si_channel(channels, phi) for _, _, channels, phi, _ in states]),
+                np.stack([ctx.path_response_deriv for *_, ctx in states]),
+                np.stack([ctx.noise_cov for *_, ctx in states]),
+            )
+            combiner, weight = np.stack([s[0] for s in states]), np.stack([s[1] for s in states])
+            for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
+                threshold = bounds[pick % len(states)] * factor
+                solves.clear()
+                v, lam, mu = precoder_update(
+                    combiner, weight, None, None, budget, threshold, phase_terms=terms
+                )
+                assert len(solves) == 1
+                assert (mu == math.inf).tolist() == (bounds > threshold).tolist()
+                assert np.all((mu == 0.0) | (mu == math.inf))
+                for row, (v0, lam0, _) in enumerate(zero):
+                    assert (v[row].tobytes(), lam[row]) == (v0.tobytes(), lam0)
+
 
 class TestSolvePowerConstrained:
     @staticmethod
@@ -262,7 +343,7 @@ class TestSolvePowerConstrained:
 
     def test_zero_rhs_gives_zero_precoder(self):
         core, rhs = self.problem(rank=6)
-        v, lam = optimizer._solve_power_constrained(core, np.zeros_like(rhs), 1.0)
+        (v,), (lam,) = optimizer._solve_power_constrained(core[None], np.zeros_like(rhs)[None], 1.0)
         assert lam == 0.0
         assert v.shape == rhs.shape and np.all(v == 0.0)
 
@@ -271,7 +352,7 @@ class TestSolvePowerConstrained:
         core, rhs = self.problem(rank)
         expected = np.linalg.pinv(core, rcond=1e-10, hermitian=True) @ rhs
         power = float(np.sum(np.abs(expected) ** 2))
-        v, lam = optimizer._solve_power_constrained(core, rhs, 2.0 * power)
+        (v,), (lam,) = optimizer._solve_power_constrained(core[None], rhs[None], 2.0 * power)
         assert lam == 0.0
         assert np.linalg.norm(v - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -280,7 +361,7 @@ class TestSolvePowerConstrained:
         core, rhs = self.problem(rank)
         expected = np.linalg.pinv(core, rcond=1e-10, hermitian=True) @ rhs
         budget = 0.25 * float(np.sum(np.abs(expected) ** 2))
-        v, lam = optimizer._solve_power_constrained(core, rhs, budget)
+        (v,), (lam,) = optimizer._solve_power_constrained(core[None], rhs[None], budget)
         assert lam > 0.0
         assert abs(float(np.sum(np.abs(v) ** 2)) - budget) < 1e-6 * budget
 
@@ -1173,8 +1254,8 @@ class TestJcasOptimize:
                         stack = precoder_update(*args, **kwargs)
                         (v,), (lam,), (mu,) = stack
                         if mu == math.inf:
-                            # a stacked infeasible cell returns the precoder
-                            # with the best bound instead of raising
+                            # a stacked infeasible cell returns its
+                            # zero-multiplier precoder instead of raising
                             (best,) = optimizer._bound(stack[0], kwargs["phase_terms"].fisher)
                             kept = "infeasible", float(best)
                         else:
@@ -1183,8 +1264,7 @@ class TestJcasOptimize:
                         assert kept == single, (scheme, snr_db, seed_index)
                         outcomes.append(kept)
                     calls.clear()
-        # the cells include infeasible ones, where the sensing multiplier
-        # doubles up to its cap before the error
+        # the cells include infeasible ones, which raise in the single form
         assert any(kept[0] == "infeasible" for kept in outcomes)
 
     @staticmethod
