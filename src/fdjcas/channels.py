@@ -126,21 +126,23 @@ def build_channel_set(
     a_user_ris = ula_steering(ula_angle_of(-ris_to_user_vec), n_user_antennas, d, lam)
     ris_to_user = farfield_los(a_user_ris, a_ris)
 
-    shape = (scene.n_bs_rx, scene.n_bs_tx)
-    if nlos_si_power == 0.0:
-        si_nlos = np.zeros(shape, dtype=complex)
-    else:
-        rng = np.random.default_rng(seed)
-        si_nlos = np.sqrt(nlos_si_power / 2.0) * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
     return ChannelSet(
         bs_to_user=bs_to_user,
         ris_to_user=ris_to_user,
         bs_to_ris=bs_to_ris,
         ris_to_bs=ris_to_bs,
         si_los=si_los,
-        si_nlos=si_nlos,
+        si_nlos=nlos_residual((scene.n_bs_rx, scene.n_bs_tx), nlos_si_power, seed),
         noise_user=noise_user,
         noise_radar=noise_radar,
     )
+
+
+def nlos_residual(shape, nlos_si_power: float, seed) -> np.ndarray:
+    """The non-LoS self-interference residual of :func:`build_channel_set`:
+    i.i.d. circular Gaussian entries of variance ``nlos_si_power`` drawn
+    from ``seed``, or exact zeros (and no draw) at zero power."""
+    if nlos_si_power == 0.0:
+        return np.zeros(shape, dtype=complex)
+    rng = np.random.default_rng(seed)
+    return np.sqrt(nlos_si_power / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channels import build_channel_set
+from .channels import build_channel_set, nlos_residual
 from .crb import aoa_crb
 from .estimation import music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
@@ -190,19 +190,18 @@ def require_noise_subspace(config: ExperimentConfig, use: str) -> None:
         raise ConfigError(f"n_streams {config.n_streams} must be below n_bs_rx {config.n_bs_rx} {use}")
 
 
-def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float):
-    """Channels of ``scene``, noise ``power_budget / 10^(snr_db/10)`` at both receivers."""
+def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float, links=None):
+    """Channels of ``scene`` with the SI NLoS residual drawn from ``seed``
+    and noise ``power_budget / 10^(snr_db/10)`` at both receivers.  The
+    other links depend on neither, nor on the target angle: ``links``, a
+    channel set of the same scene, lends them when given."""
     if not math.isfinite(snr_db):
         raise ConfigError(f"SNR must be finite, got {snr_db!r}")
     noise = config.power_budget / 10.0 ** (snr_db / 10.0)
-    return build_channel_set(
-        scene,
-        n_user_antennas=config.n_user,
-        nlos_si_power=config.nlos_si_power,
-        seed=seed,
-        noise_user=noise,
-        noise_radar=noise,
-    )
+    if links is None:
+        links = build_channel_set(scene, n_user_antennas=config.n_user, nlos_si_power=0.0)
+    si_nlos = nlos_residual(links.si_los.shape, config.nlos_si_power, seed)
+    return dataclasses.replace(links, si_nlos=si_nlos, noise_user=noise, noise_radar=noise)
 
 
 def _scene(config: ExperimentConfig, target_angle: float) -> Scene:
@@ -245,24 +244,39 @@ def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
     is reproducible in isolation and independent of the surface size for
     the RIS-free schemes.
     """
-    angle_rng = np.random.default_rng([config.root_seed, seed_index, 1])
-    scene = _scene(config, angle_rng.uniform(-np.pi / 2, np.pi / 2))
-    channels = _channel_set(config, scene, [config.root_seed, seed_index, 2], snr_db)
-    coeffs = PathCoefficients.random(
-        [config.root_seed, seed_index, 3],
-        direct_mag=config.direct_path_mag,
-        ris_mag=config.ris_path_mag,
-    )
-    jcas = _jcas_config(
-        config, int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31))
-    )
-    return scene, channels, coeffs, jcas
+    (cell,) = _build_cells(config, [(seed_index, snr_db)])
+    return cell
+
+
+def _build_cells(config: ExperimentConfig, cells) -> list:
+    """:func:`build_cell` of every ``(seed_index, snr_db)`` cell, with the
+    scene and its links built once, for the first cell: they depend on
+    neither the seed index nor the target angle.  Each cell gets its own
+    target-angle scene, SI NLoS draw, noise, coefficients and solver
+    options."""
+    built = []
+    for seed_index, snr_db in cells:
+        angle = np.random.default_rng([config.root_seed, seed_index, 1]).uniform(-np.pi / 2, np.pi / 2)
+        if built:
+            scene = dataclasses.replace(built[0][0], target_angle=angle)
+            links = built[0][1]
+        else:
+            scene, links = _scene(config, angle), None
+        channels = _channel_set(config, scene, [config.root_seed, seed_index, 2], snr_db, links)
+        coeffs = PathCoefficients.random(
+            [config.root_seed, seed_index, 3],
+            direct_mag=config.direct_path_mag,
+            ris_mag=config.ris_path_mag,
+        )
+        jcas = _jcas_config(config, int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31)))
+        built.append((scene, channels, coeffs, jcas))
+    return built
 
 
 def _run_cells(config: ExperimentConfig, cells) -> list:
     """Optimize ``(seed_index, snr_db)`` cells as one lockstep batch; a
     metrics dict per cell, or None where the cell is infeasible."""
-    built = [build_cell(config, seed_index, snr_db) for seed_index, snr_db in cells]
+    built = _build_cells(config, cells)
     results = jcas_optimize_batch([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
     return [
         None if result is None else _cell_metrics(config, seed_index, cell, result)

@@ -473,6 +473,13 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     Gram ``F^H F``, and then ``p = q/|q|``; an element whose ``q`` is
     exactly zero keeps its phase (tie break).
 
+    A stack of problems, ``phi0`` (rows, n), ``factor`` (rows, n, k) and
+    ``linear`` (rows, n), returns the (rows, n) phases and a list of one
+    value array per row; each row stops on its own and gets the bits of
+    its 2-D call.  The checks, the Grams and their eigenvalues, and the
+    step buffers below are made once for the stack; the steps run one row
+    at a time.
+
     The n x n ``M`` is never formed.  Each step makes two products: ``[F^H;
     2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
     ``[y; 1]`` is the objective value, and ``[F | conj(d)] / lam`` times
@@ -482,8 +489,9 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     huge ``d``), the second product stays unscaled and ``q = lam p - z``.
     The steps run in preallocated buffers, and the phase returned is an
     array of its own; ``phi0`` is not modified.  Raises ValueError for a
-    non-positive ``tol``, a negative ``max_iter``, a factor that is not 2-D
-    with at least one column, mismatched lengths, or non-finite inputs.
+    non-positive ``tol``, a negative ``max_iter``, a factor that is neither
+    2-D nor a 3-D stack or has no column, mismatched lengths, or non-finite
+    inputs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -492,29 +500,57 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     factor = np.asarray(factor, dtype=complex)
     linear = np.asarray(linear, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
-    if factor.ndim != 2 or factor.shape[1] == 0:
-        raise ValueError(f"factor must be 2-D with at least one column, got shape {factor.shape}")
-    n, k = factor.shape
-    if phi0.shape != (n,) or linear.shape != (n,):
+    if factor.ndim not in (2, 3) or factor.shape[-1] == 0:
+        raise ValueError(f"factor must be 2-D, or a 3-D stack, with at least one column, got shape {factor.shape}")
+    n, k = factor.shape[-2:]
+    if phi0.shape != factor.shape[:-1] or linear.shape != factor.shape[:-1]:
         raise ValueError(
-            f"phi0 {phi0.shape} and linear {linear.shape} must both have length {n} "
+            f"phi0 {phi0.shape} and linear {linear.shape} must both have shape {factor.shape[:-1]} "
             "to match the rows of factor"
         )
     for name, arr in (("factor", factor), ("phi0", phi0), ("linear", linear)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} has non-finite entries")
-    lam = float(np.linalg.eigvalsh(_herm(factor.conj().T @ factor))[-1])
-    lead = np.empty((k + 1, n), dtype=complex)
-    np.conjugate(factor.T, out=lead[:k])
-    np.add(linear, linear, out=lead[k])
-    back = np.hstack((factor, np.conj(linear)[:, None]))
-    if lam > 0.0 and np.isfinite(scaled := back * (1.0 / lam)).all():
-        back, direction = scaled, np.subtract
+    single = factor.ndim == 2
+    if single:
+        phi0, factor, linear = phi0[None], factor[None], linear[None]
+    lams = np.linalg.eigvalsh(_herm(_ct(factor) @ factor))[:, -1]
+    lead = np.empty((len(factor), k + 1, n), dtype=complex)
+    np.conjugate(factor.swapaxes(-1, -2), out=lead[:, :k])
+    np.add(linear, linear, out=lead[:, k])
+    back = np.concatenate((factor, np.conj(linear)[..., None]), axis=-1)
+    phases, runs = np.empty_like(phi0), []
+    # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
+    # objective sends that step through the tie break instead.  A zero or
+    # subnormal lam makes the scaled buffer non-finite, which selects the
+    # unscaled branch.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = back * (1.0 / lams)[:, None, None]
+        finite = np.isfinite(scaled).all(axis=(1, 2)).tolist()
+        for row, lam in enumerate(lams.tolist()):
+            if lam > 0.0 and finite[row]:
+                phases[row], values = _mm_steps(phi0[row], lead[row], scaled[row], None, tol, max_iter)
+            else:
+                phases[row], values = _mm_steps(phi0[row], lead[row], back[row], lam, tol, max_iter)
+            runs.append(values)
+    if single:
+        return phases[0], runs[0]
+    return phases, runs
+
+
+def _mm_steps(phi0, lead, back, lam, tol, max_iter):
+    """The MM steps of :func:`ris_optimize` on one problem: ``lead`` is
+    ``[F^H; 2 d^T]``, and ``back`` is ``[F | conj(d)] / lam`` when ``lam``
+    is None, or ``[F | conj(d)]`` itself with ``lam`` given (the unscaled
+    branch).  Runs under the caller's ``np.errstate``."""
+    if lam is None:
+        direction = np.subtract
     else:
 
         def direction(p, z, q):
             return np.subtract(np.multiply(lam, p, q), z, q)
 
+    k, n = lead.shape[0] - 1, lead.shape[1]
     lead_dot, back_dot = lead.dot, back.dot
     # ``head`` = [y; s] of the latest phase and ``tail`` = [y; 1]; the
     # objective Re(vdot(tail, head)) is the dot of their real views.  |q|
@@ -530,28 +566,25 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     copyto(tail_y, head_y)
     value = float(tail_dot(head_real))
     values = [value]
-    # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
-    # objective sends that step through the tie break instead.
-    with np.errstate(invalid="ignore"):
-        for _ in range(max_iter):
-            back_dot(tail, z)
-            direction(p, z, q)
-            absolute(q, mag_real)
-            divide(q, mag, x)
+    for _ in range(max_iter):
+        back_dot(tail, z)
+        direction(p, z, q)
+        absolute(q, mag_real)
+        divide(q, mag, x)
+        lead_dot(x, head)
+        copyto(tail_y, head_y)
+        previous, value = value, float(tail_dot(head_real))
+        if value != value:
+            copyto(x, p, where=~(mag_real > 0.0))
             lead_dot(x, head)
             copyto(tail_y, head_y)
-            previous, value = value, float(tail_dot(head_real))
-            if value != value:
-                copyto(x, p, where=~(mag_real > 0.0))
-                lead_dot(x, head)
-                copyto(tail_y, head_y)
-                value = float(tail_dot(head_real))
-            p, x = x, p
-            values.append(value)
-            delta = abs(value - previous)
-            scale = abs(value)
-            if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
-                break
+            value = float(tail_dot(head_real))
+        p, x = x, p
+        values.append(value)
+        delta = abs(value - previous)
+        scale = abs(value)
+        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
+            break
     return p, np.asarray(values)
 
 
@@ -586,8 +619,8 @@ class _Lockstep:
     angle bound is infeasible (its outcome is then the error), or at
     ``max_outer``; ``outcomes`` holds what each cell ended with.  The
     stacked stages give every cell the bits it gets alone, so a cell's
-    result does not depend on its batch-mates.  The phase solver runs one
-    cell at a time.
+    result does not depend on its batch-mates.  The phase solver gets the
+    stack in one call and steps its rows one at a time.
     """
 
     def __init__(self, cells):
@@ -694,9 +727,7 @@ class _Lockstep:
         evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise)
         if config.ris_enabled:
             factor, lin = ris_quadratics(precoder, combiner, weight, self.links, objective=self.objective)
-            candidate = np.empty_like(self.phi)
-            for row, (p, f, d) in enumerate(zip(self.phi, factor, lin)):
-                candidate[row] = ris_optimize(p, f, d, RIS_TOL, MAX_RIS_ITER)[0]
+            candidate, _ = ris_optimize(self.phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
             h_eff = effective_channel(self.links, candidate)
             leak = si_channel(self.links, candidate) if self.sensing else None
             proposed = _evaluate(precoder, h_eff, leak, noise)
@@ -788,8 +819,8 @@ def jcas_optimize_batch(cells) -> list:
     The cells must have the same dimensions and share every
     :class:`JcasConfig` option but ``seed``; scenes, channels (noise
     included) and coefficients may differ.  Each outer iteration stacks the
-    cells still running into one call of every stage but the phase solver,
-    and each cell's result is bit for bit the one it gets alone.
+    cells still running into one call of every stage, and each cell's
+    result is bit for bit the one it gets alone.
     """
     cells = list(cells)
     if not cells:

@@ -1,12 +1,18 @@
-"""In-process tests of the ``crb`` and ``estimate`` commands: each printed
-number must equal the same quantity composed from the library functions."""
+"""Tests of the command line: in process, each number the ``crb`` and
+``estimate`` commands print must equal the same quantity composed from the
+library functions; in a subprocess, ``python -m fdjcas`` runs it."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fdjcas
 from fdjcas import cli
 from fdjcas.crb import aoa_crb
 from fdjcas.estimation import music_estimate, simulate_snapshots
@@ -201,3 +207,22 @@ def test_bad_output_dir_is_a_config_error(capsys, monkeypatch, tmp_path, key, va
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "config error: output_dir must be a non-empty string" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_package_runs_as_a_module(tmp_path, monkeypatch):
+    # the subprocess imports the package this test imported, installed or not
+    monkeypatch.delenv("FDJCAS_CONFIG", raising=False)
+    src = str(Path(fdjcas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "fdjcas", *argv], capture_output=True, text=True, env=env)
+
+    shown = module("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.startswith("usage: fdjcas ")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "seeds": 1, "scheme": "no_ris_comm_only"}))
+    ran = module("run", str(path), "--out", str(tmp_path / "out"))
+    assert ran.returncode == 0, ran.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["combined.csv", "no_ris_comm_only.csv"]

@@ -19,6 +19,7 @@ import yaml
 
 import fdjcas
 from fdjcas import cli, experiments
+from fdjcas.channels import build_channel_set
 from fdjcas.crb import UnobservableError
 from fdjcas.estimation import CovarianceRankError
 from fdjcas.experiments import (
@@ -367,6 +368,36 @@ class TestCli:
         assert (tmp_path / "out" / "no_ris_comm_only.csv").exists()
 
 
+def separate_cell(config, seed_index, snr_db):
+    """One cell built from the scene and channel builders on the streams
+    :func:`build_cell` documents, with every link synthesized afresh."""
+    angle = np.random.default_rng([config.root_seed, seed_index, 1]).uniform(-np.pi / 2, np.pi / 2)
+    scene = experiments._scene(config, angle)
+    noise = config.power_budget / 10.0 ** (snr_db / 10.0)
+    channels = build_channel_set(
+        scene, n_user_antennas=config.n_user, nlos_si_power=config.nlos_si_power,
+        seed=[config.root_seed, seed_index, 2], noise_user=noise, noise_radar=noise,
+    )
+    coeffs = PathCoefficients.random(
+        [config.root_seed, seed_index, 3], direct_mag=config.direct_path_mag, ris_mag=config.ris_path_mag
+    )
+    seed = int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31))
+    return scene, channels, coeffs, experiments._jcas_config(config, seed)
+
+
+def assert_same_cell(got, expected):
+    """Scene, channels, coefficients and solver options equal bit for bit."""
+
+    def exact(value):
+        # repr keeps the type: ``fdjcas crb`` prints the target angle's repr
+        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+    for part, part_e in zip(got[:2], expected[:2]):
+        for field in dataclasses.fields(part):
+            assert exact(getattr(part, field.name)) == exact(getattr(part_e, field.name)), field.name
+    assert got[2:] == expected[2:]
+
+
 class TestBuildCell:
     def test_schemes_share_channel_randomness(self):
         sensing = ExperimentConfig(scheme="ris_with_sensing", **FAST)
@@ -382,6 +413,27 @@ class TestBuildCell:
             scene, channels, coeffs, jcas = build_cell(config, 0, 10.0)
             assert (jcas.ris_enabled, jcas.sensing_enabled) == scheme_flags(scheme)
             assert jcas.crb_threshold == config.crb_threshold
+
+    @pytest.mark.parametrize("nlos_si_power", [0.0, 0.01])
+    def test_cells_of_a_share_get_their_build_cell_bytes(self, nlos_si_power):
+        # a share of a run mixes seed indices and SNR points; its scene and
+        # links are built once, the rest per cell
+        config = ExperimentConfig(scheme="ris_with_sensing", **{**FAST, "seeds": 3, "nlos_si_power": nlos_si_power})
+        cells = [(2, 0.0), (0, 10.0), (2, 30.0), (1, 10.0), (0, 0.0)]
+        built = experiments._build_cells(config, cells)
+        assert len(built) == len(cells)
+        for (seed_index, snr_db), cell in zip(cells, built):
+            for expected in (build_cell(config, seed_index, snr_db), separate_cell(config, seed_index, snr_db)):
+                assert_same_cell(cell, expected)
+
+    def test_degenerate_geometry_raises_at_the_first_cell(self):
+        # the user on the surface's reference element has no angle
+        config = ExperimentConfig(**{**FAST, "user_range": 5.0, "user_angle_deg": 30.0})
+        with pytest.raises(InfeasibleGeometryError) as alone:
+            build_cell(config, 1, 10.0)
+        with pytest.raises(InfeasibleGeometryError) as share:
+            experiments._build_cells(config, [(1, 10.0), (0, 0.0)])
+        assert str(share.value) == str(alone.value) == "point coincides with the RIS reference element"
 
     @pytest.mark.parametrize("scheme", ["no_ris_with_sensing", "no_ris_comm_only"])
     @pytest.mark.parametrize("seed_index", [0, 1])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -690,12 +691,17 @@ class TestRisOptimize:
         "factor, phi0, lin",
         [
             (np.ones((3, 4, 1), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
+            (np.ones((2, 3, 4, 1), dtype=complex), np.ones((2, 3, 4), dtype=complex), np.zeros((2, 3, 4))),
+            (np.ones((2, 4, 1), dtype=complex), np.ones((3, 4), dtype=complex), np.zeros((2, 4))),
             (np.ones(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
             (np.ones((3, 0), dtype=complex), np.ones(3, dtype=complex), np.zeros(3)),
             (np.eye(3, dtype=complex), np.ones(4, dtype=complex), np.zeros(3)),
             (np.eye(3, dtype=complex), np.ones(3, dtype=complex), np.zeros(4)),
         ],
-        ids=["three-dimensional", "one-dimensional", "no-columns", "phi0-length", "linear-length"],
+        ids=[
+            "three-dimensional", "four-dimensional", "stack-rows", "one-dimensional", "no-columns",
+            "phi0-length", "linear-length",
+        ],
     )
     def test_rejects_mismatched_shapes(self, factor, phi0, lin):
         with pytest.raises(ValueError, match="factor"):
@@ -717,6 +723,22 @@ class TestRisOptimize:
     def test_rejects_negative_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), max_iter=max_iter)
+
+    def test_subnormal_step_size_falls_back_quietly(self):
+        # lam is subnormal, so 1/lam overflows and the scaled buffer is not
+        # finite: the step takes the unscaled branch without a warning.  The
+        # factor's zero imaginary parts make 0 * inf there.
+        rng = np.random.default_rng(24)
+        _, lin = random_quadratic(rng, n=12)
+        factor = (1e-156 / np.sqrt(12)) * rng.standard_normal((12, 12)) + 0j
+        lam = top_eigenvalue(factor)
+        assert 0.0 < lam < np.finfo(float).tiny and math.isinf(1.0 / lam)
+        phi0 = random_unit_modulus(12, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = mm_step(phi0, factor, lin)
+        q = lam * phi0 - factor @ (factor.conj().T @ phi0) - np.conj(lin)
+        assert np.allclose(phi, q / np.abs(q), rtol=0.0, atol=1e-15)
 
 
 def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
@@ -919,6 +941,70 @@ class TestRisOptimizeMatchesDenseReference:
         assert np.array_equal(values, [0.0, 0.0])
 
 
+def stacked_row(rng, kind, objective):
+    """One phase problem ``(phi0, F, d)`` of the ``objective`` form on a
+    12-element surface.  ``"scaled"`` is :func:`ris_quadratics` at a random
+    state; ``"zero"`` sets ``F = 0`` (lam = 0); ``"subnormal"`` scales ``F``
+    so that lam is subnormal; ``"tie"`` sets ``F = 0`` and ``d[0] = 0``, so
+    element 0 meets a zero direction at every step (the tie break)."""
+    channels = random_channelset(rng)
+    h_eff, precoder, noise = random_state(rng)
+    combiner = mmse_combiner(h_eff, precoder, noise)
+    weight = weight_matrix(mse_matrix(h_eff, precoder, noise))
+    factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+    if kind == "subnormal":
+        factor = factor * (1e-156 / np.linalg.norm(factor))
+    elif kind in ("zero", "tie"):
+        factor = np.zeros_like(factor)
+    if kind == "tie":
+        lin[0] = 0.0
+    return random_unit_modulus(channels.n_ris, rng), factor, lin
+
+
+def stacked_problem(seed, kinds, objective):
+    """``(phi0, F, d)`` stacked over one :func:`stacked_row` per kind."""
+    rng = np.random.default_rng(seed)
+    return tuple(np.stack(column) for column in zip(*(stacked_row(rng, kind, objective) for kind in kinds)))
+
+
+# (seed, kinds, objective) of stacks that mix scaled rows with the unscaled branches
+MIXED_STACKS = (
+    (5, ["scaled", "zero", "scaled", "subnormal", "tie"], "rate"),
+    (6, ["scaled", "tie", "scaled", "scaled", "zero"], "jcas"),
+)
+
+
+class TestRisOptimizeStack:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["scaled", "zero", "subnormal", "tie"]), min_size=1, max_size=5),
+        objective=st.sampled_from(["jcas", "rate"]),
+        max_iter=st.sampled_from([0, 1, optimizer.MAX_RIS_ITER]),
+    )
+    @example(seed=5, kinds=MIXED_STACKS[0][1], objective=MIXED_STACKS[0][2], max_iter=optimizer.MAX_RIS_ITER)
+    @example(seed=6, kinds=MIXED_STACKS[1][1], objective=MIXED_STACKS[1][2], max_iter=optimizer.MAX_RIS_ITER)
+    def test_stack_equals_rows_alone(self, seed, kinds, objective, max_iter):
+        """A stacked call gives each row the bits of its 2-D call, whichever
+        step each row stops at and whichever branch its step size takes."""
+        phi0, factor, lin = stacked_problem(seed, kinds, objective)
+        before = phi0.copy()
+        phases, runs = ris_optimize(phi0, factor, lin, max_iter=max_iter)
+        assert phases.shape == phi0.shape and len(runs) == len(kinds)
+        assert not np.shares_memory(phases, phi0)
+        assert np.array_equal(phi0, before)
+        for row, (p, f, d) in enumerate(zip(phi0, factor, lin)):
+            alone, values = ris_optimize(p, f, d, max_iter=max_iter)
+            assert phases[row].tobytes() == alone.tobytes(), (row, kinds[row])
+            assert runs[row].tobytes() == values.tobytes(), (row, kinds[row])
+
+    @pytest.mark.parametrize("seed, kinds, objective", MIXED_STACKS)
+    def test_mixed_stacks_stop_at_different_steps(self, seed, kinds, objective):
+        # the explicit examples above hold rows that stop on their own
+        _, runs = ris_optimize(*stacked_problem(seed, kinds, objective))
+        assert len({len(values) for values in runs}) >= 2, [len(values) for values in runs]
+
+
 class TestJcasConfig:
     @pytest.mark.parametrize(
         "value, name",
@@ -1077,6 +1163,26 @@ class TestLockstep:
             jcas_optimize(scene, channels, jcas, coeffs)
         assert err.value.achieved > err.value.threshold == config.crb_threshold
 
+    def test_one_solver_call_per_step(self, monkeypatch):
+        # every row of the stack goes to the phase solver in one call
+        calls = []
+
+        def recording(phi0, factor, linear, *args):
+            calls.append(np.shape(factor))
+            return ris_optimize(phi0, factor, linear, *args)
+
+        monkeypatch.setattr(optimizer, "ris_optimize", recording)
+        config = ExperimentConfig(scheme="ris_comm_only", seeds=4, max_outer=10)
+        built = [build_cell(config, seed_index, 10.0) for seed_index in range(4)]
+        state = optimizer._Lockstep([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+        rows = []
+        while len(state.cells) and state.iteration < config.max_outer:
+            rows.append(len(state.cells))
+            state.step()
+            assert len(calls) == len(rows)
+        assert [shape[0] for shape in calls] == rows and rows[0] == 4
+        assert all(len(shape) == 3 for shape in calls)
+
     def test_cells_must_share_solver_options(self, small_scene, small_channels):
         coeffs = PathCoefficients.random(1)
         cells = [(small_scene, small_channels, JcasConfig(seed=seed, max_outer=2), coeffs) for seed in (1, 2)]
@@ -1164,8 +1270,10 @@ class TestJcasOptimize:
             return counted
 
         def recording_ris(*args, **kwargs):
+            # one solver call per outer iteration, on the one-row stack
             phi, values = ris_optimize(*args, **kwargs)
-            proposals.append(phi)
+            (proposal,) = phi
+            proposals.append(proposal)
             return phi, values
 
         def recording_precoder(*args, **kwargs):
@@ -1286,8 +1394,9 @@ class TestJcasOptimize:
         calls = []
 
         def recording(*args, **kwargs):
+            # the outer loop passes a stack of problems: one row per cell
             phi, values = ris_optimize(*args, **kwargs)
-            calls.append((np.shape(args[1]), values))
+            calls.extend((np.shape(factor), row) for factor, row in zip(args[1], values))
             return phi, values
 
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
