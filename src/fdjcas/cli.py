@@ -51,7 +51,7 @@ def _base_config(args) -> ExperimentConfig:
 
 
 def _cell(args, config: ExperimentConfig):
-    """SNR, scene, channels, coefficients and solver options of the cell
+    """SNR, scene, channels, solver options and coefficients of the cell
     that ``--seed`` and ``--snr-db`` name."""
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_crb(args) -> int:
-    snr, scene, channels, coeffs, jcas = _cell(args, _base_config(args))
+    snr, scene, channels, jcas, coeffs = _cell(args, _base_config(args))
     if not args.optimize:
         # zero outer iterations leave the design at its initial point
         jcas = dataclasses.replace(jcas, max_outer=0)
@@ -88,7 +88,7 @@ def _cmd_crb(args) -> int:
 def _cmd_estimate(args) -> int:
     config = _base_config(args)
     require_noise_subspace(config, "for estimate")  # whatever the scheme and mse_trials
-    _, scene, channels, coeffs, jcas = _cell(args, config)
+    _, scene, channels, jcas, coeffs = _cell(args, config)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
     (estimate,) = estimate_angles(config, scene, channels, coeffs, result, [config.root_seed])
     error = estimate - scene.target_angle

@@ -116,7 +116,10 @@ class ExperimentConfig:
         # NaN fails the comparison too; +inf means no sensing constraint
         if not self.crb_threshold > 0.0:
             raise ConfigError("crb_threshold must be positive (inf disables it)")
-        for name in ("power_budget", "grid_resolution", "wavelength", "outer_tol"):
+        for name in (
+            "power_budget", "grid_resolution", "wavelength", "outer_tol", "user_range", "target_range",
+            "bs_ris_distance",
+        ):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         for name in (
@@ -132,8 +135,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.n_streams > self.n_bs_tx:
             raise ConfigError(f"n_streams {self.n_streams} exceeds n_bs_tx {self.n_bs_tx}")
-        if self.mse_trials > 0 and scheme_flags(self.scheme)[1]:
+        sensing = scheme_flags(self.scheme)[1]
+        if sensing and self.mse_trials > 0:
             require_noise_subspace(self, "for a sensing scheme with mse_trials > 0")
+        # the design first checks its bound in outer iteration 1
+        if sensing and math.isfinite(self.crb_threshold) and self.max_outer < 1:
+            raise ConfigError("max_outer must be >= 1 for a sensing scheme with a finite crb_threshold")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ConfigError("snr_grid_db must be sorted ascending")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -185,9 +192,13 @@ def scheme_flags(scheme: str):
 
 def require_noise_subspace(config: ExperimentConfig, use: str) -> None:
     """Raise a ConfigError unless MUSIC has a noise subspace, that is
-    ``n_streams`` below ``n_bs_rx``; ``use`` ends the message."""
+    ``n_streams`` below ``n_bs_rx``, and a sample covariance that spans the
+    signal subspace, that is at least ``n_streams`` snapshots; ``use`` ends
+    the message."""
     if config.n_streams >= config.n_bs_rx:
         raise ConfigError(f"n_streams {config.n_streams} must be below n_bs_rx {config.n_bs_rx} {use}")
+    if config.snapshots < config.n_streams:
+        raise ConfigError(f"snapshots {config.snapshots} must be at least n_streams {config.n_streams} {use}")
 
 
 def _channel_set(config: ExperimentConfig, scene, seed, snr_db: float, links=None):
@@ -237,7 +248,7 @@ def _jcas_config(config: ExperimentConfig, seed: int) -> JcasConfig:
 
 
 def build_cell(config: ExperimentConfig, seed_index: int, snr_db: float):
-    """Scene, channels, coefficients and solver options for one grid cell.
+    """Scene, channels, solver options and coefficients of one grid cell, the order :func:`jcas_optimize` takes.
 
     The target angle is drawn per seed from the 50 m circle; channel and
     phase randomness derive from (root_seed, seed_index) streams so a cell
@@ -269,7 +280,7 @@ def _build_cells(config: ExperimentConfig, cells) -> list:
             ris_mag=config.ris_path_mag,
         )
         jcas = _jcas_config(config, int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31)))
-        built.append((scene, channels, coeffs, jcas))
+        built.append((scene, channels, jcas, coeffs))
     return built
 
 
@@ -277,7 +288,7 @@ def _run_cells(config: ExperimentConfig, cells) -> list:
     """Optimize ``(seed_index, snr_db)`` cells as one lockstep batch; a
     metrics dict per cell, or None where the cell is infeasible."""
     built = _build_cells(config, cells)
-    results = jcas_optimize_batch([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+    results = jcas_optimize_batch(built)
     return [
         None if result is None else _cell_metrics(config, seed_index, cell, result)
         for (seed_index, _), cell, result in zip(cells, built, results)
@@ -286,7 +297,7 @@ def _run_cells(config: ExperimentConfig, cells) -> list:
 
 def _cell_metrics(config: ExperimentConfig, seed_index: int, cell, result) -> dict:
     """The metrics of one optimized cell, with its MUSIC trials when sensing."""
-    scene, channels, coeffs, jcas = cell
+    scene, channels, jcas, coeffs = cell
     metrics = {
         "rate_bps_hz": result.trace.rate_bps_hz[-1],
         "si_power": result.trace.si_power[-1],

@@ -615,8 +615,9 @@ class _Lockstep:
 
     Every array of the state holds the cells still running along its
     leading axis, and ``cells`` maps each row to the cell's position in
-    the batch.  A cell leaves the stack when its merit stalls, when its
-    angle bound is infeasible (its outcome is then the error), or at
+    the batch.  A cell moves to a new phase through :meth:`_move`, and
+    leaves the stack through :meth:`_finish` when its merit stalls, when
+    its angle bound is infeasible (its outcome is then the error), or at
     ``max_outer``; ``outcomes`` holds what each cell ended with.  The
     stacked stages give every cell the bits it gets alone, so a cell's
     result does not depend on its batch-mates.  The phase solver gets the
@@ -640,34 +641,37 @@ class _Lockstep:
         self.links = _Links(*(np.stack([getattr(ch, name) for ch in channels]) for name in _Links._fields))
         self.noise_user = np.array([ch.noise_user for ch in channels])[:, None, None]
         if config.ris_enabled:
-            self.phi = np.stack(
+            phi = np.stack(
                 [np.exp(2j * np.pi * np.random.default_rng([c.seed, 0]).random(ch.n_ris)) for c, ch in zip(configs, channels)]
             )
         else:
-            self.phi = np.zeros((len(cells), channels[0].n_ris), dtype=complex)
-        self.deriv = self.noise_cov = None
-        if self.sensing:
-            self.deriv, self.noise_cov = self._sensing_context(self.cells)
-        leak = si_channel(self.links, self.phi) if self.sensing else None
-        self.terms = self._phase_terms(effective_channel(self.links, self.phi), leak, self.cells)
+            phi = np.zeros((len(cells), channels[0].n_ris), dtype=complex)
+        # the first move sets every row, so there is nothing to keep
+        self.phi = self.deriv = self.noise_cov = None
+        self.terms = _PhaseTerms(None, None, None, None)
+        leak = si_channel(self.links, phi) if self.sensing else None
+        self._move(slice(None), phi, effective_channel(self.links, phi), leak)
         self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
         zero = np.zeros(len(cells))
         evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
         self.merit = self._record(self.precoder, evaluated, zero, zero)
 
-    def _sensing_context(self, rows):
-        """Stacked response derivative and radar noise covariance of ``rows`` at their phase."""
-        contexts = [
-            build_sensing_context(self.scenes[cell], self.phi[row], self.coeffs[cell], self.noise_radar[cell])
-            for row, cell in zip(np.arange(len(self.cells))[rows].tolist(), self.cells[rows].tolist())
-        ]
-        return np.stack([c.path_response_deriv for c in contexts]), np.stack([c.noise_cov for c in contexts])
-
-    def _phase_terms(self, h_eff, leak, rows):
-        # the Fisher core comes from the sensing context as it is at the call
-        if not self.constrain:
-            return _phase_terms(h_eff, leak)
-        return _phase_terms(h_eff, leak, self.deriv[rows], self.noise_cov[rows])
+    def _move(self, rows, phi, h_eff, leak):
+        """Move ``rows`` (a list, or ``slice(None)`` for every row) to their
+        phase in ``phi`` and rebuild what depends on it: the sensing
+        context, and the phase terms from ``h_eff`` and ``leak``, the
+        channels the caller computed at ``phi``."""
+        self.phi = _put_rows(self.phi, rows, phi[rows])
+        if self.sensing:
+            contexts = [
+                build_sensing_context(self.scenes[cell], p, self.coeffs[cell], self.noise_radar[cell])
+                for p, cell in zip(self.phi[rows], self.cells[rows].tolist())
+            ]
+            self.deriv = _put_rows(self.deriv, rows, np.stack([c.path_response_deriv for c in contexts]))
+            self.noise_cov = _put_rows(self.noise_cov, rows, np.stack([c.noise_cov for c in contexts]))
+        fisher_args = (self.deriv[rows], self.noise_cov[rows]) if self.constrain else ()
+        new = _phase_terms(h_eff[rows], None if leak is None else leak[rows], *fisher_args)
+        self.terms = _PhaseTerms(*(None if v is None else _put_rows(old, rows, v) for old, v in zip(self.terms, new)))
 
     def _record(self, precoder, evaluated, lam0, mu):
         objective, rate, si_power = evaluated
@@ -677,22 +681,20 @@ class _Lockstep:
             self.traces[cell].append(self.iteration, *row)
         return objective
 
-    def _leave(self, stopped):
-        """Drop the ``stopped`` rows from every stacked array of the state."""
+    def _finish(self, stopped):
+        """Drop the ``stopped`` rows from every stacked array of the state,
+        each with a JcasResult unless it has an outcome (a bound's error)."""
+        for row in np.flatnonzero(stopped).tolist():
+            cell = self.cells[row]
+            if self.outcomes[cell] is None:
+                self.outcomes[cell] = JcasResult(self.precoder[row].copy(), self.phi[row].copy(), self.traces[cell])
         keep = ~stopped
-        self.cells, self.phi, self.precoder, self.merit, self.noise_user = (
-            a[keep] for a in (self.cells, self.phi, self.precoder, self.merit, self.noise_user)
+        self.cells, self.phi, self.precoder, self.merit, self.noise_user, self.deriv, self.noise_cov = (
+            None if a is None else a[keep]
+            for a in (self.cells, self.phi, self.precoder, self.merit, self.noise_user, self.deriv, self.noise_cov)
         )
         self.links = _Links(*(a[keep] for a in self.links))
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
-        if self.sensing:
-            self.deriv, self.noise_cov = self.deriv[keep], self.noise_cov[keep]
-
-    def _finish(self, stopped):
-        for row in np.flatnonzero(stopped):
-            cell = self.cells[row]
-            self.outcomes[cell] = JcasResult(self.precoder[row].copy(), self.phi[row].copy(), self.traces[cell])
-        self._leave(stopped)
 
     def step(self):
         """One outer iteration of every cell in the stack: combiner,
@@ -718,7 +720,7 @@ class _Lockstep:
                 self.outcomes[cell] = CrbInfeasibleError(
                     value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
                 )
-            self._leave(infeasible)
+            self._finish(infeasible)
             if not len(self.cells):
                 return
             keep = ~infeasible
@@ -735,7 +737,7 @@ class _Lockstep:
             if rows:
                 if len(rows) == len(candidate):
                     rows = slice(None)
-                self._accept(rows, candidate, h_eff, leak)
+                self._move(rows, candidate, h_eff, leak)
                 evaluated = tuple(_put_rows(old, rows, new[rows]) for old, new in zip(evaluated, proposed))
         self.precoder = precoder
         merit = self._record(precoder, evaluated, lam0, mu)
@@ -746,19 +748,6 @@ class _Lockstep:
         self.merit = merit
         if any(stalled):
             self._finish(np.array(stalled))
-
-    def _accept(self, rows, candidate, h_eff, leak):
-        """Move ``rows`` (a list, or ``slice(None)`` for every row) to their
-        proposed phase and rebuild what depends on it, from the channels
-        computed for the proposal."""
-        self.phi = _put_rows(self.phi, rows, candidate[rows])
-        if self.sensing:
-            deriv, noise_cov = self._sensing_context(rows)
-            self.deriv, self.noise_cov = _put_rows(self.deriv, rows, deriv), _put_rows(self.noise_cov, rows, noise_cov)
-        new = self._phase_terms(h_eff[rows], None if leak is None else leak[rows], rows)
-        self.terms = _PhaseTerms(
-            *(None if old is None else _put_rows(old, rows, value) for old, value in zip(self.terms, new))
-        )
 
     def run(self) -> list:
         """Step until every cell has stopped; returns ``outcomes``."""

@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdjcas.channels import build_channel_set
 from fdjcas.geometry import build_scene
+
+# pytest imports fdjcas from ``src`` (``pythonpath`` in pyproject.toml); the
+# tests that run ``python -m fdjcas`` in a subprocess get the same sources
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ def test_crb_at_initial_point(capsys, config_path, seed, snr_db):
     printed = _printed(capsys, argv)
     config = ExperimentConfig(**SMALL)
     snr = config.snr_grid_db[0] if snr_db is None else snr_db
-    scene, channels, coeffs, jcas = build_cell(config, seed, snr)
+    scene, channels, jcas, coeffs = build_cell(config, seed, snr)
     start = jcas_optimize(scene, channels, dataclasses.replace(jcas, max_outer=0), coeffs=coeffs)
     expected = _bound(scene, channels, coeffs, start.precoder, start.ris_phase)
     assert printed == {
@@ -88,7 +88,7 @@ def test_crb_at_initial_point(capsys, config_path, seed, snr_db):
 def test_crb_at_optimized_point(capsys, config_path):
     printed = _printed(capsys, ["crb", str(config_path), "--optimize"])
     config = ExperimentConfig(**SMALL)
-    scene, channels, coeffs, jcas = build_cell(config, 0, 10.0)
+    scene, channels, jcas, coeffs = build_cell(config, 0, 10.0)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
     expected = _bound(scene, channels, coeffs, result.precoder, result.ris_phase)
     assert printed["crb_rad2"] == repr(expected)
@@ -109,7 +109,7 @@ def test_crb_of_comm_only_design_has_no_bound(capsys, tmp_path, scheme, optimize
 def test_estimate_uses_root_seed_snapshots(capsys, config_path):
     printed = _printed(capsys, ["estimate", str(config_path), "--seed", "1"])
     config = ExperimentConfig(**SMALL)
-    scene, channels, coeffs, jcas = build_cell(config, 1, 10.0)
+    scene, channels, jcas, coeffs = build_cell(config, 1, 10.0)
     result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
     (batch,) = simulate_snapshots(
         scene, channels, result.precoder, result.ris_phase, coeffs, config.snapshots,
@@ -142,6 +142,46 @@ def test_estimate_without_noise_subspace_is_a_config_error(
     assert err.startswith("config error")
     assert "n_streams" in err
     assert optimized == []
+
+
+@pytest.mark.parametrize("mse_trials", [0, 4])
+@pytest.mark.parametrize("scheme", ["ris_with_sensing", "ris_comm_only"])
+def test_estimate_with_fewer_snapshots_than_streams_is_a_config_error(
+    capsys, tmp_path, monkeypatch, scheme, mse_trials
+):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "snapshots": 1, "scheme": scheme, "mse_trials": mse_trials}))
+    optimized = []
+    monkeypatch.setattr(cli, "jcas_optimize", lambda *a, **k: optimized.append(a))
+    assert cli.main(["estimate", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: snapshots 1 must be at least n_streams 2")
+    assert optimized == []
+
+
+@pytest.mark.parametrize(
+    "key, value, scheme",
+    [
+        ("user_range", 0.0, "ris_comm_only"),
+        ("user_range", -80.0, "ris_comm_only"),
+        ("target_range", 0.0, "ris_with_sensing"),
+        ("target_range", -5.0, "ris_with_sensing"),
+        ("bs_ris_distance", 0.0, "ris_comm_only"),
+        ("snapshots", 1, "ris_with_sensing"),
+        ("max_outer", 0, "ris_with_sensing"),
+    ],
+)
+def test_run_rejects_a_setting_before_any_cell(capsys, monkeypatch, tmp_path, key, value, scheme):
+    def no_cells(config):
+        raise AssertionError("a cell ran before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_scheme", no_cells)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**SMALL, "scheme": scheme, key: value}))
+    assert cli.main(["run", str(path), "--trials", "2", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["crb", "estimate"])

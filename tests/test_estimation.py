@@ -41,7 +41,7 @@ def ris_design():
         seeds=2, snr_grid_db=[10.0], crb_threshold=0.05, snapshots=16,
         grid_resolution=5e-3, mse_trials=0,
     )
-    scene, channels, coeffs, jcas = build_cell(config, 1, 10.0)
+    scene, channels, jcas, coeffs = build_cell(config, 1, 10.0)
     result = jcas_optimize(scene, channels, dataclasses.replace(jcas, max_outer=3), coeffs=coeffs)
     return config, scene, channels, coeffs, result
 
@@ -303,6 +303,15 @@ class TestMonteCarlo:
         optimized = []
         monkeypatch.setattr(experiments, "jcas_optimize", lambda *a, **k: optimized.append(a))
         with pytest.raises(ConfigError, match="n_streams"):
+            monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
+        assert optimized == []
+
+    def test_fewer_snapshots_than_streams_rejected_before_optimizing(self, monkeypatch):
+        # a one-snapshot sample covariance cannot span two signal directions
+        config = self._config(scheme="ris_comm_only", snapshots=1, mse_trials=2, snr_grid_db=[10.0])
+        optimized = []
+        monkeypatch.setattr(experiments, "jcas_optimize", lambda *a, **k: optimized.append(a))
+        with pytest.raises(ConfigError, match="snapshots 1 must be at least n_streams 2"):
             monte_carlo_mse(config, self.ANGLE, PathCoefficients.random(3))
         assert optimized == []
 

@@ -106,6 +106,16 @@ class TestConfig:
             ("output_dir", ""),
             ("output_dir", 5),
             ("output_dir", ["a"]),
+            # distances of the scene, which mirrors a negative user range
+            ("user_range", 0.0),
+            ("user_range", -80.0),
+            ("target_range", 0.0),
+            ("target_range", -5.0),
+            ("bs_ris_distance", 0.0),
+            # MUSIC needs at least n_streams snapshots when the MSE column is on
+            ("snapshots", 1),
+            # a sensing scheme first checks its bound in outer iteration 1
+            ("max_outer", 0),
         ],
     )
     def test_bad_values_rejected(self, field, value):
@@ -124,6 +134,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**{field: value})
         assert str(err.value) == message
+
+    def test_max_outer_zero_without_an_enforced_bound(self):
+        for scheme in ("ris_comm_only", "no_ris_comm_only"):
+            assert ExperimentConfig(scheme=scheme, max_outer=0).max_outer == 0
+        assert ExperimentConfig(crb_threshold=math.inf, max_outer=0).max_outer == 0
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(scheme="no_ris_with_sensing", max_outer=0)
+        assert str(err.value) == "max_outer must be >= 1 for a sensing scheme with a finite crb_threshold"
 
     def test_streams_up_to_receive_array_without_music(self):
         assert ExperimentConfig(n_streams=10, scheme="ris_comm_only").n_streams == 10
@@ -221,7 +239,7 @@ class TestRunScheme:
         )
         rates, crbs, sq_errors = [], [], []
         for seed_index in range(2):
-            scene, channels, coeffs, jcas = build_cell(config, seed_index, 10.0)
+            scene, channels, jcas, coeffs = build_cell(config, seed_index, 10.0)
             result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
             rates.append(result.trace.rate_bps_hz[-1])
             crbs.append(result.trace.crb[-1])
@@ -382,11 +400,11 @@ def separate_cell(config, seed_index, snr_db):
         [config.root_seed, seed_index, 3], direct_mag=config.direct_path_mag, ris_mag=config.ris_path_mag
     )
     seed = int(np.random.default_rng([config.root_seed, seed_index, 4]).integers(2**31))
-    return scene, channels, coeffs, experiments._jcas_config(config, seed)
+    return scene, channels, experiments._jcas_config(config, seed), coeffs
 
 
 def assert_same_cell(got, expected):
-    """Scene, channels, coefficients and solver options equal bit for bit."""
+    """Scene, channels, solver options and coefficients equal bit for bit."""
 
     def exact(value):
         # repr keeps the type: ``fdjcas crb`` prints the target angle's repr
@@ -410,7 +428,7 @@ class TestBuildCell:
     def test_all_schemes_produce_runnable_cells(self):
         for scheme in SCHEMES:
             config = ExperimentConfig(scheme=scheme, **{**FAST, "crb_threshold": 0.05})
-            scene, channels, coeffs, jcas = build_cell(config, 0, 10.0)
+            scene, channels, jcas, coeffs = build_cell(config, 0, 10.0)
             assert (jcas.ris_enabled, jcas.sensing_enabled) == scheme_flags(scheme)
             assert jcas.crb_threshold == config.crb_threshold
 
@@ -439,7 +457,7 @@ class TestBuildCell:
     @pytest.mark.parametrize("seed_index", [0, 1])
     def test_no_ris_equals_zeroed_surface_links(self, scheme, seed_index):
         config = ExperimentConfig(scheme=scheme, **{**FAST, "crb_threshold": 0.05})
-        scene, channels, coeffs, jcas = build_cell(config, seed_index, 10.0)
+        scene, channels, jcas, coeffs = build_cell(config, seed_index, 10.0)
         zero = np.zeros_like
         bare = dataclasses.replace(
             channels,

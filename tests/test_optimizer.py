@@ -907,7 +907,7 @@ def reference_phase_problem(objective, snr_db, seed_index, zero_state=False):
     point of :func:`jcas_optimize`; with ``zero_state`` the precoder,
     combiner and weight are zero."""
     scheme = "ris_with_sensing" if objective == "jcas" else "ris_comm_only"
-    _, channels, _, jcas = build_cell(ExperimentConfig(scheme=scheme, seeds=2), seed_index, snr_db)
+    _, channels, jcas, _ = build_cell(ExperimentConfig(scheme=scheme, seeds=2), seed_index, snr_db)
     phi = random_unit_modulus(channels.n_ris, np.random.default_rng([jcas.seed, 0]))
     h_eff = effective_channel(channels, phi)
     precoder = dominant_precoder(h_eff, jcas.n_streams, jcas.power_budget)
@@ -1114,9 +1114,9 @@ def assert_batch_matches_cells_alone(scheme, cells, max_outer):
     bit; returns each cell's end: converged, capped or infeasible."""
     config = ExperimentConfig(scheme=scheme, seeds=6, max_outer=max_outer)
     built = [build_cell(config, seed_index, snr_db) for seed_index, snr_db in cells]
-    batch = jcas_optimize_batch([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+    batch = jcas_optimize_batch(built)
     ends = []
-    for cell, (scene, channels, coeffs, jcas), result in zip(cells, built, batch):
+    for cell, (scene, channels, jcas, coeffs), result in zip(cells, built, batch):
         try:
             alone = jcas_optimize(scene, channels, jcas, coeffs)
         except CrbInfeasibleError:
@@ -1158,7 +1158,7 @@ class TestLockstep:
         assert ends == ["converged", "infeasible", "converged"]
         # alone, the cell raises with the outer iteration it failed at
         config = ExperimentConfig(scheme="ris_with_sensing", seeds=3, max_outer=10)
-        scene, channels, coeffs, jcas = build_cell(config, 1, 0.0)
+        scene, channels, jcas, coeffs = build_cell(config, 1, 0.0)
         with pytest.raises(CrbInfeasibleError, match=r"^outer iteration 1: CRB constraint infeasible") as err:
             jcas_optimize(scene, channels, jcas, coeffs)
         assert err.value.achieved > err.value.threshold == config.crb_threshold
@@ -1174,7 +1174,7 @@ class TestLockstep:
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
         config = ExperimentConfig(scheme="ris_comm_only", seeds=4, max_outer=10)
         built = [build_cell(config, seed_index, 10.0) for seed_index in range(4)]
-        state = optimizer._Lockstep([(scene, channels, jcas, coeffs) for scene, channels, coeffs, jcas in built])
+        state = optimizer._Lockstep(built)
         rows = []
         while len(state.cells) and state.iteration < config.max_outer:
             rows.append(len(state.cells))
@@ -1291,7 +1291,7 @@ class TestJcasOptimize:
             # the guard never accepts a sensing phase on the small scene; at
             # 0 dB, seed index 2, it accepts one within the first iterations
             config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=10)
-            scene, channels, coeffs, jcas = build_cell(config, 2, 0.0)
+            scene, channels, jcas, coeffs = build_cell(config, 2, 0.0)
         else:
             scene, channels, coeffs = small_scene, small_channels, PathCoefficients.random(7)
             # a finite threshold the cell meets, so the sensing schemes are constrained
@@ -1337,7 +1337,7 @@ class TestJcasOptimize:
                 # at 0 dB the sensing bound is infeasible at seed index 1, and
                 # the guard accepts a sensing phase at seed index 2
                 for seed_index in (1, 2):
-                    scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
+                    scene, channels, jcas, coeffs = build_cell(config, seed_index, snr_db)
                     try:
                         jcas_optimize(scene, channels, jcas, coeffs)
                     except CrbInfeasibleError:
@@ -1384,7 +1384,7 @@ class TestJcasOptimize:
             config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=max_outer)
             for snr_db in (0.0, 30.0):
                 for seed_index in (0, 2):
-                    scene, channels, coeffs, jcas = build_cell(config, seed_index, snr_db)
+                    scene, channels, jcas, coeffs = build_cell(config, seed_index, snr_db)
                     jcas_optimize(scene, channels, jcas, coeffs)
                     yield (scheme, snr_db, seed_index), jcas
 
