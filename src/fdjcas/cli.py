@@ -31,20 +31,17 @@ EXIT_RUNTIME = 2
 def _base_config(args) -> ExperimentConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     config = load_config(path) if path else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "scheme", None):
-        overrides["scheme"] = args.scheme
+    # ``run`` stores each of these flags under its configuration key
+    overrides = {
+        key: getattr(args, key)
+        for key in ("scheme", "seeds", "mse_trials", "output_dir")
+        if getattr(args, key, None) is not None
+    }
     if getattr(args, "snr", None) is not None:
         try:
             overrides["snr_grid_db"] = tuple(float(s) for s in args.snr.split(","))
         except ValueError as err:
             raise ConfigError(f"--snr must be comma-separated numbers: {err}") from err
-    if getattr(args, "seeds", None) is not None:
-        overrides["seeds"] = args.seeds
-    if getattr(args, "trials", None) is not None:
-        overrides["mse_trials"] = args.trials
-    if getattr(args, "out", None) is not None:
-        overrides["output_dir"] = args.out
     if overrides:
         config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
     return config
@@ -110,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", choices=SCHEMES)
     run.add_argument("--snr", help="comma-separated SNR grid in dB, e.g. 0,5,10")
     run.add_argument("--seeds", type=int)
-    run.add_argument("--trials", type=int, help="Monte-Carlo trials for the MSE column")
-    run.add_argument("--out", help="output directory")
+    trials_help = "Monte-Carlo trials for the MSE column, split over the seeds: max(1, TRIALS // SEEDS) per cell"
+    run.add_argument("--trials", type=int, dest="mse_trials", metavar="TRIALS", help=trials_help)
+    run.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     run.set_defaults(func=_cmd_run)
 
     crb = sub.add_parser("crb", help="print the angle bound for a configured scene")

@@ -162,7 +162,8 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(flat) - known
         if unknown:
-            raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+            # keys of mixed types (``1:`` and ``bogus:``) do not compare, their strings do
+            raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}")
         try:
             return cls(**flat)
         except TypeError as err:
@@ -174,7 +175,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as err:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if data is None:
         data = {}

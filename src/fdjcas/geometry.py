@@ -271,17 +271,16 @@ def ris_phase_derivatives(scene: Scene) -> np.ndarray:
     """d/dtheta of every RIS path-length term at the scene's target angle.
 
     Differentiates the composition of the angle extraction with the
-    path-length map as the target moves along its range circle.
+    path-length map as the target moves along its range circle.  The
+    angles themselves are :func:`ris_angles_of_target`'s.
     """
-    ref = scene.ris_positions[0]
-    v = scene.target_position - ref
+    angles = ris_angles_of_target(scene)
+    v = scene.target_position - scene.ris_positions[0]
     dv = scene.target_range * np.array(
         [-np.sin(scene.target_angle), 0.0, np.cos(scene.target_angle)]
     )
     r2 = float(np.linalg.norm(v))
     r_plane = float(np.hypot(v[0], v[2]))
-    if r2 <= 0.0 or r_plane <= 0.0:
-        raise InfeasibleGeometryError("degenerate RIS/target placement")
     dr2 = float(v @ dv) / r2
     dr_plane = (v[0] * dv[0] + v[2] * dv[2]) / r_plane
 
@@ -293,8 +292,7 @@ def ris_phase_derivatives(scene: Scene) -> np.ndarray:
         raise InfeasibleGeometryError(
             "target aligned with a RIS axis; angle derivatives are singular"
         )
-    elevation = np.arccos(clamp_arc_argument(g, "elevation arccos"))
-    azimuth = np.arcsin(clamp_arc_argument(s, "azimuth arcsin"))
+    elevation, azimuth = angles.elevation, angles.azimuth
     d_elevation = -dg / np.sqrt(1.0 - g * g)
     d_azimuth = ds / np.sqrt(1.0 - s * s)
 

@@ -65,6 +65,11 @@ class IterationTrace:
     raw weighted-MSE snapshot equals the constant ``n_streams/ln 2`` at the
     tight weight, so only the rate-equivalent form is comparable across
     weight updates.
+
+    ``mu_k`` is 0.0 on every recorded row: the precoder update's sensing
+    multiplier is 0 or inf, and a cell at inf leaves the lockstep stack
+    before its row is recorded.  The column stays for the trace schema
+    until the multiplier gets a value (ROADMAP item 2).
     """
 
     iteration: list = field(default_factory=list)
@@ -286,24 +291,18 @@ def _solve_power_constrained(core, rhs, power_budget):
     total = row_power.sum(axis=-1)
     kept = evals > np.maximum(evals[:, -1:], 1.0) * 1e-12
     # a row sums its own number of null-space entries, so one at a time
-    null_power = [np.add.reduce(power[~row]) for power, row in zip(row_power, kept)]
+    null_power = np.array([np.add.reduce(power[~row]) for power, row in zip(row_power, kept)])
     precoder = evecs @ (np.where(kept, 1.0, 0.0)[..., None] * rotated / np.where(kept, evals, 1.0)[..., None])
-    zero, bisect = [], []
-    for row, (power, null, fit) in enumerate(
-        zip(total.tolist(), null_power, np.sum(np.abs(precoder) ** 2, axis=(-2, -1)).tolist())
-    ):
-        if power == 0.0:
-            zero.append(row)
-        elif not (null <= 1e-16 * power and fit <= power_budget):
-            bisect.append(row)
+    fit = np.sum(np.abs(precoder) ** 2, axis=(-2, -1))
+    zero = total == 0.0
+    bisect = ~(zero | ((null_power <= 1e-16 * total) & (fit <= power_budget)))
     # a zero right-hand side gives the zero precoder; a slack row keeps the min-norm one
-    if zero:
-        precoder[zero] = 0.0
+    precoder[zero] = 0.0
     lam = np.zeros(len(core))
-    if bisect:
-        rows = slice(None) if len(bisect) == len(core) else bisect
-        lam[rows] = _bisect_power(evals[rows], row_power[rows], power_budget)
-        precoder[rows] = evecs[rows] @ (rotated[rows] / (evals[rows] + lam[rows, None])[..., None])
+    if bisect.any():
+        binding_evals = evals[bisect]
+        lam[bisect] = binding_lam = _bisect_power(binding_evals, row_power[bisect], power_budget)
+        precoder[bisect] = evecs[bisect] @ (rotated[bisect] / (binding_evals + binding_lam[:, None])[..., None])
     return precoder, lam
 
 
@@ -650,17 +649,17 @@ class _Lockstep:
         self.phi = self.deriv = self.noise_cov = None
         self.terms = _PhaseTerms(None, None, None, None)
         leak = si_channel(self.links, phi) if self.sensing else None
-        self._move(slice(None), phi, effective_channel(self.links, phi), leak)
+        self._move(np.ones(len(cells), dtype=bool), phi, effective_channel(self.links, phi), leak)
         self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
         zero = np.zeros(len(cells))
         evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
         self.merit = self._record(self.precoder, evaluated, zero, zero)
 
     def _move(self, rows, phi, h_eff, leak):
-        """Move ``rows`` (a list, or ``slice(None)`` for every row) to their
-        phase in ``phi`` and rebuild what depends on it: the sensing
-        context, and the phase terms from ``h_eff`` and ``leak``, the
-        channels the caller computed at ``phi``."""
+        """Move the rows that the mask ``rows`` selects to their phase in
+        ``phi`` and rebuild what depends on it: the sensing context, and
+        the phase terms from ``h_eff`` and ``leak``, the channels the
+        caller computed at ``phi``."""
         self.phi = _put_rows(self.phi, rows, phi[rows])
         if self.sensing:
             contexts = [
@@ -713,8 +712,8 @@ class _Lockstep:
             include_si=self.sensing,
             phase_terms=terms,
         )
-        if math.inf in mu.tolist():
-            infeasible = mu == math.inf
+        infeasible = mu == math.inf
+        if infeasible.any():
             achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
             for cell, value in zip(self.cells[infeasible], achieved.tolist()):
                 self.outcomes[cell] = CrbInfeasibleError(
@@ -733,21 +732,16 @@ class _Lockstep:
             h_eff = effective_channel(self.links, candidate)
             leak = si_channel(self.links, candidate) if self.sensing else None
             proposed = _evaluate(precoder, h_eff, leak, noise)
-            rows = [row for row, (new, old) in enumerate(zip(proposed[0].tolist(), evaluated[0].tolist())) if new <= old]
-            if rows:
-                if len(rows) == len(candidate):
-                    rows = slice(None)
-                self._move(rows, candidate, h_eff, leak)
-                evaluated = tuple(_put_rows(old, rows, new[rows]) for old, new in zip(evaluated, proposed))
+            accept = proposed[0] <= evaluated[0]
+            if accept.any():
+                self._move(accept, candidate, h_eff, leak)
+                evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
         self.precoder = precoder
         merit = self._record(precoder, evaluated, lam0, mu)
-        stalled = [
-            abs(now - before) <= config.outer_tol * max(abs(before), 1e-300)
-            for now, before in zip(merit.tolist(), self.merit.tolist())
-        ]
+        stalled = np.abs(merit - self.merit) <= config.outer_tol * np.maximum(np.abs(self.merit), 1e-300)
         self.merit = merit
-        if any(stalled):
-            self._finish(np.array(stalled))
+        if stalled.any():
+            self._finish(stalled)
 
     def run(self) -> list:
         """Step until every cell has stopped; returns ``outcomes``."""
@@ -758,9 +752,9 @@ class _Lockstep:
 
 
 def _put_rows(stack, rows, values):
-    """``stack`` with ``rows`` replaced by ``values``, as a new array;
-    ``values`` itself when ``rows`` is every row."""
-    if rows == slice(None):
+    """``stack`` with the rows that the mask ``rows`` selects replaced by
+    ``values``, as a new array; ``values`` itself when it takes every row."""
+    if rows.all():
         return values
     out = stack.copy()
     out[rows] = values

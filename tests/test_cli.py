@@ -204,6 +204,22 @@ def test_residual_si_mode_key_is_gone(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"1: 2\nbogus: 3\n", "unknown configuration keys: [1, 'bogus']"),
+        (b"seeds: 2  # \xff\n", "can't decode byte 0xff"),
+    ],
+)
+def test_malformed_config_file_is_a_config_error(capsys, tmp_path, text, message):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("snr_grid_db", ["abc"]),

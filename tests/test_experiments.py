@@ -196,6 +196,14 @@ class TestConfig:
         path.write_text("bogus_key: 1\n")
         with pytest.raises(ConfigError):
             load_config(path)
+        # keys of mixed types are reported, not compared
+        path.write_text("1: 2\nbogus: 3\n")
+        with pytest.raises(ConfigError, match=r"unknown configuration keys: \[1, 'bogus'\]"):
+            load_config(path)
+        # a file that is not UTF-8 names the undecodable byte
+        path.write_bytes(b"seeds: 2  # \xff\n")
+        with pytest.raises(ConfigError, match="can't decode byte 0xff"):
+            load_config(path)
 
     def test_scheme_flags(self):
         assert scheme_flags("ris_with_sensing") == (True, True)

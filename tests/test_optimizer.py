@@ -366,6 +366,30 @@ class TestSolvePowerConstrained:
         assert lam > 0.0
         assert abs(float(np.sum(np.abs(v) ** 2)) - budget) < 1e-6 * budget
 
+    def test_stack_of_mixed_rows_gives_each_row_its_own_bits(self):
+        def scaled(rank, power, seed):
+            """A problem whose min-norm solution has the given power."""
+            core, rhs = self.problem(rank, seed=seed)
+            free = np.linalg.pinv(core, rcond=1e-10, hermitian=True) @ rhs
+            return core, rhs * np.sqrt(power / np.sum(np.abs(free) ** 2))
+
+        zero_core, rhs = self.problem(rank=6, seed=1)
+        kinds = {
+            "zero": (zero_core, np.zeros_like(rhs)),
+            "slack full rank": scaled(6, 0.5, seed=2),
+            "slack rank 3": scaled(3, 0.5, seed=3),
+            "binding full rank": scaled(6, 4.0, seed=4),
+            "binding rank 3": scaled(3, 4.0, seed=5),
+        }
+        order = ["binding rank 3", "zero", "slack full rank", "binding full rank", "slack rank 3"]
+        cores, rhss = (np.stack(column) for column in zip(*(kinds[kind] for kind in order)))
+        precoders, lams = optimizer._solve_power_constrained(cores, rhss, 1.0)
+        for kind, core, rhs, v, lam in zip(order, cores, rhss, precoders, lams):
+            (alone,), (lam_alone,) = optimizer._solve_power_constrained(core[None], rhs[None], 1.0)
+            assert (lam > 0.0) == kind.startswith("binding"), kind
+            assert lam.tobytes() == lam_alone.tobytes(), kind
+            assert v.tobytes() == alone.tobytes(), kind
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
