@@ -1,5 +1,5 @@
 """Alternating transceiver design: weighted-MMSE combiner/weights, the
-power-constrained precoder (power-multiplier bisection) with its
+power-constrained precoder (a Newton solve of the power multiplier) with its
 angle-bound feasibility check, the majorization-minimization
 phase-profile solver, and the outer loop tying them together, run in
 lockstep over a stack of cells.  The stages of the
@@ -24,11 +24,8 @@ LN2 = math.log(2.0)
 # MM phase solver: relative objective tolerance and step cap per call
 RIS_TOL = 1e-5
 MAX_RIS_ITER = 500
-# power-multiplier bisection: relative tolerance of the power match, step cap
-BISECT_TOL = 1e-6
-MAX_BISECT = 200
-# power bisection steps evaluated per probe call (a tree of 2**levels - 1 midpoints)
-PROBE_LEVELS = 3
+# power multiplier: relative tolerance of the power match
+POWER_TOL = 1e-13
 
 RIS_OBJECTIVE_JCAS = "jcas"
 RIS_OBJECTIVE_RATE = "rate"
@@ -65,11 +62,6 @@ class IterationTrace:
     raw weighted-MSE snapshot equals the constant ``n_streams/ln 2`` at the
     tight weight, so only the rate-equivalent form is comparable across
     weight updates.
-
-    ``mu_k`` is 0.0 on every recorded row: the precoder update's sensing
-    multiplier is 0 or inf, and a cell at inf leaves the lockstep stack
-    before its row is recorded.  The column stays for the trace schema
-    until the multiplier gets a value (ROADMAP item 2).
     """
 
     iteration: list = field(default_factory=list)
@@ -78,16 +70,14 @@ class IterationTrace:
     si_power: list = field(default_factory=list)
     crb: list = field(default_factory=list)
     lambda0: list = field(default_factory=list)
-    mu_k: list = field(default_factory=list)
 
-    def append(self, iteration, objective, rate, si_power, crb, lambda0, mu):
+    def append(self, iteration, objective, rate, si_power, crb, lambda0):
         self.iteration.append(int(iteration))
         self.objective.append(float(objective))
         self.rate_bps_hz.append(float(rate))
         self.si_power.append(float(si_power))
         self.crb.append(float(crb))
         self.lambda0.append(float(lambda0))
-        self.mu_k.append(float(mu))
 
     def __len__(self) -> int:
         return len(self.iteration)
@@ -196,82 +186,31 @@ def dl_rate(h_eff, precoder, noise_user):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def _probe_power(lam, evals, row_power, out):
-    """Precoder power ``np.sum(row_power / (evals + lam) ** 2, axis=-1)``
-    at the power multiplier ``lam`` (a column, one per row, for a stack),
-    computed in the buffer ``out`` with the same operations in the same
-    order, so bit for bit the same value."""
-    np.add(evals, lam, out=out)
-    np.square(out, out=out)
-    np.divide(row_power, out, out=out)
-    return np.add.reduce(out, axis=-1)
+def _power_multiplier(evals, row_power, power_budget) -> np.ndarray:
+    """Power multiplier ``lam`` of each row, where the precoder power
+    ``P(lam) = sum_i row_power_i / (evals_i + lam) ** 2`` meets the budget
+    ``P``: Newton's method on the secular equation
+    ``psi(lam) = P(lam) ** -0.5 - P ** -0.5`` (Hebden 1973; More and
+    Sorensen 1983).
 
-
-def _bisection_mids(lo, hi) -> list:
-    """Midpoints of the next ``PROBE_LEVELS`` bisection steps from the
-    bracket (lo, hi), breadth first: node k bisects its interval, node
-    2k + 1 the upper half and node 2k + 2 the lower half."""
-    bounds, mids = [(lo, hi)], []
-    for node in range(2**PROBE_LEVELS - 1):
-        a, b = bounds[node]
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        bounds += ((mid, b), (a, mid))
-    return mids
-
-
-def _bisect_power(evals, row_power, power_budget) -> np.ndarray:
-    """Power multiplier of each row whose min-norm solution exceeds the
-    budget: the first of 1, 2, 4, ... (at most ``2**200``) whose power is
-    below the budget bounds it, then bisection from zero stops when the
-    power matches the budget to the relative tolerance, or at the upper
-    end after ``MAX_BISECT`` steps.
-
-    Each row's bracket stops moving once its own test passes.  One probe
-    call evaluates ``2**PROBE_LEVELS - 1`` multipliers of every row: the
-    next doublings, or the tree of midpoints the next ``PROBE_LEVELS``
-    bisection steps can reach.  Walking the tree takes exactly the steps,
-    and so the bits, of probing one multiplier at a time.
+    Each row starts at ``max(0, max_i(sqrt(row_power_i / P) - evals_i))``,
+    where no term exceeds the budget.  ``psi`` is concave and increasing,
+    so every Newton step rises toward the root without passing it.  A row
+    stops when its power matches the budget to ``POWER_TOL`` relative, or
+    when its multiplier stops rising (a row whose power already fits at
+    zero keeps zero).  Every row is computed on every pass and only the
+    live ones move, so a row gets the bits it gets alone.
     """
-    n_rows, width = len(evals), 2**PROBE_LEVELS - 1
-    tree = np.empty((n_rows, width, evals.shape[-1]))
-    evals, row_power = evals[:, None], row_power[:, None]
-    hi, growing, first = [1.0] * n_rows, range(n_rows), 0
-    while growing:
-        lams = [2.0 ** (first + k) for k in range(width)]
-        powers = _probe_power(np.array(lams)[:, None], evals, row_power, tree).tolist()
-        still = []
-        for i in growing:
-            for k, power in enumerate(powers[i]):
-                if first + k == 200 or not power >= power_budget:
-                    hi[i] = lams[k]
-                    break
-            else:
-                still.append(i)
-        growing, first = still, first + width
-    lo, live = [0.0] * n_rows, range(n_rows)
-    tol = BISECT_TOL * power_budget
-    for start in range(0, MAX_BISECT, PROBE_LEVELS):
-        mids = [_bisection_mids(a, b) for a, b in zip(lo, hi)]
-        powers = _probe_power(np.array(mids)[..., None], evals, row_power, tree).tolist()
-        still = []
-        for i in live:
-            node, mid, power = 0, mids[i], powers[i]
-            for _ in range(min(PROBE_LEVELS, MAX_BISECT - start)):
-                if abs(power[node] - power_budget) < tol:
-                    hi[i] = mid[node]
-                    break
-                if power[node] > power_budget:
-                    lo[i], node = mid[node], 2 * node + 1
-                else:
-                    hi[i], node = mid[node], 2 * node + 2
-            else:
-                still.append(i)
-        live = still
-        if not live:
-            break
-    # a row that meets the tolerance ends at that midpoint, any other at its upper end
-    return np.array(hi)
+    lam = np.maximum(0.0, np.max(np.sqrt(row_power / power_budget) - evals, axis=-1))
+    live = np.ones(len(lam), dtype=bool)
+    while live.any():
+        shifted = evals + lam[:, None]
+        terms = row_power / shifted**2
+        power = terms.sum(axis=-1)
+        moved = lam + power * (np.sqrt(power / power_budget) - 1.0) / (terms / shifted).sum(axis=-1)
+        live &= (np.abs(power - power_budget) > POWER_TOL * power_budget) & (moved > lam)
+        lam = np.where(live, moved, lam)
+    return lam
 
 
 def _solve_power_constrained(core, rhs, power_budget):
@@ -280,9 +219,10 @@ def _solve_power_constrained(core, rhs, power_budget):
     Takes a stack of problems along a leading axis and returns arrays
     (precoder, lambda0), one entry per problem.  The multiplier stays
     exactly zero when the unconstrained (min-norm) solution already fits
-    the budget (complementary slackness); otherwise it is bisected until
-    the power matches the budget to the relative tolerance.  The normal equations
-    are diagonalized once so each multiplier probe is closed-form.
+    the budget (complementary slackness); otherwise
+    :func:`_power_multiplier` solves for it until the power matches the
+    budget.  The normal equations are diagonalized once, so the power at
+    any multiplier is closed-form.
     """
     # ``eigh`` reads one triangle, and ``precoder_update``'s cores are Hermitian to the bit
     evals, evecs = np.linalg.eigh(core)
@@ -290,19 +230,19 @@ def _solve_power_constrained(core, rhs, power_budget):
     row_power = np.sum(np.abs(rotated) ** 2, axis=-1)
     total = row_power.sum(axis=-1)
     kept = evals > np.maximum(evals[:, -1:], 1.0) * 1e-12
-    # a row sums its own number of null-space entries, so one at a time
-    null_power = np.array([np.add.reduce(power[~row]) for power, row in zip(row_power, kept)])
+    null_power = np.where(kept, 0.0, row_power).sum(axis=-1)
     precoder = evecs @ (np.where(kept, 1.0, 0.0)[..., None] * rotated / np.where(kept, evals, 1.0)[..., None])
     fit = np.sum(np.abs(precoder) ** 2, axis=(-2, -1))
     zero = total == 0.0
-    bisect = ~(zero | ((null_power <= 1e-16 * total) & (fit <= power_budget)))
+    binding = ~(zero | ((null_power <= 1e-16 * total) & (fit <= power_budget)))
     # a zero right-hand side gives the zero precoder; a slack row keeps the min-norm one
     precoder[zero] = 0.0
     lam = np.zeros(len(core))
-    if bisect.any():
-        binding_evals = evals[bisect]
-        lam[bisect] = binding_lam = _bisect_power(binding_evals, row_power[bisect], power_budget)
-        precoder[bisect] = evecs[bisect] @ (rotated[bisect] / (binding_evals + binding_lam[:, None])[..., None])
+    if binding.any():
+        # a direction without power drops out of every sum, whatever its eigenvalue
+        binding_evals = np.where(row_power[binding] > 0.0, evals[binding], math.inf)
+        lam[binding] = found = _power_multiplier(binding_evals, row_power[binding], power_budget)
+        precoder[binding] = evecs[binding] @ (rotated[binding] / (binding_evals + found[:, None])[..., None])
     return precoder, lam
 
 
@@ -353,7 +293,7 @@ def precoder_update(
     its threshold is finite.
 
     The stationary solution is a regularized normal-equations solve whose
-    power multiplier is found by bisection (zero when slack).  The sensing
+    power multiplier is found by Newton's method (zero when slack).  The sensing
     multiplier ``mu`` stays zero: entering the core as ``gram + 2 mu F``,
     it would penalize the Fisher information ``g(V) = tr(V^H F V)``.  If
     ``V_mu`` minimizes the surrogate plus ``2 mu g`` over the power ball,
@@ -651,9 +591,8 @@ class _Lockstep:
         leak = si_channel(self.links, phi) if self.sensing else None
         self._move(np.ones(len(cells), dtype=bool), phi, effective_channel(self.links, phi), leak)
         self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
-        zero = np.zeros(len(cells))
         evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
-        self.merit = self._record(self.precoder, evaluated, zero, zero)
+        self.merit = self._record(self.precoder, evaluated, np.zeros(len(cells)))
 
     def _move(self, rows, phi, h_eff, leak):
         """Move the rows that the mask ``rows`` selects to their phase in
@@ -672,10 +611,10 @@ class _Lockstep:
         new = _phase_terms(h_eff[rows], None if leak is None else leak[rows], *fisher_args)
         self.terms = _PhaseTerms(*(None if v is None else _put_rows(old, rows, v) for old, v in zip(self.terms, new)))
 
-    def _record(self, precoder, evaluated, lam0, mu):
+    def _record(self, precoder, evaluated, lam0):
         objective, rate, si_power = evaluated
         crb = aoa_crb(precoder, self.deriv, self.noise_cov).tolist() if self.sensing else [math.nan] * len(rate)
-        rows = zip(self.cells.tolist(), objective.tolist(), rate.tolist(), si_power.tolist(), crb, lam0.tolist(), mu.tolist())
+        rows = zip(self.cells.tolist(), objective.tolist(), rate.tolist(), si_power.tolist(), crb, lam0.tolist())
         for cell, *row in rows:
             self.traces[cell].append(self.iteration, *row)
         return objective
@@ -723,7 +662,7 @@ class _Lockstep:
             if not len(self.cells):
                 return
             keep = ~infeasible
-            combiner, weight, precoder, lam0, mu = (a[keep] for a in (combiner, weight, precoder, lam0, mu))
+            combiner, weight, precoder, lam0 = (a[keep] for a in (combiner, weight, precoder, lam0))
             terms, noise = self.terms, self.noise_user
         evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise)
         if config.ris_enabled:
@@ -737,7 +676,7 @@ class _Lockstep:
                 self._move(accept, candidate, h_eff, leak)
                 evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
         self.precoder = precoder
-        merit = self._record(precoder, evaluated, lam0, mu)
+        merit = self._record(precoder, evaluated, lam0)
         stalled = np.abs(merit - self.merit) <= config.outer_tol * np.maximum(np.abs(self.merit), 1e-300)
         self.merit = merit
         if stalled.any():
@@ -770,16 +709,17 @@ def jcas_optimize(
     """Run the alternating design until the objective stalls.
 
     Each outer iteration updates the combiner, the stream weights, the
-    precoder (power bisection, then the bound check), and finally the
-    phase profile, after which the radar response derivative is refreshed
-    since it depends on the profile.  A phase proposal from the inner solver is kept only
-    when it does not increase the recorded objective: the phase quadratics
-    penalize through-combiner signal power alongside the interference, so
-    an unguarded step can undo precoder progress once the interference is
-    small.  Without the surface the profile stays zero, so every reflected
-    channel and echo term vanishes.  The trace records the end-of-iteration
-    objective, rate, interference power, bound value and multipliers; row
-    zero is the initialized state.  Infeasibility of the sensing constraint
+    precoder (a Newton solve of the power multiplier, then the bound
+    check), and finally the phase profile, after which the radar response
+    derivative is refreshed since it depends on the profile.  A phase
+    proposal from the inner solver is kept only when it does not increase
+    the recorded objective: the phase quadratics penalize through-combiner
+    signal power alongside the interference, so an unguarded step can undo
+    precoder progress once the interference is small.  Without the surface
+    the profile stays zero, so every reflected channel and echo term
+    vanishes.  The trace records the end-of-iteration objective, rate,
+    interference power, bound value and power multiplier; row zero is the
+    initialized state.  Infeasibility of the sensing constraint
     raises CrbInfeasibleError with the iteration index attached.
 
     What depends only on the phase profile (the effective channel, the SI

@@ -480,7 +480,7 @@ class TestBuildCell:
         expected = jcas_optimize(scene, bare, jcas, direct_only)
         assert np.all(result.ris_phase == 0.0)
         assert np.array_equal(result.precoder, expected.precoder)
-        for name in ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0", "mu_k"):
+        for name in ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0"):
             np.testing.assert_array_equal(
                 getattr(result.trace, name), getattr(expected.trace, name), err_msg=name
             )
