@@ -458,6 +458,61 @@ class TestSolvePowerConstrained:
             # one term on a zero eigenvalue: the root is sqrt(row power / budget)
             assert lams.tolist() == pytest.approx(np.sqrt(row_power[:, 0] / budget).tolist(), rel=1e-15)
 
+    @staticmethod
+    def one_probe_at_a_time(evals, row_power, budget):
+        """The Newton multiplier of one row, probing the power with the plain
+        expression one value at a time: the reference the stacked solve must
+        match bit for bit."""
+        lam = max(0.0, float(np.max(np.sqrt(row_power / budget) - evals)))
+        while True:
+            shifted = evals + lam
+            terms = row_power / shifted**2
+            power = float(np.sum(terms))
+            moved = lam + power * (math.sqrt(power / budget) - 1.0) / float(np.sum(terms / shifted))
+            if abs(power - budget) <= optimizer.POWER_TOL * budget or not moved > lam:
+                return lam
+            lam = moved
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        log_lam=st.floats(-12.0, 12.0),
+        log_scale=st.floats(-8.0, 8.0),
+    )
+    def test_buffered_probe_matches_expression_bit_for_bit(self, seed, n, log_lam, log_scale):
+        # long rows (pairwise summation in blocks) over wide scales, with the
+        # budget set to the plain expression's power at a known multiplier
+        rng = np.random.default_rng(seed)
+        evals = np.sort(rng.exponential(10.0**log_scale, n))
+        evals[: rng.integers(0, n + 1)] = 0.0  # a rank-deficient core
+        row_power = rng.exponential(1.0, n)
+        target = 10.0**log_lam
+        budget = float(np.sum(row_power / (evals + target) ** 2))
+        (lam,) = optimizer._power_multiplier(evals[None], row_power[None], budget).tolist()
+        assert lam.hex() == self.one_probe_at_a_time(evals, row_power, budget).hex()
+        assert abs(float(np.sum(row_power / (evals + lam) ** 2)) - budget) <= 1e-13 * budget
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        n=st.integers(1, 20),
+        log_power=st.floats(-150.0, 8.0),
+        log_budget=st.floats(-4.0, 4.0),
+    )
+    @example(seed=0, rows=1, n=1, log_power=-100.0, log_budget=0.0)
+    @example(seed=1, rows=2, n=1, log_power=-140.0, log_budget=0.0)
+    def test_tree_walk_matches_one_probe_at_a_time(self, seed, rows, n, log_power, log_budget):
+        # the masked walk over a stack moves each row as the row moves alone
+        rng = np.random.default_rng(seed)
+        evals = np.sort(rng.exponential(1.0, (rows, n)), axis=1)
+        evals[:, : rng.integers(0, n + 1)] = 0.0  # rank-deficient cores
+        row_power = 10.0**log_power * rng.exponential(1.0, (rows, n))
+        budget = 10.0**log_budget
+        expected = [self.one_probe_at_a_time(e, r, budget) for e, r in zip(evals, row_power)]
+        assert optimizer._power_multiplier(evals, row_power, budget).tolist() == expected
+
 
 class TestRisQuadratics:
     def test_zero_precoder_and_weight(self, small_channels):
