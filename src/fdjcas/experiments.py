@@ -270,7 +270,7 @@ def _build_cells(config: ExperimentConfig, cells) -> list:
     for seed_index, snr_db in cells:
         angle = np.random.default_rng([config.root_seed, seed_index, 1]).uniform(-np.pi / 2, np.pi / 2)
         if built:
-            scene = dataclasses.replace(built[0][0], target_angle=angle)
+            scene = built[0][0].with_target_angle(angle)
             links = built[0][1]
         else:
             scene, links = _scene(config, angle), None

@@ -9,7 +9,7 @@ all lengths are meters.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +80,7 @@ class Scene:
             raise ValueError("bs_ris_distance must be positive")
         if self.target_range <= 0.0:
             raise ValueError("target_range must be positive")
-        if not -np.pi / 2 <= self.target_angle <= np.pi / 2:
-            raise ValueError("target_angle must lie in [-pi/2, pi/2]")
+        _check_target_angle(self.target_angle)
         if self.wavelength <= 0.0 or self.spacing <= 0.0:
             raise ValueError("wavelength and spacing must be positive")
         if self.ris_positions.shape[0] != self.ris_rows * self.ris_cols:
@@ -110,13 +109,25 @@ class Scene:
         )
 
     def with_target_angle(self, angle: float) -> "Scene":
-        """Same scene with the target moved along its range circle."""
-        return dataclasses.replace(self, target_angle=float(angle))
+        """Same scene with the target moved along its range circle.
+
+        Only the new angle is checked: no position moves, and this scene's
+        were checked when it was built.  The position arrays are shared."""
+        angle = float(angle)
+        _check_target_angle(angle)
+        moved = copy.copy(self)
+        object.__setattr__(moved, "target_angle", angle)
+        return moved
 
     def ris_offsets(self) -> np.ndarray:
         """(n_ris, 2) per-element [x, z] displacement from the first element."""
         rel = self.ris_positions - self.ris_positions[0]
         return rel[:, [0, 2]]
+
+
+def _check_target_angle(angle):
+    if not -np.pi / 2 <= angle <= np.pi / 2:
+        raise ValueError("target_angle must lie in [-pi/2, pi/2]")
 
 
 def _check_ula_spacing(positions, spacing, name):

@@ -1,6 +1,7 @@
 """Alternating transceiver design: weighted-MMSE combiner/weights, the
 power-constrained precoder (a Newton solve of the power multiplier) with its
-angle-bound feasibility check, the majorization-minimization
+angle-bound feasibility check, the water-filled precoder of the
+communication-only schemes, the majorization-minimization
 phase-profile solver, and the outer loop tying them together, run in
 lockstep over a stack of cells.  The stages of the
 outer loop take a stack of cells along a leading axis, with one noise
@@ -246,6 +247,40 @@ def _solve_power_constrained(core, rhs, power_budget):
     return precoder, lam
 
 
+def waterfill_precoder(h_eff, noise_user, n_streams: int, power_budget: float):
+    """Rate-optimal precoder of the communication-only schemes: the
+    point-to-point MIMO capacity under the power budget (Telatar 1999).
+
+    One SVD ``h_eff = U diag(s) V^H`` per cell; the top ``n_streams``
+    right singular vectors carry water-filled powers
+    ``p_i = max(0, level - noise_user / s_i**2)`` summing to the budget,
+    and the precoder is ``V[:, :n_streams] diag(sqrt(p))``, so its rate is
+    ``sum_i log2(1 + s_i**2 p_i / noise_user)``.  A mode below the water
+    level gets exactly zero power, which leaves a zero column: ``n_streams``
+    is an upper bound on the streams carried, and columns beyond the
+    channel's rank are zero too.  A zero channel gives the zero precoder.
+
+    Takes a stack of channels with ``noise_user`` shaped ``(n_cells, 1, 1)``
+    and returns arrays (precoder, lambda0); ``lambda0 = 1 / (ln 2 level)``
+    is the multiplier of the power budget for the rate in bits/s/Hz.
+    """
+    _, svals, vh = np.linalg.svd(h_eff, full_matrices=False)
+    modes = min(n_streams, svals.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the noise-to-gain floor of each mode, strongest first; inf for a zero mode
+        floor = noise_user[:, :, 0] / svals[:, :modes] ** 2
+        # the level with the top k + 1 modes on, and whether mode k is then above it
+        levels = (power_budget + np.cumsum(floor, axis=-1)) / np.arange(1, modes + 1)
+        on = np.logical_and.accumulate(levels > floor, axis=-1)
+        count = on.sum(axis=-1)
+        level = np.take_along_axis(levels, np.maximum(count - 1, 0)[:, None], axis=-1)
+        power = np.where(on, level - floor, 0.0)
+    precoder = np.zeros(h_eff.shape[:-2] + (h_eff.shape[-1], n_streams), dtype=complex)
+    precoder[..., :modes] = _ct(vh[:, :modes]) * np.sqrt(power)[:, None, :]
+    # a zero channel's level is inf, and its multiplier 0
+    return precoder, 1.0 / (LN2 * level[:, 0])
+
+
 def _bound(precoder, fisher) -> np.ndarray:
     """Single-snapshot angle bound ``1 / (2 Re tr(V^H F V))`` of each
     design of a stack, inf where the information is not finite and
@@ -284,7 +319,6 @@ def precoder_update(
     crb_threshold: float = math.inf,
     path_response_deriv=None,
     noise_cov=None,
-    include_si: bool = True,
     *,
     phase_terms: _PhaseTerms | None = None,
 ):
@@ -305,8 +339,8 @@ def precoder_update(
 
     ``phase_terms`` is the phase profile's channel terms that
     :func:`jcas_optimize` keeps from one outer iteration to the next: the
-    effective channel, the SI channel and its Gram when ``include_si``,
-    and the Fisher core when the threshold is finite.  Given, it replaces
+    effective channel, the SI channel and its Gram, and the Fisher core
+    when the threshold is finite.  Given, it replaces
     ``channels``, ``phi``, ``path_response_deriv`` and ``noise_cov``;
     otherwise the terms are built from those arguments.  Both ways give
     bit-identical results.
@@ -325,7 +359,7 @@ def precoder_update(
             raise ValueError("CRB constraint requires the response derivative and noise covariance")
         phase_terms = _phase_terms(
             effective_channel(channels, phi),
-            si_channel(channels, phi) if include_si else None,
+            si_channel(channels, phi),
             *((path_response_deriv, noise_cov) if constrain else ()),
         )
     single = np.ndim(combiner) == 2
@@ -335,10 +369,7 @@ def precoder_update(
     h_eff = phase_terms.h_eff
     rhs = _ct(h_eff) @ _ct(combiner) @ weight
     fh = combiner @ h_eff
-    gram = _ct(fh) @ weight @ fh
-    if include_si:
-        gram = gram + phase_terms.leak_gram
-    gram = _herm(gram)
+    gram = _herm(_ct(fh) @ weight @ fh + phase_terms.leak_gram)
 
     precoder, lam = _solve_power_constrained(gram, rhs, power_budget)
     mu = np.zeros(len(gram))
@@ -635,35 +666,45 @@ class _Lockstep:
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
 
     def step(self):
-        """One outer iteration of every cell in the stack: combiner,
-        weights, precoder, then a guarded phase proposal and the record."""
+        """One outer iteration of every cell in the stack: the precoder,
+        then a guarded phase proposal and the record.
+
+        A sensing cell updates the combiner and weights, then the WMMSE
+        precoder with its bound check.  A communication-only cell takes the
+        exact water-filled precoder at its phase, and the combiner and
+        weights at that precoder only build the ``"rate"`` phase form."""
         self.iteration += 1
         config, terms, noise = self.config, self.terms, self.noise_user
-        combiner = mmse_combiner(terms.h_eff, self.precoder, noise)
-        weight = weight_matrix(mse_matrix(terms.h_eff, self.precoder, noise))
-        precoder, lam0, mu = precoder_update(
-            combiner,
-            weight,
-            self.links,
-            self.phi,
-            config.power_budget,
-            crb_threshold=config.enforced_crb_threshold,
-            include_si=self.sensing,
-            phase_terms=terms,
-        )
-        infeasible = mu == math.inf
-        if infeasible.any():
-            achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
-            for cell, value in zip(self.cells[infeasible], achieved.tolist()):
-                self.outcomes[cell] = CrbInfeasibleError(
-                    value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
-                )
-            self._finish(infeasible)
-            if not len(self.cells):
-                return
-            keep = ~infeasible
-            combiner, weight, precoder, lam0 = (a[keep] for a in (combiner, weight, precoder, lam0))
-            terms, noise = self.terms, self.noise_user
+        if not self.sensing:
+            precoder, lam0 = waterfill_precoder(terms.h_eff, noise, config.n_streams, config.power_budget)
+            if config.ris_enabled:
+                combiner = mmse_combiner(terms.h_eff, precoder, noise)
+                weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
+        else:
+            combiner = mmse_combiner(terms.h_eff, self.precoder, noise)
+            weight = weight_matrix(mse_matrix(terms.h_eff, self.precoder, noise))
+            precoder, lam0, mu = precoder_update(
+                combiner,
+                weight,
+                self.links,
+                self.phi,
+                config.power_budget,
+                crb_threshold=config.enforced_crb_threshold,
+                phase_terms=terms,
+            )
+            infeasible = mu == math.inf
+            if infeasible.any():
+                achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
+                for cell, value in zip(self.cells[infeasible], achieved.tolist()):
+                    self.outcomes[cell] = CrbInfeasibleError(
+                        value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
+                    )
+                self._finish(infeasible)
+                if not len(self.cells):
+                    return
+                keep = ~infeasible
+                combiner, weight, precoder, lam0 = (a[keep] for a in (combiner, weight, precoder, lam0))
+                terms, noise = self.terms, self.noise_user
         evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise)
         if config.ris_enabled:
             factor, lin = ris_quadratics(precoder, combiner, weight, self.links, objective=self.objective)
@@ -710,7 +751,8 @@ def jcas_optimize(
 
     Each outer iteration updates the combiner, the stream weights, the
     precoder (a Newton solve of the power multiplier, then the bound
-    check), and finally the phase profile, after which the radar response
+    check; without sensing, the exact water-filled precoder at the
+    phase), and finally the phase profile, after which the radar response
     derivative is refreshed since it depends on the profile.  A phase
     proposal from the inner solver is kept only when it does not increase
     the recorded objective: the phase quadratics penalize through-combiner

@@ -190,6 +190,23 @@ class TestScene:
             reference_scene.target_range
         )
 
+    @pytest.mark.parametrize("angle", [2.0, -1.6, np.nan])
+    def test_with_target_angle_rejects_an_angle_off_the_half_circle(self, reference_scene, angle):
+        with pytest.raises(ValueError, match="target_angle must lie in"):
+            reference_scene.with_target_angle(angle)
+
+    def test_with_target_angle_equals_a_rebuilt_scene(self, reference_scene):
+        moved = reference_scene.with_target_angle(np.float64(-0.25))
+        rebuilt = dataclasses.replace(reference_scene, target_angle=-0.25)
+        for field in dataclasses.fields(Scene):
+            got, expected = getattr(moved, field.name), getattr(rebuilt, field.name)
+            if isinstance(got, np.ndarray):
+                got, expected = got.tobytes(), expected.tobytes()
+            assert repr(got) == repr(expected), field.name
+        # only the angle moved: the checked positions are shared, not copied
+        assert moved.ris_positions is reference_scene.ris_positions
+        assert reference_scene.target_angle == np.deg2rad(20.0)
+
     def test_angles_finite_validation(self):
         with pytest.raises(InfeasibleGeometryError):
             RisAngles(np.nan, 0.0)

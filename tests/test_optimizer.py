@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from fdjcas.optimizer import (
     ris_optimize,
     ris_quadratics,
     si_channel,
+    waterfill_precoder,
     weight_matrix,
 )
 from fdjcas.steering import PathCoefficients, build_sensing_context
@@ -512,6 +514,66 @@ class TestSolvePowerConstrained:
         budget = 10.0**log_budget
         expected = [self.one_probe_at_a_time(e, r, budget) for e, r in zip(evals, row_power)]
         assert optimizer._power_multiplier(evals, row_power, budget).tolist() == expected
+
+
+class TestWaterfillPrecoder:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_user=st.integers(1, 6),
+        n_tx=st.integers(1, 8),
+        streams=st.integers(1, 8),
+        log_noise=st.floats(-3.0, 2.0),
+        log_budget=st.floats(-1.0, 1.0),
+    )
+    def test_exact_rate_under_the_budget(self, seed, n_user, n_tx, streams, log_noise, log_budget):
+        rng = np.random.default_rng(seed)
+        streams = min(streams, n_tx)
+        noise, budget = 10.0**log_noise, 10.0**log_budget
+        # no SI links, so the WMMSE update solves the same rate problem
+        channels = random_channelset(rng, n_user=n_user, n_tx=n_tx, n_ris=5)
+        channels = dataclasses.replace(
+            channels, ris_to_bs=np.zeros_like(channels.ris_to_bs), si_los=np.zeros_like(channels.si_los)
+        )
+        phi = random_unit_modulus(5, rng)
+        h = effective_channel(channels, phi)
+        (v,), (lam,) = waterfill_precoder(h[None], np.full((1, 1, 1), noise), streams, budget)
+        assert v.shape == (n_tx, streams)
+        assert abs(np.sum(np.abs(v) ** 2) - budget) <= 1e-12 * budget
+        gram = v.conj().T @ v
+        assert np.all(np.abs(gram - np.diag(np.diag(gram))) <= 1e-12 * budget)
+        # the rate of each mode, strongest first, at the power of its column
+        gains = np.linalg.svd(h, compute_uv=False)[:streams] ** 2 / noise
+        powers = np.sum(np.abs(v[:, : len(gains)]) ** 2, axis=0)
+        rate = dl_rate(h, v, noise)
+        assert rate == pytest.approx(float(np.sum(np.log2(1.0 + gains * powers))), rel=1e-12, abs=1e-12)
+        assert lam > 0.0
+        start = dominant_precoder(h, streams, budget)
+        combiner = mmse_combiner(h, start, noise)
+        weight = weight_matrix(mse_matrix(h, start, noise))
+        wmmse, _, _ = precoder_update(combiner, weight, channels, phi, budget)
+        assert rate >= dl_rate(h, wmmse, noise) - 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_one_channel_switches_the_second_stream_off(self, seed):
+        rng = np.random.default_rng(seed)
+        h = np.outer(complex_normal(rng, 4), complex_normal(rng, 6))
+        (v,), _ = waterfill_precoder(h[None], np.full((1, 1, 1), 0.01), 2, 1.0)
+        assert np.all(v[:, 1] == 0.0)
+        assert np.sum(np.abs(v[:, 0]) ** 2) == pytest.approx(1.0, rel=1e-12)
+
+    def test_stack_rows_get_their_bits_alone(self):
+        rng = np.random.default_rng(3)
+        h = complex_normal(rng, (4, 3, 6))
+        noise = np.array([0.01, 1.0, 10.0, 100.0])[:, None, None]
+        stacked, lams = waterfill_precoder(h, noise, 2, 1.0)
+        for row in range(len(h)):
+            (v,), (lam,) = waterfill_precoder(h[row : row + 1], noise[row : row + 1], 2, 1.0)
+            assert v.tobytes() == stacked[row].tobytes() and lam == lams[row]
+
+    def test_zero_channel_gives_zero_precoder(self):
+        (v,), (lam,) = waterfill_precoder(np.zeros((1, 3, 4), dtype=complex), np.ones((1, 1, 1)), 2, 1.0)
+        assert not v.any() and lam == 0.0
 
 
 class TestRisQuadratics:
@@ -1342,14 +1404,17 @@ class TestJcasOptimize:
         self, scheme, reference, small_scene, small_channels, monkeypatch
     ):
         counts = dict.fromkeys(("effective_channel", "si_channel", "fisher_core"), 0)
-        proposals, phases = [], []
+        proposals, phases, stages, channels_at = [], [], [], []
 
         def counting(name):
             original = getattr(optimizer, name)
 
             def counted(*args, **kwargs):
                 counts[name] += 1
-                return original(*args, **kwargs)
+                out = original(*args, **kwargs)
+                if name == "effective_channel":
+                    channels_at.append((args[1], out))
+                return out
 
             return counted
 
@@ -1364,12 +1429,21 @@ class TestJcasOptimize:
             # ``jcas_optimize`` runs a batch of one: every stage gets a one-row stack
             (phase,) = args[3]
             phases.append(phase)
+            stages.append("precoder_update")
             return precoder_update(*args, **kwargs)
+
+        def recording_waterfill(h_eff, *args):
+            # the stage reads the effective channel of the phase the loop holds
+            (phase,) = next(phi for phi, h in channels_at if h.tobytes() == h_eff.tobytes())
+            phases.append(phase)
+            stages.append("waterfill_precoder")
+            return waterfill_precoder(h_eff, *args)
 
         for name in counts:
             monkeypatch.setattr(optimizer, name, counting(name))
         monkeypatch.setattr(optimizer, "ris_optimize", recording_ris)
         monkeypatch.setattr(optimizer, "precoder_update", recording_precoder)
+        monkeypatch.setattr(optimizer, "waterfill_precoder", recording_waterfill)
         ris_enabled, sensing = scheme_flags(scheme)
         if reference:
             # the guard never accepts a sensing phase on the small scene; at
@@ -1387,6 +1461,8 @@ class TestJcasOptimize:
         # a proposal was accepted iff the next precoder update (or the result) uses it
         following = phases[1 : len(proposals)] + [result.ris_phase]
         accepted = sum(np.array_equal(p, q) for p, q in zip(proposals, following))
+        # the sensing schemes update the precoder by WMMSE, the others by water-filling
+        assert set(stages) == {"precoder_update" if sensing else "waterfill_precoder"}
         assert len(phases) == len(result.trace) - 1
         assert len(proposals) == (len(phases) if ris_enabled else 0)
         assert accepted > 0 if ris_enabled and (reference or not sensing) else accepted == 0
