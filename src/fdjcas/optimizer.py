@@ -22,9 +22,11 @@ from .geometry import Scene
 from .steering import PathCoefficients, build_sensing_context
 
 LN2 = math.log(2.0)
-# MM phase solver: relative objective tolerance and step cap per call
+# MM phase solver: relative objective tolerance and cap on MM maps per call
 RIS_TOL = 1e-5
-MAX_RIS_ITER = 500
+MAX_RIS_ITER = 56
+# SQUAREM backtracking stops within this distance of alpha = -1 and takes p2
+SQUAREM_ALPHA_SLACK = 0.01
 # power multiplier: relative tolerance of the power match
 POWER_TOL = 1e-13
 
@@ -432,36 +434,51 @@ def mm_step(phi, factor, linear) -> np.ndarray:
 
 def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX_RIS_ITER):
     """Majorization-minimization of ``p^H F F^H p + 2 Re(d^T p)`` over
-    unit-modulus ``p``, stepped until the objective change is small.
+    unit-modulus ``p``, accelerated by SQUAREM and stepped until the
+    objective change of one MM map is small.
 
     Returns (phase profile, array of objective values including the start).
     The stopping rule is relative; it falls back to an absolute comparison
     when the current value is exactly zero.  ``factor`` is ``F``, n x k with
     one row per element, and ``linear`` is ``d``: the two values of
-    :func:`ris_quadratics`.  Each step sets ``q = lam p - M p - conj(d)``,
+    :func:`ris_quadratics`.  Each MM map sets ``q = lam p - M p - conj(d)``,
     with ``lam`` the top eigenvalue of ``M = F F^H`` taken from the k x k
     Gram ``F^H F``, and then ``p = q/|q|``; an element whose ``q`` is
     exactly zero keeps its phase (tie break).
+
+    SQUAREM (Varadhan and Roland 2008; on the unit circle, Song, Babu and
+    Palomar 2015) runs in cycles of two maps ``p0 -> p1 -> p2``.  With
+    ``r = p1 - p0`` and ``v = p2 - 2 p1 + p0``, the S3 step length
+    ``alpha = -|r|/|v|``, clamped to at most -1, gives the point
+    ``p0 - 2 alpha r + alpha**2 v``, projected back by ``x/|x|``.  While
+    its value exceeds that of ``p2``, ``alpha`` halves toward -1
+    (``alpha <- (alpha - 1)/2``); within ``SQUAREM_ALPHA_SLACK`` of -1,
+    which gives ``p2`` itself, the cycle takes ``p2``.  The kept point
+    starts the next cycle.  The stopping rule is tested after every map,
+    against the value of the point the map started from; ``max_iter``
+    caps the maps, and the values hold the start and one value per map,
+    so they never rise.  A run that stops within two maps is plain MM,
+    bit for bit.
 
     A stack of problems, ``phi0`` (rows, n), ``factor`` (rows, n, k) and
     ``linear`` (rows, n), returns the (rows, n) phases and a list of one
     value array per row; each row stops on its own and gets the bits of
     its 2-D call.  The checks, the Grams and their eigenvalues, and the
-    step buffers below are made once for the stack; the steps run one row
+    map buffers below are made once for the stack; the maps run one row
     at a time.
 
-    The n x n ``M`` is never formed.  Each step makes two products: ``[F^H;
+    The n x n ``M`` is never formed.  Each map makes two products: ``[F^H;
     2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
     ``[y; 1]`` is the objective value, and ``[F | conj(d)] / lam`` times
     ``[y; 1]`` gives ``z``, so that ``p - z`` is the MM direction over
     ``lam``, which leaves ``q/|q|`` unchanged.  At ``lam = 0`` (then
     ``F = 0``), or where the scaling overflows (a subnormal ``lam`` or a
     huge ``d``), the second product stays unscaled and ``q = lam p - z``.
-    The steps run in preallocated buffers, and the phase returned is an
-    array of its own; ``phi0`` is not modified.  Raises ValueError for a
-    non-positive ``tol``, a negative ``max_iter``, a factor that is neither
-    2-D nor a 3-D stack or has no column, mismatched lengths, or non-finite
-    inputs.
+    An extrapolated point costs one product, for its value.  The maps run
+    in preallocated buffers, and the phase returned is an array of its
+    own; ``phi0`` is not modified.  Raises ValueError for a non-positive
+    ``tol``, a negative ``max_iter``, a factor that is neither 2-D nor a
+    3-D stack or has no column, mismatched lengths, or non-finite inputs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -509,10 +526,11 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
 
 
 def _mm_steps(phi0, lead, back, lam, tol, max_iter):
-    """The MM steps of :func:`ris_optimize` on one problem: ``lead`` is
-    ``[F^H; 2 d^T]``, and ``back`` is ``[F | conj(d)] / lam`` when ``lam``
-    is None, or ``[F | conj(d)]`` itself with ``lam`` given (the unscaled
-    branch).  Runs under the caller's ``np.errstate``."""
+    """The SQUAREM-accelerated MM maps of :func:`ris_optimize` on one
+    problem: ``lead`` is ``[F^H; 2 d^T]``, and ``back`` is
+    ``[F | conj(d)] / lam`` when ``lam`` is None, or ``[F | conj(d)]``
+    itself with ``lam`` given (the unscaled branch).  Runs under the
+    caller's ``np.errstate``."""
     if lam is None:
         direction = np.subtract
     else:
@@ -528,34 +546,86 @@ def _mm_steps(phi0, lead, back, lam, tol, max_iter):
     head, tail = np.empty(k + 1, dtype=complex), np.ones(k + 1, dtype=complex)
     head_y, tail_y = head[:k], tail[:k]
     head_real, tail_dot = head.view(float), tail.view(float).dot
-    p, x = phi0.copy(), np.empty(n, dtype=complex)
     z, q, mag = np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.zeros(n, dtype=complex)
     mag_real = mag.real
-    absolute, divide, copyto = np.absolute, np.divide, np.copyto
-    lead_dot(p, head)
-    copyto(tail_y, head_y)
-    value = float(tail_dot(head_real))
-    values = [value]
-    for _ in range(max_iter):
+    absolute, divide, copyto, subtract, multiply, add = (
+        np.absolute, np.divide, np.copyto, np.subtract, np.multiply, np.add
+    )
+
+    def evaluate(p):
+        lead_dot(p, head)
+        copyto(tail_y, head_y)
+        return float(tail_dot(head_real))
+
+    def mm_map(p, x):
+        # x = MM(p), given ``tail`` of p; leaves ``tail`` of x
         back_dot(tail, z)
         direction(p, z, q)
         absolute(q, mag_real)
         divide(q, mag, x)
-        lead_dot(x, head)
-        copyto(tail_y, head_y)
-        previous, value = value, float(tail_dot(head_real))
+        value = evaluate(x)
         if value != value:
             copyto(x, p, where=~(mag_real > 0.0))
-            lead_dot(x, head)
-            copyto(tail_y, head_y)
-            value = float(tail_dot(head_real))
-        p, x = x, p
+            value = evaluate(x)
+        return value
+
+    # p0 starts a cycle and p1, p2 are its two maps; the extrapolation's
+    # buffers are made at the first cycle that gets that far
+    p0, p1, p2 = phi0.copy(), np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    ext = None
+    value = evaluate(p0)
+    values = [value]
+    maps = 0
+    while maps < max_iter:
+        start = value
+        value = mm_map(p0, p1)
+        maps += 1
         values.append(value)
-        delta = abs(value - previous)
-        scale = abs(value)
-        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
-            break
-    return p, np.asarray(values)
+        if _stalled(value, start, tol) or maps == max_iter:
+            return p1, np.asarray(values)
+        previous, value = value, mm_map(p1, p2)
+        maps += 1
+        values.append(value)
+        if _stalled(value, previous, tol) or maps == max_iter:
+            return p2, np.asarray(values)
+        if ext is None:
+            # the extrapolated point, the first and second differences, and p2's ``tail``
+            ext, r, v = (np.empty(n, dtype=complex) for _ in range(3))
+            kept = np.empty(k, dtype=complex)
+            r_real, v_real = r.view(float), v.view(float)
+        # S3 step length, then backtrack toward alpha = -1, which is p2 itself
+        subtract(p1, p0, r)
+        subtract(p2, p1, v)
+        subtract(v, r, v)
+        rr, vv = float(r_real.dot(r_real)), float(v_real.dot(v_real))
+        ratio = rr / vv if vv > 0.0 else 1.0
+        # a ratio below 1 clamps to -1, and an infinite one takes p2 too
+        alpha = -math.sqrt(ratio) if 1.0 < ratio < math.inf else -1.0
+        copyto(kept, tail_y)
+        while alpha < -1.0 - SQUAREM_ALPHA_SLACK:
+            multiply(r, -2.0 * alpha, ext)
+            add(ext, p0, ext)
+            multiply(v, alpha * alpha, q)
+            add(ext, q, ext)
+            absolute(ext, mag_real)
+            divide(ext, mag, ext)
+            moved = evaluate(ext)
+            if moved <= value:
+                p0, ext, value = ext, p0, moved
+                break
+            alpha = 0.5 * (alpha - 1.0)
+        else:
+            copyto(tail_y, kept)
+            p0, p2 = p2, p0
+    return p0, np.asarray(values)
+
+
+def _stalled(value, previous, tol) -> bool:
+    """The stop rule of :func:`ris_optimize`: the value changed by at most
+    ``tol`` relative, or absolute at a zero value."""
+    delta = abs(value - previous)
+    scale = abs(value)
+    return (delta <= tol * scale) if scale > 0.0 else (delta <= tol)
 
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
@@ -585,8 +655,8 @@ class _Lockstep:
 
     Every array of the state holds the cells still running along its
     leading axis, and ``cells`` maps each row to the cell's position in
-    the batch.  A cell moves to a new phase through :meth:`_move`, and
-    leaves the stack through :meth:`_finish` when its merit stalls, when
+    the batch.  A cell moves to a new phase through :meth:`_move`, with
+    what :meth:`_stage` built there, and leaves the stack through :meth:`_finish` when its merit stalls, when
     its angle bound is infeasible (its outcome is then the error), or at
     ``max_outer``; ``outcomes`` holds what each cell ended with.  The
     stacked stages give every cell the bits it gets alone, so a cell's
@@ -619,28 +689,76 @@ class _Lockstep:
         # the first move sets every row, so there is nothing to keep
         self.phi = self.deriv = self.noise_cov = None
         self.terms = _PhaseTerms(None, None, None, None)
+        # the rows whose precoder update the guard already made, and that update
+        self.ahead = (np.zeros(len(cells), dtype=bool), ())
+        every = np.ones(len(cells), dtype=bool)
         leak = si_channel(self.links, phi) if self.sensing else None
-        self._move(np.ones(len(cells), dtype=bool), phi, effective_channel(self.links, phi), leak)
+        self._move(every, phi, self._stage(every, phi, effective_channel(self.links, phi), leak))
         self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
         evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
         self.merit = self._record(self.precoder, evaluated, np.zeros(len(cells)))
 
-    def _move(self, rows, phi, h_eff, leak):
-        """Move the rows that the mask ``rows`` selects to their phase in
-        ``phi`` and rebuild what depends on it: the sensing context, and
-        the phase terms from ``h_eff`` and ``leak``, the channels the
-        caller computed at ``phi``."""
-        self.phi = _put_rows(self.phi, rows, phi[rows])
+    def _stage(self, rows, phi, h_eff, leak):
+        """What depends on the phase, for the rows that the mask ``rows``
+        selects at their phase in ``phi``: the sensing context and the phase
+        terms from ``h_eff`` and ``leak``, the channels the caller computed at
+        ``phi``.  Returns (deriv, noise_cov, terms) of those rows."""
+        deriv = noise_cov = None
         if self.sensing:
             contexts = [
                 build_sensing_context(self.scenes[cell], p, self.coeffs[cell], self.noise_radar[cell])
-                for p, cell in zip(self.phi[rows], self.cells[rows].tolist())
+                for p, cell in zip(phi[rows], self.cells[rows].tolist())
             ]
-            self.deriv = _put_rows(self.deriv, rows, np.stack([c.path_response_deriv for c in contexts]))
-            self.noise_cov = _put_rows(self.noise_cov, rows, np.stack([c.noise_cov for c in contexts]))
-        fisher_args = (self.deriv[rows], self.noise_cov[rows]) if self.constrain else ()
-        new = _phase_terms(h_eff[rows], None if leak is None else leak[rows], *fisher_args)
-        self.terms = _PhaseTerms(*(None if v is None else _put_rows(old, rows, v) for old, v in zip(self.terms, new)))
+            deriv = np.stack([c.path_response_deriv for c in contexts])
+            noise_cov = np.stack([c.noise_cov for c in contexts])
+        fisher_args = (deriv, noise_cov) if self.constrain else ()
+        return deriv, noise_cov, _phase_terms(h_eff[rows], None if leak is None else leak[rows], *fisher_args)
+
+    def _move(self, rows, phi, staged):
+        """Move the rows that the mask ``rows`` selects to their phase in
+        ``phi``, with what :meth:`_stage` built for them there."""
+        deriv, noise_cov, terms = staged
+        self.phi = _put_rows(self.phi, rows, phi[rows])
+        if self.sensing:
+            self.deriv = _put_rows(self.deriv, rows, deriv)
+            self.noise_cov = _put_rows(self.noise_cov, rows, noise_cov)
+        self.terms = _PhaseTerms(*(None if v is None else _put_rows(old, rows, v) for old, v in zip(self.terms, terms)))
+
+    def _wmmse_update(self, phi, terms, precoder, noise):
+        """The combiner, the weights and ``precoder_update`` of sensing rows
+        at their phase ``phi`` with its ``terms``, from their ``precoder``
+        and noise: (combiner, weight, precoder, lambda0, mu) of those rows."""
+        combiner = mmse_combiner(terms.h_eff, precoder, noise)
+        weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
+        update = precoder_update(
+            combiner,
+            weight,
+            self.links,
+            phi,
+            self.config.power_budget,
+            crb_threshold=self.config.enforced_crb_threshold,
+            phase_terms=terms,
+        )
+        return (combiner, weight, *update)
+
+    def _look_ahead(self, passed, candidate, staged, precoder):
+        """The bound check of the guard: the precoder update that the next
+        step makes at the proposal of each row that passed the merit test.
+        A row whose update misses the bound keeps its phase; the others keep
+        their update in ``ahead`` for the next step.  Returns the accepted
+        rows' mask and their part of ``staged``."""
+        deriv, noise_cov, terms = staged
+        ahead = self._wmmse_update(
+            _take(candidate, passed), terms, _take(precoder, passed), _take(self.noise_user, passed)
+        )
+        fits = ahead[-1] < math.inf
+        accept = passed.copy()
+        accept[passed] = fits
+        if not fits.all():
+            ahead = tuple(a[fits] for a in ahead)
+            staged = (deriv[fits], noise_cov[fits], _PhaseTerms(*(None if t is None else t[fits] for t in terms)))
+        self.ahead = (accept, ahead)
+        return accept, staged
 
     def _record(self, precoder, evaluated, lam0):
         objective, rate, si_power = evaluated
@@ -664,15 +782,20 @@ class _Lockstep:
         )
         self.links = _Links(*(a[keep] for a in self.links))
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
+        ready, ahead = self.ahead
+        self.ahead = (ready[keep], tuple(a[keep[ready]] for a in ahead))
 
     def step(self):
         """One outer iteration of every cell in the stack: the precoder,
         then a guarded phase proposal and the record.
 
         A sensing cell updates the combiner and weights, then the WMMSE
-        precoder with its bound check.  A communication-only cell takes the
-        exact water-filled precoder at its phase, and the combiner and
-        weights at that precoder only build the ``"rate"`` phase form."""
+        precoder with its bound check; a cell whose guard made that update
+        at its new phase in the previous step takes it from there.  A
+        communication-only cell takes the exact water-filled precoder at its
+        phase, and the combiner and weights at that precoder only build the
+        ``"rate"`` phase form; without the surface nothing can move after
+        that, so the cell finishes after one step."""
         self.iteration += 1
         config, terms, noise = self.config, self.terms, self.noise_user
         if not self.sensing:
@@ -681,17 +804,16 @@ class _Lockstep:
                 combiner = mmse_combiner(terms.h_eff, precoder, noise)
                 weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
         else:
-            combiner = mmse_combiner(terms.h_eff, self.precoder, noise)
-            weight = weight_matrix(mse_matrix(terms.h_eff, self.precoder, noise))
-            precoder, lam0, mu = precoder_update(
-                combiner,
-                weight,
-                self.links,
-                self.phi,
-                config.power_budget,
-                crb_threshold=config.enforced_crb_threshold,
-                phase_terms=terms,
-            )
+            ready, ahead = self.ahead
+            if not ready.any():
+                ahead = self._wmmse_update(self.phi, terms, self.precoder, noise)
+            elif not ready.all():
+                fresh = ~ready
+                fresh_terms = _PhaseTerms(*(None if t is None else t[fresh] for t in terms))
+                made = self._wmmse_update(self.phi[fresh], fresh_terms, self.precoder[fresh], noise[fresh])
+                ahead = tuple(_join(fresh, *pair) for pair in zip(made, ahead))
+            self.ahead = (np.zeros(len(self.cells), dtype=bool), ())
+            combiner, weight, precoder, lam0, mu = ahead
             infeasible = mu == math.inf
             if infeasible.any():
                 achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
@@ -714,11 +836,18 @@ class _Lockstep:
             proposed = _evaluate(precoder, h_eff, leak, noise)
             accept = proposed[0] <= evaluated[0]
             if accept.any():
-                self._move(accept, candidate, h_eff, leak)
-                evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
+                staged = self._stage(accept, candidate, h_eff, leak)
+                if self.constrain:
+                    accept, staged = self._look_ahead(accept, candidate, staged, precoder)
+                if accept.any():
+                    self._move(accept, candidate, staged)
+                    evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
         self.precoder = precoder
         merit = self._record(precoder, evaluated, lam0)
-        stalled = np.abs(merit - self.merit) <= config.outer_tol * np.maximum(np.abs(self.merit), 1e-300)
+        if config.ris_enabled or self.sensing:
+            stalled = np.abs(merit - self.merit) <= config.outer_tol * np.maximum(np.abs(self.merit), 1e-300)
+        else:
+            stalled = np.ones(len(self.cells), dtype=bool)
         self.merit = merit
         if stalled.any():
             self._finish(stalled)
@@ -729,6 +858,21 @@ class _Lockstep:
             self.step()
         self._finish(np.ones(len(self.cells), dtype=bool))
         return self.outcomes
+
+
+def _take(stack, rows):
+    """The rows of ``stack`` that the mask ``rows`` selects; ``stack``
+    itself when it selects every row."""
+    return stack if rows.all() else stack[rows]
+
+
+def _join(rows, picked, rest):
+    """A stack with the rows of ``picked`` where the mask ``rows`` holds and
+    the rows of ``rest`` elsewhere."""
+    out = np.empty((len(rows),) + picked.shape[1:], dtype=picked.dtype)
+    out[rows] = picked
+    out[~rows] = rest
+    return out
 
 
 def _put_rows(stack, rows, values):
@@ -754,20 +898,26 @@ def jcas_optimize(
     check; without sensing, the exact water-filled precoder at the
     phase), and finally the phase profile, after which the radar response
     derivative is refreshed since it depends on the profile.  A phase
-    proposal from the inner solver is kept only when it does not increase
-    the recorded objective: the phase quadratics penalize through-combiner
+    proposal from the inner solver (SQUAREM-accelerated MM, at most
+    ``MAX_RIS_ITER`` maps) is kept only when it does not increase the
+    recorded objective: the phase quadratics penalize through-combiner
     signal power alongside the interference, so an unguarded step can undo
-    precoder progress once the interference is small.  Without the surface
-    the profile stays zero, so every reflected channel and echo term
-    vanishes.  The trace records the end-of-iteration objective, rate,
-    interference power, bound value and power multiplier; row zero is the
-    initialized state.  Infeasibility of the sensing constraint
-    raises CrbInfeasibleError with the iteration index attached.
+    precoder progress once the interference is small.  With the bound
+    enforced, a proposal that passes that test is kept only when the
+    precoder update at the proposed phase, the one the next iteration
+    makes, still meets the bound; the next iteration takes that update
+    instead of making it again.  Without the surface the profile stays
+    zero, so every reflected channel and echo term vanishes, and a
+    communication-only cell, whose water-filled precoder is exact there,
+    stops after one iteration.  The trace records the end-of-iteration
+    objective, rate, interference power, bound value and power multiplier;
+    row zero is the initialized state.  Infeasibility of the sensing
+    constraint raises CrbInfeasibleError with the iteration index attached.
 
     What depends only on the phase profile (the effective channel, the SI
     channel and its Gram, and the Fisher core when the bound is enforced)
-    is built at the start and again only when the guard accepts a phase,
-    from the channels computed to evaluate the proposal, and reaches
+    is built at the start and again only for a proposal that passes the
+    merit test, from the channels computed to evaluate it, and reaches
     :func:`precoder_update` through its ``phase_terms`` keyword.  The cell
     runs as a batch of one of :func:`jcas_optimize_batch`.
     """

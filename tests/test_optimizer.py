@@ -887,8 +887,15 @@ class TestRisOptimize:
         assert np.allclose(phi, q / np.abs(q), rtol=0.0, atol=1e-15)
 
 
+def stalled(value, previous, tol):
+    """The stopping rule of :func:`ris_optimize`, written out again."""
+    delta = abs(value - previous)
+    scale = abs(value)
+    return (delta <= tol * scale) if scale > 0.0 else (delta <= tol)
+
+
 def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
-    """Reference solver: fresh single steps (:func:`mm_step`) and values
+    """Plain MM: fresh single steps (:func:`mm_step`) and values
     (:func:`ris_objective_value`), iterated by hand under the stopping rule
     of :func:`ris_optimize`."""
     phi = np.asarray(phi0, dtype=complex)
@@ -896,22 +903,73 @@ def iterate_mm_steps(phi0, factor, lin, tol, max_iter):
     for _ in range(max_iter):
         phi = mm_step(phi, factor, lin)
         values.append(ris_objective_value(phi, factor, lin))
-        delta = abs(values[-1] - values[-2])
-        scale = abs(values[-1])
-        if (delta <= tol * scale) if scale > 0.0 else (delta <= tol):
+        if stalled(values[-1], values[-2], tol):
             break
     return phi, np.asarray(values)
 
 
-def assert_matches_iterated_steps(phi0, factor, lin, tol, max_iter):
-    """ris_optimize, which carries its state from step to step, equals the
-    hand-iterated fresh single steps bit for bit and leaves phi0 untouched;
-    returns the number of steps taken."""
+def squarem_reference(phi0, step, value, tol, max_iter):
+    """SQUAREM written out by hand around the map ``step`` and the
+    objective ``value``: cycles of two maps ``p0 -> p1 -> p2``, the S3 step
+    length ``alpha = -|r|/|v|`` clamped to at most -1, the point
+    ``p0 - 2 alpha r + alpha**2 v`` projected by ``x/|x|``, halving
+    ``alpha`` toward -1 while the point's value exceeds p2's and taking p2
+    within ``SQUAREM_ALPHA_SLACK`` of -1, and the stopping rule after every
+    map against the value the map started from.  The extrapolation runs
+    the solver's floating-point operations in the solver's order, so a
+    solver whose every map equals ``step`` bit for bit matches it bit for
+    bit.  Returns (phase, values: the start and one per map, map outputs)."""
+    p0 = np.asarray(phi0, dtype=complex)
+    start = value(p0)
+    values, outputs = [start], []
+
+    def advance(p, previous):
+        out = step(p)
+        outputs.append(out)
+        values.append(value(out))
+        return out, stalled(values[-1], previous, tol) or len(outputs) == max_iter
+
+    while len(outputs) < max_iter:
+        p1, done = advance(p0, start)
+        if done:
+            return p1, np.asarray(values), outputs
+        p2, done = advance(p1, values[-1])
+        if done:
+            return p2, np.asarray(values), outputs
+        r = p1 - p0
+        v = (p2 - p1) - r
+        vv = float(v.view(float).dot(v.view(float)))
+        ratio = float(r.view(float).dot(r.view(float))) / vv if vv > 0.0 else 1.0
+        alpha = -math.sqrt(ratio) if 1.0 < ratio < math.inf else -1.0
+        base, p0, start = p0, p2, values[-1]
+        while alpha < -1.0 - optimizer.SQUAREM_ALPHA_SLACK:
+            ext = r * (-2.0 * alpha) + base + v * (alpha * alpha)
+            ext = ext / np.abs(ext)
+            moved = value(ext)
+            if moved <= values[-1]:
+                p0, start = ext, moved
+                break
+            alpha = 0.5 * (alpha - 1.0)
+    return p0, np.asarray(values), outputs
+
+
+def assert_matches_squarem_of_mm_steps(phi0, factor, lin, tol, max_iter):
+    """ris_optimize, which carries its state from map to map, equals
+    SQUAREM around fresh single steps (:func:`mm_step`) and values
+    (:func:`ris_objective_value`) bit for bit, its values never rise, and
+    it leaves phi0 untouched; returns the number of maps taken."""
     before = phi0.copy()
     phi, values = ris_optimize(phi0, factor, lin, tol=tol, max_iter=max_iter)
-    expect_phi, expect_values = iterate_mm_steps(phi0, factor, lin, tol, max_iter)
+    expect_phi, expect_values, _ = squarem_reference(
+        phi0,
+        lambda p: mm_step(p, factor, lin),
+        lambda p: ris_objective_value(p, factor, lin),
+        tol,
+        max_iter,
+    )
     assert np.array_equal(phi, expect_phi)
     assert np.array_equal(values, expect_values)
+    assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
     assert np.array_equal(phi0, before)
     return len(values) - 1
 
@@ -923,8 +981,8 @@ class TestRisOptimizeMatchesMmStep:
         rng = np.random.default_rng(seed)
         factor, lin = random_quadratic(rng, n=n)
         phi0 = random_unit_modulus(n, rng)
-        steps = assert_matches_iterated_steps(phi0, factor, lin, tol=1e-6, max_iter=10000)
-        assert steps < 10000
+        maps = assert_matches_squarem_of_mm_steps(phi0, factor, lin, tol=1e-6, max_iter=10000)
+        assert maps < 10000
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40), max_iter=st.integers(0, 30))
@@ -932,15 +990,44 @@ class TestRisOptimizeMatchesMmStep:
         rng = np.random.default_rng(seed)
         factor, lin = random_quadratic(rng, n=n)
         phi0 = random_unit_modulus(n, rng)
-        steps = assert_matches_iterated_steps(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
-        assert steps == max_iter
+        maps = assert_matches_squarem_of_mm_steps(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
+        assert maps == max_iter
+
+    def test_run_stopped_within_two_maps_is_plain_mm(self):
+        # the first two maps of a run are plain MM steps, so a run that
+        # plain MM stops within two steps, by the cap or by the tolerance,
+        # gets plain MM's bits
+        rng = np.random.default_rng(25)
+        short = 0
+        for tol, max_iter in [(1e-6, 1), (1e-6, 2), (1.0, 500)] * 40:
+            n = int(rng.integers(1, 30))
+            factor, lin = random_quadratic(rng, n=n)
+            phi0 = random_unit_modulus(n, rng)
+            expect_phi, expect_values = iterate_mm_steps(phi0, factor, lin, tol, max_iter)
+            if len(expect_values) > 3:
+                continue
+            short += 1
+            phi, values = ris_optimize(phi0, factor, lin, tol=tol, max_iter=max_iter)
+            assert phi.tobytes() == expect_phi.tobytes()
+            assert values.tobytes() == expect_values.tobytes()
+        assert short >= 100, short
+
+    @pytest.mark.parametrize("snr_db, seed_index", [(30.0, 1), (20.0, 1), (10.0, 2)])
+    def test_short_rate_calls_are_plain_mm(self, snr_db, seed_index):
+        # ``"rate"`` calls of the outer loop mostly stop within two steps
+        phi0, (factor, lin, _) = reference_phase_problem("rate", snr_db, seed_index)
+        expect_phi, expect_values = iterate_mm_steps(phi0, factor, lin, optimizer.RIS_TOL, 500)
+        assert len(expect_values) <= 3
+        phi, values = ris_optimize(phi0, factor, lin)
+        assert phi.tobytes() == expect_phi.tobytes()
+        assert values.tobytes() == expect_values.tobytes()
 
     def test_zero_quad_and_linear_keep_every_phase(self):
         n = 6
         phi0 = random_unit_modulus(n, np.random.default_rng(20))
         factor = np.zeros((n, n), dtype=complex)
         lin = np.zeros(n, dtype=complex)
-        assert assert_matches_iterated_steps(phi0, factor, lin, tol=1e-5, max_iter=50) == 1
+        assert assert_matches_squarem_of_mm_steps(phi0, factor, lin, tol=1e-5, max_iter=50) == 1
         phi, _ = ris_optimize(phi0, factor, lin)
         assert np.array_equal(phi, phi0)
 
@@ -954,7 +1041,7 @@ class TestRisOptimizeMatchesMmStep:
         lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         lin[0] = 0.0
         phi0 = random_unit_modulus(n, rng)
-        assert_matches_iterated_steps(phi0, factor, lin, tol=1e-300, max_iter=10)
+        assert_matches_squarem_of_mm_steps(phi0, factor, lin, tol=1e-300, max_iter=10)
         phi, _ = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=10)
         assert phi[0] == phi0[0]
         assert np.allclose(phi[1:], -np.conj(lin[1:]) / np.abs(lin[1:]), rtol=0.0, atol=1e-15)
@@ -973,6 +1060,15 @@ def factored_reference_step(phi, factor, lin, lam_max):
     return q / np.abs(q)
 
 
+def factored_reference_value(phi, factor, lin):
+    """The objective on the solver's first product: ``[F^H; 2 d^T] p``
+    gives ``[y; s]``, and the value is the dot of the real views of
+    ``[y; 1]`` and ``[y; s]``, ``|y|^2 + Re(s)``."""
+    lead = np.ascontiguousarray(np.vstack((factor.conj().T, 2.0 * lin)))
+    head = lead.dot(phi)
+    return float(np.append(head[:-1], 1.0).view(float).dot(head.view(float)))
+
+
 class TestRisOptimizeMatchesSeparateProducts:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -982,10 +1078,12 @@ class TestRisOptimizeMatchesSeparateProducts:
         max_iter=st.integers(0, 30),
     )
     def test_capped_run(self, seed, n, rank, max_iter):
-        """The phase equals the factored reference step's bit for bit; both
-        run the same products on arrays of the same shapes.  The values
-        agree with ``vdot(p, M p) + 2 Re(d^T p)`` on the dense ``M = F F^H``
-        to a tolerance, since they are summed in another order."""
+        """Every map equals the factored reference step's bit for bit:
+        the phase and the values equal SQUAREM around that step and the
+        factored value, which run the same products on arrays of the same
+        shapes.  The values agree with ``vdot(p, M p) + 2 Re(d^T p)`` on
+        the dense ``M = F F^H`` to a tolerance, since they are summed in
+        another order, and they never rise."""
         # low-rank M like the ris_quadratics forms, plus a linear term
         rng = np.random.default_rng(seed)
         factor = complex_normal(rng, (n, rank))
@@ -994,18 +1092,22 @@ class TestRisOptimizeMatchesSeparateProducts:
         phi0 = random_unit_modulus(n, rng)
         lam_max = top_eigenvalue(factor)
         phi, values = ris_optimize(phi0, factor, lin, tol=1e-300, max_iter=max_iter)
-        expect_phi = phi0
-        quad_terms, lin_terms = [], []
-        for step in range(len(values)):
-            if step:
-                expect_phi = factored_reference_step(expect_phi, factor, lin, lam_max)
-            quad_terms.append(np.vdot(expect_phi, quad @ expect_phi).real)
-            lin_terms.append(2.0 * (lin @ expect_phi).real)
+        expect_phi, expect_values, outputs = squarem_reference(
+            phi0,
+            lambda p: factored_reference_step(p, factor, lin, lam_max),
+            lambda p: factored_reference_value(p, factor, lin),
+            1e-300,
+            max_iter,
+        )
         assert np.array_equal(phi, expect_phi)
+        assert np.array_equal(values, expect_values)
         # relative to the two terms the value adds up, which may cancel
-        quad_terms, lin_terms = np.array(quad_terms), np.array(lin_terms)
+        points = [phi0, *outputs]
+        quad_terms = np.array([np.vdot(p, quad @ p).real for p in points])
+        lin_terms = np.array([2.0 * (lin @ p).real for p in points])
         error = np.abs(values - (quad_terms + lin_terms))
         assert np.all(error <= 1e-12 * (np.abs(quad_terms) + np.abs(lin_terms)))
+        assert np.all(np.diff(values) <= 1e-12 * (np.abs(quad_terms[:-1]) + np.abs(lin_terms[:-1])))
         # a run stops before its cap only where the values repeat exactly
         assert len(values) == max_iter + 1 or values[-1] == values[-2]
 
@@ -1070,13 +1172,16 @@ class TestRisOptimizeMatchesDenseReference:
     @pytest.mark.parametrize("objective", ["jcas", "rate"])
     @pytest.mark.parametrize("snr_db, seed_index", [(0.0, 0), (30.0, 1)])
     def test_reference_cells(self, objective, snr_db, seed_index):
+        """With the maps plain MM had, 500, the final value is at most the
+        dense plain MM solver's, and with the default cap it is at most
+        plain MM's after as many maps.  Both allow the stopping rule's own
+        relative tolerance: after an extrapolation a run may stop a few
+        maps before plain MM does."""
         phi0, (factor, lin, lam_max) = reference_phase_problem(objective, snr_db, seed_index)
-        phi, values = ris_optimize(phi0, factor, lin)
-        expect_phi, expect_values = dense_reference_solve(
-            phi0, factor, lin, lam_max, optimizer.RIS_TOL, optimizer.MAX_RIS_ITER
-        )
-        assert len(values) == len(expect_values)
-        assert np.max(np.abs(phi - expect_phi)) <= 1e-12
+        for max_iter in (500, optimizer.MAX_RIS_ITER):
+            _, values = ris_optimize(phi0, factor, lin, max_iter=max_iter)
+            _, plain = dense_reference_solve(phi0, factor, lin, lam_max, optimizer.RIS_TOL, max_iter)
+            assert values[-1] <= plain[-1] + optimizer.RIS_TOL * abs(plain[-1]), max_iter
 
     @pytest.mark.parametrize("objective", ["jcas", "rate"])
     def test_zero_precoder_and_weight_keep_every_phase(self, objective):
@@ -1126,7 +1231,7 @@ class TestRisOptimizeStack:
         seed=st.integers(0, 2**32 - 1),
         kinds=st.lists(st.sampled_from(["scaled", "zero", "subnormal", "tie"]), min_size=1, max_size=5),
         objective=st.sampled_from(["jcas", "rate"]),
-        max_iter=st.sampled_from([0, 1, optimizer.MAX_RIS_ITER]),
+        max_iter=st.sampled_from([0, 1, 2, 3, optimizer.MAX_RIS_ITER]),
     )
     @example(seed=5, kinds=MIXED_STACKS[0][1], objective=MIXED_STACKS[0][2], max_iter=optimizer.MAX_RIS_ITER)
     @example(seed=6, kinds=MIXED_STACKS[1][1], objective=MIXED_STACKS[1][2], max_iter=optimizer.MAX_RIS_ITER)
@@ -1254,6 +1359,18 @@ class TestSolverInvariants:
 TRACE_COLUMNS = ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0")
 
 
+def acceptance_fixture_cell(seed):
+    """Cell ``seed`` of the acceptance suite's ``reference_runs`` fixture:
+    reference dimensions at 12 dB with the bound at 0.01."""
+    noise = 10.0 ** (-1.2)
+    rng = np.random.default_rng([9, seed])
+    scene = build_scene(target_angle=rng.uniform(-np.pi / 4, np.pi / 4))
+    channels = build_channel_set(
+        scene, n_user_antennas=5, nlos_si_power=0.01, seed=[9, seed, 1], noise_user=noise, noise_radar=noise,
+    )
+    return scene, channels, JcasConfig(crb_threshold=0.01, seed=seed), PathCoefficients.random([9, seed, 2])
+
+
 def assert_batch_matches_cells_alone(scheme, cells, max_outer):
     """``jcas_optimize_batch`` of reference-dimension ``(seed_index,
     snr_db)`` cells against ``jcas_optimize`` of each cell alone, bit for
@@ -1350,6 +1467,18 @@ class TestJcasOptimize:
         assert result.ris_phase.shape == (small_channels.n_ris,)
         assert np.all(result.ris_phase == 0.0)
 
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0])
+    def test_no_surface_comm_only_cell_finishes_after_one_step(self, snr_db):
+        # the water-filled precoder is exact at a phase that cannot move,
+        # so a second step would repeat the first bit for bit
+        scene, channels, jcas, coeffs = build_cell(ExperimentConfig(scheme="no_ris_comm_only", seeds=2), 1, snr_db)
+        result = jcas_optimize(scene, channels, jcas, coeffs)
+        assert len(result.trace) == 2
+        h_eff = effective_channel(channels, result.ris_phase)[None]
+        noise = np.full((1, 1, 1), channels.noise_user)
+        again, _ = waterfill_precoder(h_eff, noise, jcas.n_streams, jcas.power_budget)
+        assert again[0].tobytes() == result.precoder.tobytes()
+
     def test_monotone_and_si_reduction_small(self, small_scene, small_channels):
         coeffs = PathCoefficients.random(2)
         config = JcasConfig(crb_threshold=math.inf, n_streams=2, seed=2, max_outer=60)
@@ -1398,13 +1527,15 @@ class TestJcasOptimize:
             assert len(calls) == 1 + per_iteration * iterations
 
     @pytest.mark.parametrize(
-        "scheme, reference", [*((scheme, False) for scheme in SCHEMES), ("ris_with_sensing", True)]
+        "scheme, reference",
+        [*((scheme, False) for scheme in SCHEMES), ("ris_with_sensing", True), ("ris_with_sensing", "bound")],
     )
     def test_phase_terms_built_once_per_phase(
         self, scheme, reference, small_scene, small_channels, monkeypatch
     ):
         counts = dict.fromkeys(("effective_channel", "si_channel", "fisher_core"), 0)
-        proposals, phases, stages, channels_at = [], [], [], []
+        proposals, held, updates, stages, channels_at = [], [], [], [], []
+        pending = []
 
         def counting(name):
             original = getattr(optimizer, name)
@@ -1419,24 +1550,40 @@ class TestJcasOptimize:
             return counted
 
         def recording_ris(*args, **kwargs):
-            # one solver call per outer iteration, on the one-row stack
+            # one solver call per outer iteration, on the one-row stack,
+            # from the phase the loop holds
+            (phase,) = args[0]
+            held.append(phase)
             phi, values = ris_optimize(*args, **kwargs)
             (proposal,) = phi
             proposals.append(proposal)
+            pending[:] = [proposal]
             return phi, values
+
+        def recording_record(state, *args):
+            # the end of a step
+            pending.clear()
+            return record(state, *args)
+
+        def record_update(phase, stage, feasible):
+            # an update between the step's proposal and its record is the
+            # guard's look-ahead, made at the proposal
+            ahead = bool(pending)
+            assert not ahead or np.array_equal(phase, pending[0])
+            updates.append((ahead, feasible))
+            stages.append(stage)
 
         def recording_precoder(*args, **kwargs):
             # ``jcas_optimize`` runs a batch of one: every stage gets a one-row stack
             (phase,) = args[3]
-            phases.append(phase)
-            stages.append("precoder_update")
-            return precoder_update(*args, **kwargs)
+            out = precoder_update(*args, **kwargs)
+            record_update(phase, "precoder_update", out[2][0] < math.inf)
+            return out
 
         def recording_waterfill(h_eff, *args):
             # the stage reads the effective channel of the phase the loop holds
             (phase,) = next(phi for phi, h in channels_at if h.tobytes() == h_eff.tobytes())
-            phases.append(phase)
-            stages.append("waterfill_precoder")
+            record_update(phase, "waterfill_precoder", True)
             return waterfill_precoder(h_eff, *args)
 
         for name in counts:
@@ -1444,12 +1591,18 @@ class TestJcasOptimize:
         monkeypatch.setattr(optimizer, "ris_optimize", recording_ris)
         monkeypatch.setattr(optimizer, "precoder_update", recording_precoder)
         monkeypatch.setattr(optimizer, "waterfill_precoder", recording_waterfill)
+        record = optimizer._Lockstep._record
+        monkeypatch.setattr(optimizer._Lockstep, "_record", recording_record)
         ris_enabled, sensing = scheme_flags(scheme)
-        if reference:
+        if reference is True:
             # the guard never accepts a sensing phase on the small scene; at
-            # 0 dB, seed index 2, it accepts one within the first iterations
+            # 10 dB, seed index 2, it accepts two within the first iterations
             config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=10)
-            scene, channels, jcas, coeffs = build_cell(config, 2, 0.0)
+            scene, channels, jcas, coeffs = build_cell(config, 2, 10.0)
+        elif reference == "bound":
+            # the first proposal lowers the merit, and the guard's
+            # look-ahead finds the bound missed there
+            scene, channels, jcas, coeffs = acceptance_fixture_cell(0)
         else:
             scene, channels, coeffs = small_scene, small_channels, PathCoefficients.random(7)
             # a finite threshold the cell meets, so the sensing schemes are constrained
@@ -1458,19 +1611,82 @@ class TestJcasOptimize:
                 n_streams=2, seed=7, max_outer=10,
             )
         result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
-        # a proposal was accepted iff the next precoder update (or the result) uses it
-        following = phases[1 : len(proposals)] + [result.ris_phase]
-        accepted = sum(np.array_equal(p, q) for p, q in zip(proposals, following))
+        iterations = len(result.trace) - 1
+        # a proposal was accepted iff the loop holds it at the next phase step (or the result)
+        following = held[1:] + [result.ris_phase]
+        accepted = [np.array_equal(p, q) for p, q in zip(proposals, following)]
+        look_aheads = [feasible for ahead, feasible in updates if ahead]
         # the sensing schemes update the precoder by WMMSE, the others by water-filling
         assert set(stages) == {"precoder_update" if sensing else "waterfill_precoder"}
-        assert len(phases) == len(result.trace) - 1
-        assert len(proposals) == (len(phases) if ris_enabled else 0)
-        assert accepted > 0 if ris_enabled and (reference or not sensing) else accepted == 0
-        # the initial phase, then each proposal; an accepted proposal's
+        assert len(proposals) == (iterations if ris_enabled else 0)
+        if ris_enabled and sensing:
+            # the look-ahead runs on each proposal that passes the merit
+            # test; the proposal is kept iff its update meets the bound,
+            # and that update serves the next step unless the cell ended
+            assert look_aheads.count(True) == sum(accepted)
+            carried = sum(accepted) - (1 if accepted[-1] else 0)
+            assert len(updates) - len(look_aheads) == iterations - carried
+        else:
+            assert look_aheads == [] and len(updates) == iterations
+        if reference is True or (ris_enabled and not sensing):
+            assert sum(accepted) > 0
+        elif reference is False:
+            assert sum(accepted) == 0
+        else:
+            assert False in look_aheads
+        # the initial phase, then each proposal; a staged proposal's
         # channels are reused, not rebuilt
         assert counts["effective_channel"] == 1 + len(proposals)
         assert counts["si_channel"] == (1 + len(proposals) if sensing else 0)
-        assert counts["fisher_core"] == (1 + accepted if sensing else 0)
+        assert counts["fisher_core"] == (1 + len(look_aheads) if sensing else 0)
+
+    def test_guard_rejects_a_proposal_whose_next_update_misses_the_bound(self, monkeypatch):
+        # the proposals come from SQUAREM at plain MM's old budget of 500
+        # maps, whatever the default cap; on fixture cell 0 the first one
+        # lowers the merit, and the precoder update the next step would
+        # make there misses the bound
+        solver = optimizer.ris_optimize
+        proposals = []
+
+        def proposing(phi0, factor, linear, *args):
+            phi, values = solver(phi0, factor, linear, optimizer.RIS_TOL, 500)
+            proposals.append(phi)
+            return phi, values
+
+        monkeypatch.setattr(optimizer, "ris_optimize", proposing)
+        scene, channels, jcas, coeffs = acceptance_fixture_cell(0)
+        state = optimizer._Lockstep([(scene, channels, jcas, coeffs)])
+        start = state.phi.copy()
+        state.step()
+        ((proposal,),), (precoder,) = proposals, state.precoder
+
+        def merit(phi):
+            h_eff, leak = effective_channel(channels, phi), si_channel(channels, phi)
+            return optimizer._evaluate(precoder[None], h_eff[None], leak[None], channels.noise_user)[0][0]
+
+        assert merit(proposal) < merit(start[0])
+        h_eff = effective_channel(channels, proposal)
+        combiner = mmse_combiner(h_eff, precoder, channels.noise_user)
+        weight = weight_matrix(mse_matrix(h_eff, precoder, channels.noise_user))
+        context = build_sensing_context(scene, proposal, coeffs, channels.noise_radar)
+        with pytest.raises(CrbInfeasibleError):
+            precoder_update(
+                combiner, weight, channels, proposal, jcas.power_budget, jcas.crb_threshold,
+                context.path_response_deriv, context.noise_cov,
+            )
+        # the guard keeps the old phase, and the cell runs on within the bound
+        assert np.array_equal(state.phi, start)
+        (outcome,) = state.run()
+        assert isinstance(outcome, optimizer.JcasResult)
+        assert outcome.trace.crb[-1] <= jcas.crb_threshold
+
+    def test_fixture_cell_stays_feasible(self):
+        # without the guard's bound check, the default solver's first
+        # proposal on fixture cell 0 is kept, and the next precoder update
+        # misses the bound (0.0106774 > 0.01 at outer iteration 2)
+        scene, channels, jcas, coeffs = acceptance_fixture_cell(0)
+        result = jcas_optimize(scene, channels, jcas, coeffs)
+        assert result.trace.crb[-1] <= jcas.crb_threshold
 
     def test_prebuilt_phase_terms_match_a_fresh_build(self, monkeypatch):
         # every precoder update of the outer loop, called again on its cell
