@@ -656,12 +656,13 @@ class _Lockstep:
     Every array of the state holds the cells still running along its
     leading axis, and ``cells`` maps each row to the cell's position in
     the batch.  A cell moves to a new phase through :meth:`_move`, with
-    what :meth:`_stage` built there, and leaves the stack through :meth:`_finish` when its merit stalls, when
-    its angle bound is infeasible (its outcome is then the error), or at
-    ``max_outer``; ``outcomes`` holds what each cell ended with.  The
-    stacked stages give every cell the bits it gets alone, so a cell's
-    result does not depend on its batch-mates.  The phase solver gets the
-    stack in one call and steps its rows one at a time.
+    what :meth:`_stage` built there, and leaves the stack through
+    :meth:`_finish` when its merit stalls, when its angle bound is
+    infeasible (its outcome is then the error), or at ``max_outer``;
+    ``outcomes`` holds what each cell ended with.  The stacked stages give
+    every cell the bits it gets alone, so a cell's result does not depend
+    on its batch-mates.  The phase solver gets the stack in one call and
+    steps its rows one at a time.
     """
 
     def __init__(self, cells):
@@ -689,8 +690,6 @@ class _Lockstep:
         # the first move sets every row, so there is nothing to keep
         self.phi = self.deriv = self.noise_cov = None
         self.terms = _PhaseTerms(None, None, None, None)
-        # the rows whose precoder update the guard already made, and that update
-        self.ahead = (np.zeros(len(cells), dtype=bool), ())
         every = np.ones(len(cells), dtype=bool)
         leak = si_channel(self.links, phi) if self.sensing else None
         self._move(every, phi, self._stage(every, phi, effective_channel(self.links, phi), leak))
@@ -744,20 +743,17 @@ class _Lockstep:
     def _look_ahead(self, passed, candidate, staged, precoder):
         """The bound check of the guard: the precoder update that the next
         step makes at the proposal of each row that passed the merit test.
-        A row whose update misses the bound keeps its phase; the others keep
-        their update in ``ahead`` for the next step.  Returns the accepted
-        rows' mask and their part of ``staged``."""
+        A row whose update misses the bound keeps its phase.  Returns the
+        accepted rows' mask and their part of ``staged``."""
         deriv, noise_cov, terms = staged
-        ahead = self._wmmse_update(
+        mu = self._wmmse_update(
             _take(candidate, passed), terms, _take(precoder, passed), _take(self.noise_user, passed)
-        )
-        fits = ahead[-1] < math.inf
+        )[-1]
+        fits = mu < math.inf
         accept = passed.copy()
         accept[passed] = fits
         if not fits.all():
-            ahead = tuple(a[fits] for a in ahead)
             staged = (deriv[fits], noise_cov[fits], _PhaseTerms(*(None if t is None else t[fits] for t in terms)))
-        self.ahead = (accept, ahead)
         return accept, staged
 
     def _record(self, precoder, evaluated, lam0):
@@ -782,20 +778,17 @@ class _Lockstep:
         )
         self.links = _Links(*(a[keep] for a in self.links))
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
-        ready, ahead = self.ahead
-        self.ahead = (ready[keep], tuple(a[keep[ready]] for a in ahead))
 
     def step(self):
         """One outer iteration of every cell in the stack: the precoder,
         then a guarded phase proposal and the record.
 
         A sensing cell updates the combiner and weights, then the WMMSE
-        precoder with its bound check; a cell whose guard made that update
-        at its new phase in the previous step takes it from there.  A
-        communication-only cell takes the exact water-filled precoder at its
-        phase, and the combiner and weights at that precoder only build the
-        ``"rate"`` phase form; without the surface nothing can move after
-        that, so the cell finishes after one step."""
+        precoder with its bound check.  A communication-only cell takes the
+        exact water-filled precoder at its phase, and the combiner and
+        weights at that precoder only build the ``"rate"`` phase form;
+        without the surface nothing can move after that, so the cell
+        finishes after one step."""
         self.iteration += 1
         config, terms, noise = self.config, self.terms, self.noise_user
         if not self.sensing:
@@ -804,16 +797,7 @@ class _Lockstep:
                 combiner = mmse_combiner(terms.h_eff, precoder, noise)
                 weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
         else:
-            ready, ahead = self.ahead
-            if not ready.any():
-                ahead = self._wmmse_update(self.phi, terms, self.precoder, noise)
-            elif not ready.all():
-                fresh = ~ready
-                fresh_terms = _PhaseTerms(*(None if t is None else t[fresh] for t in terms))
-                made = self._wmmse_update(self.phi[fresh], fresh_terms, self.precoder[fresh], noise[fresh])
-                ahead = tuple(_join(fresh, *pair) for pair in zip(made, ahead))
-            self.ahead = (np.zeros(len(self.cells), dtype=bool), ())
-            combiner, weight, precoder, lam0, mu = ahead
+            combiner, weight, precoder, lam0, mu = self._wmmse_update(self.phi, terms, self.precoder, noise)
             infeasible = mu == math.inf
             if infeasible.any():
                 achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
@@ -866,15 +850,6 @@ def _take(stack, rows):
     return stack if rows.all() else stack[rows]
 
 
-def _join(rows, picked, rest):
-    """A stack with the rows of ``picked`` where the mask ``rows`` holds and
-    the rows of ``rest`` elsewhere."""
-    out = np.empty((len(rows),) + picked.shape[1:], dtype=picked.dtype)
-    out[rows] = picked
-    out[~rows] = rest
-    return out
-
-
 def _put_rows(stack, rows, values):
     """``stack`` with the rows that the mask ``rows`` selects replaced by
     ``values``, as a new array; ``values`` itself when it takes every row."""
@@ -905,8 +880,7 @@ def jcas_optimize(
     precoder progress once the interference is small.  With the bound
     enforced, a proposal that passes that test is kept only when the
     precoder update at the proposed phase, the one the next iteration
-    makes, still meets the bound; the next iteration takes that update
-    instead of making it again.  Without the surface the profile stays
+    makes, still meets the bound.  Without the surface the profile stays
     zero, so every reflected channel and echo term vanishes, and a
     communication-only cell, whose water-filled precoder is exact there,
     stops after one iteration.  The trace records the end-of-iteration

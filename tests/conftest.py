@@ -6,6 +6,8 @@ import pytest
 
 from fdjcas.channels import build_channel_set
 from fdjcas.geometry import build_scene
+from fdjcas.optimizer import JcasConfig
+from fdjcas.steering import PathCoefficients
 
 # pytest imports fdjcas from ``src`` (``pythonpath`` in pyproject.toml); the
 # tests that run ``python -m fdjcas`` in a subprocess get the same sources
@@ -45,3 +47,18 @@ def random_unit_modulus(n, rng):
 
 def central_difference(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def acceptance_fixture_cell(seed):
+    """Cell ``seed`` of the acceptance suite's ``reference_runs`` fixture,
+    as (scene, channels, config, coeffs): reference dimensions at 12 dB,
+    unit power budget and the bound at 0.01."""
+    noise = 10.0 ** (-1.2)
+    rng = np.random.default_rng([9, seed])
+    scene = build_scene(target_angle=rng.uniform(-np.pi / 4, np.pi / 4))
+    channels = build_channel_set(
+        scene, n_user_antennas=5, nlos_si_power=0.01, seed=[9, seed, 1],
+        noise_user=noise, noise_radar=noise,
+    )
+    config = JcasConfig(crb_threshold=0.01, power_budget=1.0, seed=seed)
+    return scene, channels, config, PathCoefficients.random([9, seed, 2])

@@ -17,7 +17,6 @@ from fdjcas.experiments import ExperimentConfig, SCHEMES, monte_carlo_mse, run_s
 from fdjcas.geometry import build_scene, ris_angles_of_target
 from fdjcas.optimizer import (
     CrbInfeasibleError,
-    JcasConfig,
     jcas_optimize,
     effective_channel,
     mm_step,
@@ -43,6 +42,8 @@ from fdjcas.steering import (
     upa_steering_derivative,
 )
 
+from conftest import acceptance_fixture_cell
+
 THRESHOLD = 0.01
 POWER = 1.0
 
@@ -65,18 +66,10 @@ def random_reference_state(rng, channels):
 @pytest.fixture(scope="module")
 def reference_runs():
     """Twenty feasible reference-dimension optimizations at 12 dB."""
-    noise = 10.0 ** (-1.2)
     runs = []
     for seed in range(20):
-        rng = np.random.default_rng([9, seed])
-        theta = rng.uniform(-np.pi / 4, np.pi / 4)
-        scene = build_scene(target_angle=theta)
-        channels = build_channel_set(
-            scene, n_user_antennas=5, nlos_si_power=0.01, seed=[9, seed, 1],
-            noise_user=noise, noise_radar=noise,
-        )
-        coeffs = PathCoefficients.random([9, seed, 2])
-        config = JcasConfig(crb_threshold=THRESHOLD, power_budget=POWER, seed=seed)
+        scene, channels, config, coeffs = acceptance_fixture_cell(seed)
+        assert (config.crb_threshold, config.power_budget) == (THRESHOLD, POWER)
         start = time.perf_counter()
         result = jcas_optimize(scene, channels, config, coeffs=coeffs)
         runs.append((result, time.perf_counter() - start))
