@@ -21,9 +21,9 @@ class CovarianceRankError(RuntimeError):
 class SnapshotBatch:
     """Radar receive samples for one coherent processing interval.
 
-    ``samples`` is (n_bs_rx, snapshots); ``spacing`` and ``wavelength``
-    describe the receive array so the batch is self-contained for
-    estimation.
+    ``samples`` is (n_bs_rx, snapshots), or (trials, n_bs_rx, snapshots)
+    for a stack of trials; ``spacing`` and ``wavelength`` describe the
+    receive array so the batch is self-contained for estimation.
     """
 
     samples: np.ndarray
@@ -54,7 +54,8 @@ def simulate_snapshots(
     ``residual_factor``, the fraction left by cancellation stages beyond
     the beamforming design itself: 1 keeps all of it, 0 removes it.  The
     echo model is built once; each batch draws its symbols, then its
-    noise, from ``default_rng(seed)``.
+    noise, from ``default_rng(seed)``.  The batches' samples are the rows
+    of one (len(seeds), n_bs_rx, snapshots) array, their common ``base``.
     """
     if snapshots < 1:
         raise ValueError("snapshots must be at least 1")
@@ -70,72 +71,79 @@ def simulate_snapshots(
         phi[:, None] * channels.bs_to_ris
     )
     mix = (ctx.path_response + residual_factor * leak) @ precoder
-    n_streams = precoder.shape[1]
-    batches = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        symbols = (
-            rng.standard_normal((n_streams, snapshots))
-            + 1j * rng.standard_normal((n_streams, snapshots))
-        ) / np.sqrt(2.0)
-        noise = np.sqrt(channels.noise_radar / 2.0) * (
-            rng.standard_normal((channels.n_bs_rx, snapshots))
-            + 1j * rng.standard_normal((channels.n_bs_rx, snapshots))
-        )
-        batches.append(
-            SnapshotBatch(
-                samples=mix @ symbols + noise,
-                spacing=scene.spacing,
-                wavelength=scene.wavelength,
-            )
-        )
-    return batches
+    n_streams, n_rx = precoder.shape[1], channels.n_bs_rx
+    draws = np.empty((2 * (n_streams + n_rx), snapshots))
+    sym_re, sym_im, noise_re, noise_im = np.split(draws, np.cumsum([n_streams, n_streams, n_rx]))
+    samples = np.empty((len(seeds), n_rx, snapshots), dtype=complex)
+    for row, seed in zip(samples, seeds):
+        np.random.default_rng(seed).standard_normal(out=draws)
+        symbols = (sym_re + 1j * sym_im) / np.sqrt(2.0)
+        noise = np.sqrt(channels.noise_radar / 2.0) * (noise_re + 1j * noise_im)
+        np.add(mix @ symbols, noise, out=row)
+    return [SnapshotBatch(row, scene.spacing, scene.wavelength) for row in samples]
 
 
 @functools.lru_cache(maxsize=4)
-def _scan_steering(n_rx: int, spacing: float, wavelength: float, grid_resolution: float):
-    """Read-only ``(grid, steering)`` of the MUSIC scan: the angles from
-    -pi/2 in ``grid_resolution`` steps and their unit-norm receive steering
-    vectors, one column per angle."""
+def _scan_basis(n_rx: int, spacing: float, wavelength: float, grid_resolution: float):
+    """Read-only ``(grid, basis)`` of the MUSIC scan: the angles from -pi/2 in
+    ``grid_resolution`` steps, and the rows ``cos(l psi)`` for lags 0 .. n_rx-1,
+    then ``sin(-l psi)`` for lags 1 .. n_rx-1, with ``psi = 2 pi spacing sin(angle) / wavelength``."""
     n_points = int(np.floor(np.pi / grid_resolution)) + 1
     grid = -np.pi / 2 + grid_resolution * np.arange(n_points)
-    n = np.arange(n_rx)
-    phases = (2.0 * np.pi * spacing / wavelength) * np.outer(n, np.sin(grid))
-    steering = np.exp(1j * phases) / np.sqrt(n_rx)
+    basis = np.outer(np.r_[0:n_rx, -1:-n_rx:-1], (2.0 * np.pi * spacing / wavelength) * np.sin(grid))
+    np.cos(basis[:n_rx], out=basis[:n_rx])
+    np.sin(basis[n_rx:], out=basis[n_rx:])
     grid.flags.writeable = False
-    steering.flags.writeable = False
-    return grid, steering
+    basis.flags.writeable = False
+    return grid, basis
+
+
+def _null_polynomial(noise_basis):
+    """Coefficients over the :func:`_scan_basis` rows of the null spectrum ``a^H P a``
+    of each noise basis ``E`` in a (trials, n_rx, dim) stack, ``a`` the unit-norm steering
+    vector: the root-MUSIC polynomial of the superdiagonal sums of ``P = E E^H``."""
+    n_rx = noise_basis.shape[1]
+    projector = noise_basis @ noise_basis.conj().transpose(0, 2, 1)
+    lags = np.stack([np.trace(projector, offset=l, axis1=1, axis2=2) for l in range(n_rx)], axis=1)
+    return np.concatenate([lags[:, :1].real, 2.0 * lags[:, 1:].real, 2.0 * lags[:, 1:].imag], axis=1) / n_rx
 
 
 def music_estimate(
     batch: SnapshotBatch,
     signal_subspace_dim: int,
     grid_resolution: float = 1e-3,
-) -> float:
+) -> float | list[float]:
     """MUSIC angle estimate (radians) from the batch's sample covariance.
 
     The noise subspace is the span of the smallest eigenvectors after
     removing ``signal_subspace_dim`` dominant ones; the estimate is the
-    grid angle maximizing the inverse noise-subspace projection of the
-    receive steering vector.  Raises ValueError for a ``grid_resolution``
-    that is not finite and positive.
+    grid angle minimizing the null spectrum of :func:`_null_polynomial`.
+    A stack of trials returns the list of their estimates.  Raises
+    ValueError for a ``grid_resolution`` that is not finite and positive.
     """
     if not 0.0 < grid_resolution < math.inf:
         raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
-    n_rx, snapshots = batch.samples.shape
+    if batch.samples.ndim not in (2, 3):
+        raise ValueError("samples must be (n_bs_rx, snapshots) or (trials, n_bs_rx, snapshots)")
+    n_rx, snapshots = batch.samples.shape[-2:]
     if not 0 < signal_subspace_dim < n_rx:
         raise ValueError("signal subspace dimension must lie in (0, n_bs_rx)")
-    cov = batch.samples @ batch.samples.conj().T / snapshots
-    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-    rank = int(np.sum(evals > max(evals[-1], 0.0) * 1e-10))
-    if rank < signal_subspace_dim:
+    stack = batch.samples.reshape(-1, n_rx, snapshots)
+    cov = stack @ stack.conj().transpose(0, 2, 1) / snapshots
+    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().transpose(0, 2, 1)))
+    ranks = np.sum(evals > np.maximum(evals[:, -1:], 0.0) * 1e-10, axis=1)
+    if np.any(ranks < signal_subspace_dim):
         raise CovarianceRankError(
-            f"sample covariance rank {rank} below the signal subspace dimension "
+            f"sample covariance rank {int(np.min(ranks))} below the signal subspace dimension "
             f"{signal_subspace_dim}; increase the snapshot count"
         )
-    noise_basis = evecs[:, : n_rx - signal_subspace_dim]
-    grid, steering = _scan_steering(n_rx, batch.spacing, batch.wavelength, grid_resolution)
-    projected = noise_basis.conj().T @ steering
-    power = np.sum(np.abs(projected) ** 2, axis=0)
-    spectrum = 1.0 / np.maximum(power, 1e-300)
-    return float(grid[int(np.argmax(spectrum))])
+    coefs = _null_polynomial(evecs[:, :, : n_rx - signal_subspace_dim])
+    grid, basis = _scan_basis(n_rx, batch.spacing, batch.wavelength, grid_resolution)
+    # chunks of about 2^14 spectrum values (one trial at least): memory stays flat in the trials
+    rows = max(1, (1 << 14) // grid.size)
+    estimates = []
+    for start in range(0, len(coefs), rows):
+        spectrum = coefs[start : start + rows] @ basis
+        np.divide(1.0, np.maximum(spectrum, 1e-300, out=spectrum), out=spectrum)
+        estimates += grid[np.argmax(spectrum, axis=1)].tolist()
+    return estimates if batch.samples.ndim == 3 else estimates[0]

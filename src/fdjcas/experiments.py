@@ -21,7 +21,7 @@ import yaml
 
 from .channels import build_channel_set, nlos_residual
 from .crb import aoa_crb
-from .estimation import music_estimate, simulate_snapshots
+from .estimation import SnapshotBatch, music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
 from .optimizer import JcasConfig, jcas_optimize, jcas_optimize_batch
 from .steering import PathCoefficients, build_sensing_context
@@ -326,7 +326,9 @@ def estimate_angles(config: ExperimentConfig, scene, channels, coeffs, result, s
         seeds=seeds,
         residual_factor=config.residual_factor,
     )
-    return [music_estimate(batch, config.n_streams, config.grid_resolution) for batch in batches]
+    # the batches are rows of one array: scan them all in one stacked pass
+    stack = SnapshotBatch(batches[0].samples.base, scene.spacing, scene.wavelength)
+    return music_estimate(stack, config.n_streams, config.grid_resolution)
 
 
 def design_bound(scene, channels, coeffs, result, snapshots: int = 1) -> float:

@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdjcas import estimation, experiments
 from fdjcas.channels import build_channel_set
@@ -148,6 +150,15 @@ class TestSimulateSnapshots:
             assert np.array_equal(batch.samples, expected)
             assert (batch.spacing, batch.wavelength) == (scene.spacing, scene.wavelength)
 
+    def test_batches_are_rows_of_one_array(self, ris_design):
+        config, scene, ch, coeffs, result = ris_design
+        batches = simulate_snapshots(scene, ch, result.precoder, result.ris_phase, coeffs, 8, seeds=[1, 2, 3])
+        stack = batches[0].samples.base
+        assert stack.shape == (3, 4, 8)
+        for row, batch in zip(stack, batches):
+            assert batch.samples.base is stack
+            assert np.array_equal(batch.samples, row)
+
     def test_empty_seeds_rejected(self, ris_design):
         config, scene, ch, coeffs, result = ris_design
         with pytest.raises(ValueError, match="seeds"):
@@ -171,6 +182,18 @@ class TestEstimateAngles:
             expected.append(uncached_music(batch, config.n_streams, config.grid_resolution))
         assert estimate_angles(config, scene, ch, coeffs, result, seeds) == expected
 
+    def test_one_music_call_per_cell(self, ris_design, monkeypatch):
+        config, scene, ch, coeffs, result = ris_design
+        calls = []
+
+        def counted(batch, *args):
+            calls.append(batch.samples.shape)
+            return music_estimate(batch, *args)
+
+        monkeypatch.setattr(experiments, "music_estimate", counted)
+        assert len(estimate_angles(config, scene, ch, coeffs, result, range(5))) == 5
+        assert calls == [(5, 4, config.snapshots)]
+
     def test_echo_model_built_once_per_cell(self, ris_design, monkeypatch):
         config, scene, ch, coeffs, result = ris_design
         calls = []
@@ -185,25 +208,81 @@ class TestEstimateAngles:
         assert len(calls) == 1
 
 
-class TestScanSteering:
+class TestScanBasis:
     def test_one_miss_per_geometry_and_resolution(self, ris_design):
         config, scene, ch, coeffs, result = ris_design
         (batch,) = simulate_snapshots(
             scene, ch, result.precoder, result.ris_phase, coeffs, 16, seeds=[2]
         )
-        estimation._scan_steering.cache_clear()
+        estimation._scan_basis.cache_clear()
         first = music_estimate(batch, 2, 5e-3)
         second = music_estimate(batch, 2, 5e-3)
-        info = estimation._scan_steering.cache_info()
+        info = estimation._scan_basis.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert first == second == uncached_music(batch, 2, 5e-3)
+        music_estimate(batch, 2, 2e-3)
+        assert estimation._scan_basis.cache_info().misses == 2
 
     def test_cached_arrays_are_read_only(self):
-        grid, steering = estimation._scan_steering(4, 0.5, 1.0, 5e-3)
+        grid, basis = estimation._scan_basis(4, 0.5, 1.0, 5e-3)
+        assert basis.shape == (7, grid.size)
         with pytest.raises(ValueError):
-            steering[0, 0] = 0.0
+            basis[0, 0] = 0.0
         with pytest.raises(ValueError):
             grid[0] = 0.0
+
+
+class TestLagSumScan:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_rx=st.integers(2, 12),
+        snapshots=st.integers(1, 24),
+        spacing=st.floats(0.25, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_equals_noise_projection(self, n_rx, snapshots, spacing, seed):
+        # on the full default grid, for every valid subspace dimension
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((n_rx, snapshots)) + 1j * rng.standard_normal((n_rx, snapshots))
+        cov = samples @ samples.conj().T / snapshots
+        _, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+        grid, basis = estimation._scan_basis(n_rx, spacing, 1.0, 1e-3)
+        phases = 2.0 * np.pi * spacing * np.outer(np.arange(n_rx), np.sin(grid))
+        steering = np.exp(1j * phases) / np.sqrt(n_rx)
+        for dim in range(1, n_rx):
+            noise_basis = evecs[:, : n_rx - dim]
+            power = (estimation._null_polynomial(noise_basis[None]) @ basis)[0]
+            expected = np.sum(np.abs(noise_basis.conj().T @ steering) ** 2, axis=0)
+            assert np.max(np.abs(power - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("grid_resolution", [1e-3, 5e-3])
+    @pytest.mark.parametrize("residual_factor", [0.0, 0.1, 1.0])
+    def test_stack_equals_per_batch_reference(self, ris_design, residual_factor, grid_resolution):
+        # 12 trials at 1e-3 scan in chunks of 5, 5 and 2; at 5e-3 in one chunk
+        config, scene, ch, coeffs, result = ris_design
+        batches = simulate_snapshots(
+            scene, ch, result.precoder, result.ris_phase, coeffs, config.snapshots,
+            seeds=range(12), residual_factor=residual_factor,
+        )
+        stack = estimation.SnapshotBatch(
+            np.stack([b.samples for b in batches]), scene.spacing, scene.wavelength
+        )
+        expected = [uncached_music(b, config.n_streams, grid_resolution) for b in batches]
+        assert music_estimate(stack, config.n_streams, grid_resolution) == expected
+
+    def test_scan_memory_is_flat_in_the_trials(self):
+        trials, n_points = 200, int(np.floor(np.pi / 1e-3)) + 1
+        rng = np.random.default_rng(12)
+        samples = rng.standard_normal((trials, 4, 8)) + 1j * rng.standard_normal((trials, 4, 8))
+        batch = estimation.SnapshotBatch(samples, 0.5, 1.0)
+        music_estimate(batch, 1)  # builds the cached basis
+        tracemalloc.start()
+        try:
+            music_estimate(batch, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trials * n_points * 8 / 4
 
 
 class TestMusicEstimate:
@@ -260,6 +339,46 @@ class TestMusicEstimate:
         (batch,) = simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 16, seeds=[0])
         with pytest.raises(ValueError):
             music_estimate(batch, 10, 1e-3)
+
+    @pytest.mark.parametrize("n_rx", [2, 3, 4])
+    def test_noiseless_sources_on_grid_recovered(self, n_rx):
+        # the null spectrum at a noiseless source rounds to about +-1e-16; the
+        # 1e-300 floor keeps a null that rounds below zero the spectrum's peak
+        steps = np.arange(0, 3142, 37)
+        grid, _ = estimation._scan_basis(n_rx, 0.5, 1.0, 1e-3)
+        steering = np.exp(1j * np.pi * np.outer(np.sin(grid[steps]), np.arange(n_rx)))
+        symbols = np.random.default_rng(n_rx).standard_normal((len(steps), 1, 8))
+        batch = estimation.SnapshotBatch(steering[:, :, None] * symbols, 0.5, 1.0)
+        assert music_estimate(batch, 1, 1e-3) == grid[steps].tolist()
+
+    def test_single_batch_returns_a_float_and_a_stack_a_list(self, ris_design):
+        config, scene, ch, coeffs, result = ris_design
+        batches = simulate_snapshots(
+            scene, ch, result.precoder, result.ris_phase, coeffs, 16, seeds=[4, 5]
+        )
+        single = music_estimate(batches[0], 2, 5e-3)
+        assert type(single) is float
+        geometry = scene.spacing, scene.wavelength
+        stacked = music_estimate(estimation.SnapshotBatch(batches[0].samples.base, *geometry), 2, 5e-3)
+        one = music_estimate(estimation.SnapshotBatch(batches[0].samples[None], *geometry), 2, 5e-3)
+        assert [type(e) for e in stacked] == [float, float]
+        assert stacked == [single, music_estimate(batches[1], 2, 5e-3)]
+        assert one == [single]
+
+    def test_one_rank_deficient_trial_fails_the_stack(self):
+        rng = np.random.default_rng(13)
+        samples = rng.standard_normal((3, 4, 8)) + 1j * rng.standard_normal((3, 4, 8))
+        samples[1] = np.outer(samples[1, :, 0], samples[1, 0])  # rank 1
+        batch = estimation.SnapshotBatch(samples, 0.5, 1.0)
+        with pytest.raises(CovarianceRankError, match="rank 1 below the signal subspace dimension 2"):
+            music_estimate(batch, 2, 5e-3)
+        assert len(music_estimate(batch, 1, 5e-3)) == 3
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 2, 4, 16)])
+    def test_samples_of_other_ranks_rejected(self, shape):
+        batch = estimation.SnapshotBatch(np.ones(shape, dtype=complex), 0.5, 1.0)
+        with pytest.raises(ValueError, match="samples must be"):
+            music_estimate(batch, 1, 5e-3)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, -0.01, np.inf])
     def test_bad_grid_resolution_rejected(self, bad):
