@@ -23,7 +23,10 @@ from .channels import build_channel_set, nlos_residual
 from .crb import aoa_crb
 from .estimation import SnapshotBatch, music_estimate, simulate_snapshots
 from .geometry import Scene, build_scene
-from .optimizer import JcasConfig, jcas_optimize, jcas_optimize_batch
+from .optimizer import CrbInfeasibleError, JcasConfig, jcas_optimize_batch
+# not called here since every cell runs in a lockstep batch; perfbench's
+# tracing still patches ``fdjcas.experiments.jcas_optimize``
+from .optimizer import jcas_optimize  # noqa: F401
 from .steering import PathCoefficients, build_sensing_context
 
 SCHEME_RIS_SENSING = "ris_with_sensing"
@@ -291,7 +294,7 @@ def _run_cells(config: ExperimentConfig, cells) -> list:
     built = _build_cells(config, cells)
     results = jcas_optimize_batch(built)
     return [
-        None if result is None else _cell_metrics(config, seed_index, cell, result)
+        None if isinstance(result, CrbInfeasibleError) else _cell_metrics(config, seed_index, cell, result)
         for (seed_index, _), cell, result in zip(cells, built, results)
     ]
 
@@ -382,9 +385,16 @@ def _map_cells(share_fn, config: ExperimentConfig, cells) -> list:
     one process.  All cells form one share here when there is one CPU or
     one cell, when numpy's BLAS is not OpenBLAS, or when other Python
     threads are alive, because forking a threaded process can deadlock the
-    child.  Each cell has its own seed streams, so the results are the
-    same either way.  An error raised in a worker is raised here.
+    child, and for the one-step scheme (no surface, no sensing), whose
+    cells all finish after one outer iteration.  Each cell has its own
+    seed streams, so the results are the same either way.  An error raised
+    in a worker is raised here.
     """
+    uses_ris, sensing = scheme_flags(config.scheme)
+    if not (uses_ris or sensing):
+        # every cell of a one-step scheme finishes after one outer iteration:
+        # a worker would cost more to start than its share costs to run
+        return share_fn(config, cells)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(cells), cpus)
     blas = _openblas_threads() if workers > 1 and threading.active_count() == 1 else None
@@ -466,24 +476,32 @@ def run_scheme(config: ExperimentConfig):
     return rows
 
 
-def _study_point(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients, snr_db: float):
-    """The :func:`monte_carlo_mse` row of one SNR point."""
-    scene = _scene(config, target_angle)
-    channels = _channel_set(config, scene, [config.root_seed, 100], snr_db)
-    result = jcas_optimize(scene, channels, _jcas_config(config, config.root_seed), coeffs=coeffs)
-    seeds = [config.root_seed + trial for trial in range(config.mse_trials)]
-    estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
-    return {
-        "snr_db": snr_db,
-        "mse_rad2": float(np.mean([(e - scene.target_angle) ** 2 for e in estimates])),
-        "crb_rad2": design_bound(scene, channels, coeffs, result, config.snapshots),
-        "trials": config.mse_trials,
-    }
-
-
 def _study_points(config: ExperimentConfig, points) -> list:
-    """The :func:`monte_carlo_mse` rows of ``(target_angle, coeffs, snr_db)`` points, one at a time."""
-    return [_study_point(config, *point) for point in points]
+    """The :func:`monte_carlo_mse` rows of ``(target_angle, coeffs,
+    snr_db)`` points, their designs optimized as one lockstep batch; a
+    point whose angle bound is infeasible gives its CrbInfeasibleError
+    in place of its row."""
+    cells = []
+    for target_angle, coeffs, snr_db in points:
+        scene = _scene(config, target_angle)
+        channels = _channel_set(config, scene, [config.root_seed, 100], snr_db)
+        cells.append((scene, channels, _jcas_config(config, config.root_seed), coeffs))
+    seeds = [config.root_seed + trial for trial in range(config.mse_trials)]
+    rows = []
+    for (scene, channels, _, coeffs), (*_, snr_db), result in zip(cells, points, jcas_optimize_batch(cells)):
+        if isinstance(result, CrbInfeasibleError):
+            rows.append(result)
+            continue
+        estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
+        rows.append(
+            {
+                "snr_db": snr_db,
+                "mse_rad2": float(np.mean([(e - scene.target_angle) ** 2 for e in estimates])),
+                "crb_rad2": design_bound(scene, channels, coeffs, result, config.snapshots),
+                "trials": config.mse_trials,
+            }
+        )
+    return rows
 
 
 def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathCoefficients):
@@ -500,15 +518,19 @@ def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathC
     ``output_dir``.  Returns a list of dict rows with keys snr_db,
     mse_rad2, crb_rad2, trials, in grid order.
 
-    The points run on every CPU like the cells of :func:`run_scheme` (see
-    :func:`_map_cells`).  An infeasible point raises CrbInfeasibleError;
-    when several fail, this process runs its own share first, so the error
-    raised may be that of a later failing point than the first one.
+    The points run on every CPU like the cells of :func:`run_scheme`, each
+    process's share as one lockstep batch (see :func:`_map_cells`).  An
+    infeasible point raises its CrbInfeasibleError, the one of the first
+    such point in grid order.
     """
     if config.mse_trials < 1:
         raise ConfigError("mse_trials must be >= 1 for the MSE study")
     require_noise_subspace(config, "for the MSE study")
-    return _map_cells(_study_points, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
+    rows = _map_cells(_study_points, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
+    for row in rows:
+        if isinstance(row, CrbInfeasibleError):
+            raise row
+    return rows
 
 
 def _nanmean(values):

@@ -27,6 +27,11 @@ RIS_TOL = 1e-5
 MAX_RIS_ITER = 56
 # SQUAREM backtracking stops within this distance of alpha = -1 and takes p2
 SQUAREM_ALPHA_SLACK = 0.01
+# stacks of at least this many rows take the stacked maps; a smaller one
+# steps its rows one at a time, which costs less there
+MIN_STACKED_ROWS = 6
+# outer loop: cap on rows x iterations of one window's stacked phase problems
+MAX_WINDOW_ROWS = 8
 # power multiplier: relative tolerance of the power match
 POWER_TOL = 1e-13
 
@@ -464,8 +469,12 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     ``linear`` (rows, n), returns the (rows, n) phases and a list of one
     value array per row; each row stops on its own and gets the bits of
     its 2-D call.  The checks, the Grams and their eigenvalues, and the
-    map buffers below are made once for the stack; the maps run one row
-    at a time.
+    map buffers below are made once for the stack.  A stack of at least
+    ``MIN_STACKED_ROWS`` rows is stepped together (:func:`_mm_steps`):
+    one map, one SQUAREM cycle and one backtrack serve every row still
+    running.  A smaller one steps its rows one at a time
+    (:func:`_mm_row`), which costs less there, and once at most half the
+    rows of a stepped stack still run, the rest go on by the same rule.
 
     The n x n ``M`` is never formed.  Each map makes two products: ``[F^H;
     2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
@@ -506,31 +515,179 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     np.conjugate(factor.swapaxes(-1, -2), out=lead[:, :k])
     np.add(linear, linear, out=lead[:, k])
     back = np.concatenate((factor, np.conj(linear)[..., None]), axis=-1)
-    phases, runs = np.empty_like(phi0), []
     # A zero direction turns q/|q| into 0/0; the NaN it leaves in the
     # objective sends that step through the tie break instead.  A zero or
     # subnormal lam makes the scaled buffer non-finite, which selects the
     # unscaled branch.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scaled = back * (1.0 / lams)[:, None, None]
-        finite = np.isfinite(scaled).all(axis=(1, 2)).tolist()
-        for row, lam in enumerate(lams.tolist()):
-            if lam > 0.0 and finite[row]:
-                phases[row], values = _mm_steps(phi0[row], lead[row], scaled[row], None, tol, max_iter)
-            else:
-                phases[row], values = _mm_steps(phi0[row], lead[row], back[row], lam, tol, max_iter)
-            runs.append(values)
+        np.multiply(back, (1.0 / lams)[:, None, None], out=back)
+        unscaled = ~((lams > 0.0) & np.isfinite(back).all(axis=(1, 2)))
+        if unscaled.any():
+            back[unscaled] = np.concatenate((factor[unscaled], np.conj(linear[unscaled])[..., None]), axis=-1)
+        phases, runs = _mm_solve(phi0, lead, back, lams, unscaled, tol, max_iter)
     if single:
         return phases[0], runs[0]
     return phases, runs
 
 
-def _mm_steps(phi0, lead, back, lam, tol, max_iter):
+def _mm_solve(phi0, lead, back, lams, unscaled, tol, max_iter):
+    """The maps of :func:`ris_optimize` on a stack given as to
+    :func:`_mm_steps`: its rows stepped together from ``MIN_STACKED_ROWS``
+    rows, else one at a time (:func:`_mm_row`).  Returns (phases, one
+    value array per row)."""
+    if len(lams) >= MIN_STACKED_ROWS:
+        return _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter)
+    phases, runs = np.empty_like(phi0), []
+    for row, (lam, plain) in enumerate(zip(lams.tolist(), unscaled.tolist())):
+        phases[row], values = _mm_row(phi0[row], lead[row], back[row], lam if plain else None, tol, max_iter)
+        runs.append(values)
+    return phases, runs
+
+
+def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
+    """The SQUAREM-accelerated MM maps of :func:`ris_optimize`, every row
+    of the stack stepped together.  Row ``i`` has ``lead[i]`` = ``[F^H;
+    2 d^T]`` and ``back[i]`` = ``[F | conj(d)] / lam``, or, where
+    ``unscaled[i]``, ``[F | conj(d)]`` itself with ``lam = lams[i]``.
+    Runs under the caller's ``np.errstate``; returns (phases, one value
+    array per row).
+
+    Each product is one stacked ``matmul``, which gives every row the bits
+    of its own ``ndarray.dot`` (on a one-element surface ``matmul`` skips
+    BLAS, so the lead product runs ``dot`` row by row), and each
+    element-wise step is exact per element, so a row does not depend on
+    its stack-mates.  The running rows have all taken the same number of
+    maps, so one map and one SQUAREM cycle serve them all; masks carry
+    each row's stop test, tie break, branch, step length and backtrack.
+    A stopped row stays in the buffers, stepped but unread, until a cycle
+    ends with at most half the rows running; the rest of the run then
+    goes on from each running row's cycle start without the stopped ones
+    (:func:`_mm_solve`), which re-evaluates that start to the same bits."""
+    rows, n = phi0.shape
+    k = lead.shape[1] - 1
+    matmul, copyto, subtract, multiply, add, absolute, divide, count = (
+        np.matmul, np.copyto, np.subtract, np.multiply, np.add, np.absolute, np.divide, np.count_nonzero
+    )
+    # p0 starts a cycle, p1 and p2 are its maps and ``ext`` its extrapolated
+    # point.  ``head`` = [y; s] of the latest phase evaluated and ``tail`` =
+    # [y; 1] of the latest kept one: the value is the dot of their real
+    # views.  |q| goes into the real part of the complex ``mag``, so q/mag
+    # needs no cast; ``coef`` holds a real step coefficient the same way.
+    p0, p1, p2, ext, z, q = (np.empty((rows, n), dtype=complex) for _ in range(6))
+    # the cycle's first and second differences, with their squared norms
+    diffs, squares = np.empty((2, rows, n), dtype=complex), np.empty((2, rows, 1, 1))
+    r, v = diffs
+    copyto(p0, phi0)
+    mag, coef = np.zeros((rows, n), dtype=complex), np.zeros((rows, 1), dtype=complex)
+    head, tail, ext_head, ext_tail = (np.ones((rows, k + 1), dtype=complex) for _ in range(4))
+    mag_real, coef_real = mag.real, coef.real[:, 0]
+    diff_rows, diff_columns = diffs.view(float)[..., None, :], diffs.view(float)[..., None]
+    # ``history[j]`` holds every row's value after map j; ``moved`` the
+    # extrapolated points' values and ``value`` those of the cycle starts
+    history, moved = np.empty((max_iter + 1, rows)), np.empty(rows)
+    lam = lams.astype(complex)[:, None]
+    branch = unscaled[:, None] if unscaled.any() else None
+    active = np.ones(rows, dtype=bool)
+    phases, runs = phi0.copy(), [None] * rows
+
+    def products(head, tail):
+        # the views ``evaluate`` writes and reads for one (head, tail) pair
+        return head, head[..., None], tail[:, :k], head[:, :k], tail.view(float)[:, None, :], head.view(float)[..., None]
+
+    kept_views, ext_views = products(head, tail), products(ext_head, ext_tail)
+
+    def evaluate(x, views, out):
+        head, head_column, tail_y, head_y, tail_row, head_column_real = views
+        if n > 1:
+            matmul(lead, x[..., None], out=head_column)
+        else:
+            for row in range(rows):
+                lead[row].dot(x[row], head[row])
+        copyto(tail_y, head_y)
+        matmul(tail_row, head_column_real, out=out[:, None, None])
+        return out
+
+    tail_column, z_column = tail[..., None], z[..., None]
+
+    def mm_map(p, x, out):
+        # x = MM(p), given ``tail`` of p; leaves ``tail`` of x
+        matmul(back, tail_column, out=z_column)
+        subtract(p, z, q)
+        if branch is not None:
+            multiply(lam, p, q, where=branch)
+            subtract(q, z, q, where=branch)
+        absolute(q, mag_real)
+        divide(q, mag, x)
+        value = evaluate(x, kept_views, out)
+        # a NaN value sends its row's step through the tie break
+        if math.isnan(value.sum()):
+            tie = active & (value != value)
+            if count(tie):
+                copyto(x, p, where=tie[:, None] & ~(mag_real > 0.0))
+                evaluate(x, kept_views, out)
+        return value
+
+    value = evaluate(p0, kept_views, history[0]).copy()
+    if max_iter == 0:
+        return phases, list(history.T.copy())
+    maps = 0
+    while True:
+        for p, x in ((p0, p1), (p1, p2)):
+            previous, value = value, mm_map(p, x, history[maps + 1])
+            maps += 1
+            stop = active if maps == max_iter else active & _stalled(value, previous, tol)
+            if count(stop):
+                for row in np.flatnonzero(stop).tolist():
+                    phases[row], runs[row] = x[row], history[: maps + 1, row].copy()
+                active = active & ~stop
+                if not count(active):
+                    return phases, runs
+        # S3 step length, then backtrack toward alpha = -1, which is p2
+        # itself; a ratio at most 1 clamps to -1, and so does an infinite one
+        subtract(p1, p0, r)
+        subtract(p2, p1, v)
+        subtract(v, r, v)
+        matmul(diff_rows, diff_columns, out=squares)
+        alpha = -np.sqrt(squares[0, :, 0, 0] / squares[1, :, 0, 0])
+        trying = active & (alpha < -1.0 - SQUAREM_ALPHA_SLACK) & (alpha > -math.inf)
+        value = value.copy()
+        took = np.zeros(rows, dtype=bool)
+        while count(trying):
+            multiply(alpha, -2.0, coef_real)
+            multiply(r, coef, ext)
+            add(ext, p0, ext)
+            multiply(alpha, alpha, coef_real)
+            multiply(v, coef, q)
+            add(ext, q, ext)
+            absolute(ext, mag_real)
+            divide(ext, mag, ext)
+            better = trying & (evaluate(ext, ext_views, moved) <= value)
+            if count(better):
+                column = better[:, None]
+                copyto(p0, ext, where=column)
+                copyto(tail, ext_tail, where=column)
+                copyto(value, moved, where=better)
+                took |= better
+                trying ^= better
+            alpha = 0.5 * (alpha - 1.0)
+            trying &= alpha < -1.0 - SQUAREM_ALPHA_SLACK
+        copyto(p0, p2, where=~took[:, None])
+        if 2 * np.count_nonzero(active) <= rows:
+            # go on with the running rows alone, from their cycle starts
+            keep = np.flatnonzero(active)
+            rest = _mm_solve(p0[keep], lead[keep], back[keep], lams[keep], unscaled[keep], tol, max_iter - maps)
+            for row, phase, values in zip(keep.tolist(), *rest):
+                phases[row], runs[row] = phase, np.concatenate((history[: maps + 1, row], values[1:]))
+            return phases, runs
+
+
+def _mm_row(phi0, lead, back, lam, tol, max_iter):
     """The SQUAREM-accelerated MM maps of :func:`ris_optimize` on one
-    problem: ``lead`` is ``[F^H; 2 d^T]``, and ``back`` is
-    ``[F | conj(d)] / lam`` when ``lam`` is None, or ``[F | conj(d)]``
-    itself with ``lam`` given (the unscaled branch).  Runs under the
-    caller's ``np.errstate``."""
+    problem, the path of stacks below ``MIN_STACKED_ROWS`` rows: ``lead``
+    is ``[F^H; 2 d^T]``, and ``back`` is ``[F | conj(d)] / lam`` when
+    ``lam`` is None, or ``[F | conj(d)]`` itself with ``lam`` given (the
+    unscaled branch).  Runs under the caller's ``np.errstate``; gives
+    the bits of :func:`_mm_steps`."""
     if lam is None:
         direction = np.subtract
     else:
@@ -581,12 +738,12 @@ def _mm_steps(phi0, lead, back, lam, tol, max_iter):
         value = mm_map(p0, p1)
         maps += 1
         values.append(value)
-        if _stalled(value, start, tol) or maps == max_iter:
+        if _stalled_row(value, start, tol) or maps == max_iter:
             return p1, np.asarray(values)
         previous, value = value, mm_map(p1, p2)
         maps += 1
         values.append(value)
-        if _stalled(value, previous, tol) or maps == max_iter:
+        if _stalled_row(value, previous, tol) or maps == max_iter:
             return p2, np.asarray(values)
         if ext is None:
             # the extrapolated point, the first and second differences, and p2's ``tail``
@@ -620,12 +777,22 @@ def _mm_steps(phi0, lead, back, lam, tol, max_iter):
     return p0, np.asarray(values)
 
 
-def _stalled(value, previous, tol) -> bool:
-    """The stop rule of :func:`ris_optimize`: the value changed by at most
-    ``tol`` relative, or absolute at a zero value."""
+def _stalled_row(value, previous, tol) -> bool:
+    """:func:`_stalled` of one row's float values."""
     delta = abs(value - previous)
     scale = abs(value)
     return (delta <= tol * scale) if scale > 0.0 else (delta <= tol)
+
+
+def _stalled(value, previous, tol):
+    """The stop rule of :func:`ris_optimize`, per row: the value changed
+    by at most ``tol`` relative, or absolute at a zero value."""
+    delta = np.abs(value - previous)
+    scale = np.abs(value)
+    stalled = delta <= tol * scale
+    if not scale.all():
+        stalled = np.where(scale > 0.0, stalled, delta <= tol)
+    return stalled
 
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
@@ -649,9 +816,28 @@ class _Links(NamedTuple):
     si_los: np.ndarray
 
 
+class _Stage(NamedTuple):
+    """One outer iteration of :meth:`_Lockstep._chain`: the precoder stage
+    of the rows it holds, and what its feasible rows propose from.
+
+    ``feasible`` holds the stack indices of the feasible rows (None: every
+    row of the stack).  ``combiner``, ``weight`` and ``fitting`` (the
+    precoder), and the merit terms ``evaluated``, hold the feasible rows;
+    ``precoder``, ``lam0`` and ``mu`` every row of the stage."""
+
+    feasible: np.ndarray | None
+    combiner: np.ndarray | None
+    weight: np.ndarray | None
+    fitting: np.ndarray
+    precoder: np.ndarray
+    lam0: np.ndarray
+    mu: np.ndarray
+    evaluated: tuple
+
+
 class _Lockstep:
-    """The alternating design of a stack of cells, advanced one outer
-    iteration per :meth:`step`.
+    """The alternating design of a stack of cells, advanced one window of
+    outer iterations per :meth:`step`.
 
     Every array of the state holds the cells still running along its
     leading axis, and ``cells`` maps each row to the cell's position in
@@ -661,8 +847,9 @@ class _Lockstep:
     infeasible (its outcome is then the error), or at ``max_outer``;
     ``outcomes`` holds what each cell ended with.  The stacked stages give
     every cell the bits it gets alone, so a cell's result does not depend
-    on its batch-mates.  The phase solver gets the stack in one call and
-    steps its rows one at a time.
+    on its batch-mates.  The phase solver gets every (row, iteration)
+    problem of a window in one call and steps its rows together; a window
+    gives the bits of its iterations run one at a time.
     """
 
     def __init__(self, cells):
@@ -679,6 +866,7 @@ class _Lockstep:
         self.outcomes = [None] * len(cells)
         self.traces = [IterationTrace() for _ in cells]
         self.iteration = 0
+        self.window = 1
         self.links = _Links(*(np.stack([getattr(ch, name) for ch in channels]) for name in _Links._fields))
         self.noise_user = np.array([ch.noise_user for ch in channels])[:, None, None]
         if config.ris_enabled:
@@ -746,8 +934,9 @@ class _Lockstep:
         A row whose update misses the bound keeps its phase.  Returns the
         accepted rows' mask and their part of ``staged``."""
         deriv, noise_cov, terms = staged
+        rows = _narrow(None, passed)
         mu = self._wmmse_update(
-            _take(candidate, passed), terms, _take(precoder, passed), _take(self.noise_user, passed)
+            _pick(candidate, rows), terms, _pick(precoder, rows), _pick(self.noise_user, rows)
         )[-1]
         fits = mu < math.inf
         accept = passed.copy()
@@ -779,28 +968,120 @@ class _Lockstep:
         self.links = _Links(*(a[keep] for a in self.links))
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
 
-    def step(self):
-        """One outer iteration of every cell in the stack: the precoder,
-        then a guarded phase proposal and the record.
+    def _precoder_step(self, rows, precoder):
+        """The precoder stage of one outer iteration for the stack rows at
+        the indices ``rows`` (None: every row), at their phase, from their
+        ``precoder``: (combiner, weight, precoder, lambda0, mu) of those rows.
 
-        A sensing cell updates the combiner and weights, then the WMMSE
-        precoder with its bound check.  A communication-only cell takes the
-        exact water-filled precoder at its phase, and the combiner and
-        weights at that precoder only build the ``"rate"`` phase form;
-        without the surface nothing can move after that, so the cell
-        finishes after one step."""
-        self.iteration += 1
-        config, terms, noise = self.config, self.terms, self.noise_user
-        if not self.sensing:
-            precoder, lam0 = waterfill_precoder(terms.h_eff, noise, config.n_streams, config.power_budget)
-            if config.ris_enabled:
-                combiner = mmse_combiner(terms.h_eff, precoder, noise)
-                weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
+        A sensing row updates the combiner and weights, then the WMMSE
+        precoder with its bound check; ``mu`` is inf where the bound is
+        infeasible.  A communication-only row takes the exact water-filled
+        precoder at its phase, and the combiner and weights at that
+        precoder only build the ``"rate"`` phase form (None without the
+        surface); its ``mu`` is zero."""
+        phi, noise, terms = self.phi, self.noise_user, self.terms
+        if rows is not None:
+            phi, noise = phi[rows], noise[rows]
+            terms = _PhaseTerms(*(None if t is None else t[rows] for t in terms))
+        if self.sensing:
+            return self._wmmse_update(phi, terms, precoder, noise)
+        config = self.config
+        precoder, lam0 = waterfill_precoder(terms.h_eff, noise, config.n_streams, config.power_budget)
+        combiner = weight = None
+        if config.ris_enabled:
+            combiner = mmse_combiner(terms.h_eff, precoder, noise)
+            weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
+        return combiner, weight, precoder, lam0, np.zeros(len(lam0))
+
+    def _chain(self, width):
+        """The precoder stage of up to ``width`` outer iterations, each from
+        the one before at the phases held now: what the steps make while
+        the guard rejects every proposal.  A row's chain ends where such a
+        step would stop it: at an infeasible bound, or where its merit
+        stalls.  Returns one :class:`_Stage` per iteration."""
+        chain = []
+        rows, precoder, merit = None, self.precoder, self.merit
+        while True:
+            combiner, weight, precoder, lam0, mu = self._precoder_step(rows, precoder)
+            # only a sensing row can miss the bound
+            feasible, fitting = rows, precoder
+            if self.sensing:
+                fit = mu < math.inf
+                feasible = _narrow(rows, fit)
+                if feasible is not rows:
+                    combiner, weight, fitting = (None if a is None else a[fit] for a in (combiner, weight, precoder))
+            leak = None if self.terms.leak is None else _pick(self.terms.leak, feasible)
+            evaluated = _evaluate(fitting, _pick(self.terms.h_eff, feasible), leak, _pick(self.noise_user, feasible))
+            chain.append(_Stage(feasible, combiner, weight, fitting, precoder, lam0, mu, evaluated))
+            if len(chain) == width:
+                return chain
+            going = ~_merit_stalled(evaluated[0], merit if feasible is rows else merit[fit], self.config.outer_tol)
+            if not going.any():
+                return chain
+            rows = _narrow(feasible, going)
+            precoder, merit = fitting[going], evaluated[0][going]
+
+    def _propose(self, chain):
+        """The phase proposal of every feasible (row, iteration) of the
+        chain, each from its row's phase held now, solved in one
+        :func:`ris_optimize` call and evaluated as one stack.  Returns one
+        (candidate, h_eff, leak, proposed) entry per iteration, over its
+        feasible rows: the proposal, its channels and its merit terms at
+        that iteration's precoder; None for an iteration without one."""
+        sizes = [len(stage.fitting) for stage in chain]
+        if not sum(sizes):
+            return [None] * len(chain)
+        if len(chain) == 1:
+            ((rows, combiner, weight, precoder, *_),) = chain
         else:
-            combiner, weight, precoder, lam0, mu = self._wmmse_update(self.phi, terms, self.precoder, noise)
-            infeasible = mu == math.inf
-            if infeasible.any():
-                achieved = _bound(precoder[infeasible], terms.fisher[infeasible])
+            combiner, weight, precoder = (
+                np.concatenate([getattr(stage, name) for stage in chain]) for name in ("combiner", "weight", "fitting")
+            )
+            every = np.arange(len(self.cells))
+            rows = np.concatenate([every if stage.feasible is None else stage.feasible for stage in chain])
+        links = self.links if rows is None else _Links(*(a[rows] for a in self.links))
+        factor, lin = ris_quadratics(precoder, combiner, weight, links, objective=self.objective)
+        candidate, _ = ris_optimize(_pick(self.phi, rows), factor, lin, RIS_TOL, MAX_RIS_ITER)
+        h_eff = effective_channel(links, candidate)
+        leak = si_channel(links, candidate) if self.sensing else None
+        proposed = _evaluate(precoder, h_eff, leak, _pick(self.noise_user, rows))
+        if len(chain) == 1:
+            return [(candidate, h_eff, leak, proposed)]
+        ends = np.cumsum(sizes).tolist()
+        return [
+            (candidate[lo:hi], h_eff[lo:hi], None if leak is None else leak[lo:hi], tuple(a[lo:hi] for a in proposed))
+            for lo, hi in zip([0, *ends[:-1]], ends)
+        ]
+
+    def step(self):
+        """A window of outer iterations of every cell in the stack: the
+        precoder, then a guarded phase proposal and the record, for each.
+
+        While the guard rejects a row's proposals its phase stays, and each
+        iteration's precoder stage depends only on the one before.  So
+        :meth:`_chain` makes the stages of up to ``window`` iterations
+        ahead, :meth:`_propose` solves all their phase problems in one
+        call, and the iterations are then recorded, guarded and
+        stop-tested in order, exactly as one at a time.  The first
+        iteration at which some row keeps a proposal moves that row and
+        ends the window; the stages made past it are dropped.  The window
+        doubles after a window that kept no proposal and returns to one
+        after a window that kept one; rows times window stays within
+        ``MAX_WINDOW_ROWS``.  Without the surface nothing can be proposed,
+        and a window is one iteration; a communication-only cell then
+        finishes after one step."""
+        config = self.config
+        width = 1
+        if config.ris_enabled:
+            width = max(1, min(self.window, MAX_WINDOW_ROWS // len(self.cells), config.max_outer - self.iteration))
+        chain = self._chain(width)
+        proposals = self._propose(chain) if config.ris_enabled else [None] * len(chain)
+        kept = False
+        for (*_, fitting, precoder, lam0, mu, evaluated), proposal in zip(chain, proposals):
+            self.iteration += 1
+            infeasible = mu == math.inf if self.sensing else None
+            if infeasible is not None and infeasible.any():
+                achieved = _bound(precoder[infeasible], self.terms.fisher[infeasible])
                 for cell, value in zip(self.cells[infeasible], achieved.tolist()):
                     self.outcomes[cell] = CrbInfeasibleError(
                         value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
@@ -808,33 +1089,30 @@ class _Lockstep:
                 self._finish(infeasible)
                 if not len(self.cells):
                     return
-                keep = ~infeasible
-                combiner, weight, precoder, lam0 = (a[keep] for a in (combiner, weight, precoder, lam0))
-                terms, noise = self.terms, self.noise_user
-        evaluated = _evaluate(precoder, terms.h_eff, terms.leak, noise)
-        if config.ris_enabled:
-            factor, lin = ris_quadratics(precoder, combiner, weight, self.links, objective=self.objective)
-            candidate, _ = ris_optimize(self.phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
-            h_eff = effective_channel(self.links, candidate)
-            leak = si_channel(self.links, candidate) if self.sensing else None
-            proposed = _evaluate(precoder, h_eff, leak, noise)
-            accept = proposed[0] <= evaluated[0]
-            if accept.any():
-                staged = self._stage(accept, candidate, h_eff, leak)
-                if self.constrain:
-                    accept, staged = self._look_ahead(accept, candidate, staged, precoder)
+                precoder, lam0 = fitting, lam0[~infeasible]
+            if proposal is not None:
+                candidate, h_eff, leak, proposed = proposal
+                accept = proposed[0] <= evaluated[0]
                 if accept.any():
-                    self._move(accept, candidate, staged)
-                    evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
-        self.precoder = precoder
-        merit = self._record(precoder, evaluated, lam0)
-        if config.ris_enabled or self.sensing:
-            stalled = np.abs(merit - self.merit) <= config.outer_tol * np.maximum(np.abs(self.merit), 1e-300)
-        else:
-            stalled = np.ones(len(self.cells), dtype=bool)
-        self.merit = merit
-        if stalled.any():
-            self._finish(stalled)
+                    staged = self._stage(accept, candidate, h_eff, leak)
+                    if self.constrain:
+                        accept, staged = self._look_ahead(accept, candidate, staged, precoder)
+                    if accept.any():
+                        self._move(accept, candidate, staged)
+                        evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
+                        kept = True
+            self.precoder = precoder
+            merit = self._record(precoder, evaluated, lam0)
+            if config.ris_enabled or self.sensing:
+                stalled = _merit_stalled(merit, self.merit, config.outer_tol)
+            else:
+                stalled = np.ones(len(self.cells), dtype=bool)
+            self.merit = merit
+            if stalled.any():
+                self._finish(stalled)
+            if kept or not len(self.cells):
+                break
+        self.window = 1 if kept else min(2 * self.window, MAX_WINDOW_ROWS)
 
     def run(self) -> list:
         """Step until every cell has stopped; returns ``outcomes``."""
@@ -842,12 +1120,6 @@ class _Lockstep:
             self.step()
         self._finish(np.ones(len(self.cells), dtype=bool))
         return self.outcomes
-
-
-def _take(stack, rows):
-    """The rows of ``stack`` that the mask ``rows`` selects; ``stack``
-    itself when it selects every row."""
-    return stack if rows.all() else stack[rows]
 
 
 def _put_rows(stack, rows, values):
@@ -858,6 +1130,26 @@ def _put_rows(stack, rows, values):
     out = stack.copy()
     out[rows] = values
     return out
+
+
+def _pick(stack, rows):
+    """The rows of ``stack`` at the indices ``rows``; ``stack`` itself for
+    None, which stands for every row."""
+    return stack if rows is None else stack[rows]
+
+
+def _narrow(rows, keep):
+    """The indices among ``rows`` (None: every row) that the mask ``keep``
+    over them selects; ``rows`` itself when it selects them all."""
+    if keep.all():
+        return rows
+    return np.flatnonzero(keep) if rows is None else rows[keep]
+
+
+def _merit_stalled(merit, previous, outer_tol):
+    """The outer loop's stop rule, per row: the merit moved by at most
+    ``outer_tol`` relative to the ``previous`` one."""
+    return np.abs(merit - previous) <= outer_tol * np.maximum(np.abs(previous), 1e-300)
 
 
 def jcas_optimize(
@@ -893,7 +1185,11 @@ def jcas_optimize(
     is built at the start and again only for a proposal that passes the
     merit test, from the channels computed to evaluate it, and reaches
     :func:`precoder_update` through its ``phase_terms`` keyword.  The cell
-    runs as a batch of one of :func:`jcas_optimize_batch`.
+    runs as a batch of one of :func:`jcas_optimize_batch`.  While the
+    guard rejects proposals the phase stays, so the loop makes the
+    precoder stages of a window of iterations ahead and solves their phase
+    problems in one stacked call; the window ends at the first kept
+    proposal, and the result is the one the iterations give one at a time.
     """
     (outcome,) = _Lockstep([(scene, channels, config, coeffs)]).run()
     if isinstance(outcome, CrbInfeasibleError):
@@ -903,7 +1199,8 @@ def jcas_optimize(
 
 def jcas_optimize_batch(cells) -> list:
     """:func:`jcas_optimize` of every ``(scene, channels, config, coeffs)``
-    cell, run in lockstep; None for a cell whose angle bound is infeasible.
+    cell, run in lockstep; a cell whose angle bound is infeasible gets the
+    CrbInfeasibleError that :func:`jcas_optimize` raises for it alone.
 
     The cells must have the same dimensions and share every
     :class:`JcasConfig` option but ``seed``; scenes, channels (noise
@@ -914,7 +1211,7 @@ def jcas_optimize_batch(cells) -> list:
     cells = list(cells)
     if not cells:
         return []
-    return [None if isinstance(o, CrbInfeasibleError) else o for o in _Lockstep(cells).run()]
+    return _Lockstep(cells).run()
 
 
 def _evaluate(precoder, h_eff, leak, noise_user):

@@ -488,7 +488,7 @@ class TestBuildCell:
 
 TEST_PID = os.getpid()
 RUN_CELLS = experiments._run_cells
-STUDY_POINT = experiments._study_point
+STUDY_POINTS = experiments._study_points
 
 
 def _cells_where(config, cells):
@@ -498,9 +498,17 @@ def _cells_where(config, cells):
     return [(*cell, os.getpid(), blas[0]() if blas else None, list(cells)) for cell in cells]
 
 
-def _study_point_where(config, target_angle, coeffs, snr_db):
-    """``_study_point`` with the process that ran it."""
-    return {**STUDY_POINT(config, target_angle, coeffs, snr_db), "pid": os.getpid()}
+def _study_points_where(config, points):
+    """``_study_points`` with the process that ran each point."""
+    return [{**row, "pid": os.getpid()} for row in STUDY_POINTS(config, points)]
+
+
+def _study_points_failing_above_5_db(config, points):
+    """``_study_points`` with an infeasible-bound error for every point above 5 dB."""
+    return [
+        CrbInfeasibleError(snr_db, 1.0, context=f"{snr_db:g} dB") if snr_db > 5.0 else row
+        for (*_, snr_db), row in zip(points, STUDY_POINTS(config, points))
+    ]
 
 
 def _cells_failing_in_worker(config, cells):
@@ -613,7 +621,7 @@ class TestCellPool:
     def test_study_points_on_the_pool_equal_serial_points(self, monkeypatch):
         if experiments._openblas_threads() is None:
             pytest.skip("numpy does not use OpenBLAS: points run in this process")
-        monkeypatch.setattr(experiments, "_study_point", _study_point_where)
+        monkeypatch.setattr(experiments, "_study_points", _study_points_where)
         config = ExperimentConfig(
             **{**FAST, "snr_grid_db": (0.0, 10.0, 20.0), "mse_trials": 2, "snapshots": 16},
             grid_resolution=1e-2,
@@ -629,12 +637,56 @@ class TestCellPool:
         assert parallel == serial
         assert [row["snr_db"] for row in serial] == [0.0, 10.0, 20.0]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_study_raises_the_first_infeasible_point_in_grid_order(self, monkeypatch, cpus):
+        # on two CPUs this process runs 0 and 20 dB, the worker 10 dB: the
+        # error raised is the 10 dB one, whichever process finds it first
+        if cpus > 1 and experiments._openblas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS: points run in this process")
+        monkeypatch.setattr(experiments, "_study_points", _study_points_failing_above_5_db)
+        config = ExperimentConfig(
+            **{**FAST, "snr_grid_db": (0.0, 10.0, 20.0), "mse_trials": 2, "snapshots": 16},
+            grid_resolution=1e-2,
+        )
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(CrbInfeasibleError, match=r"^10 dB: "):
+            monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
+        assert multiprocessing.active_children() == []
+
+    def test_infeasible_study_point_raises_the_design_error(self):
+        # the study's lockstep batch keeps the error the cell raises alone,
+        # with the outer iteration it failed at
+        # at 1e-3 the 0 dB point is infeasible and the 5 dB one is not
+        config = ExperimentConfig(
+            snr_grid_db=(0.0, 5.0), crb_threshold=1e-3, mse_trials=2, snapshots=16, grid_resolution=1e-2
+        )
+        angle, coeffs = np.deg2rad(20.0), PathCoefficients.random(3)
+        scene = experiments._scene(config, angle)
+        channels = experiments._channel_set(config, scene, [config.root_seed, 100], 0.0)
+        with pytest.raises(CrbInfeasibleError) as alone:
+            jcas_optimize(scene, channels, experiments._jcas_config(config, config.root_seed), coeffs)
+        rows = STUDY_POINTS(config, [(angle, coeffs, 0.0), (angle, coeffs, 5.0)])
+        assert isinstance(rows[0], CrbInfeasibleError) and isinstance(rows[1], dict)
+        assert str(rows[0]) == str(alone.value) and rows[0].achieved == alone.value.achieved
+        with pytest.raises(CrbInfeasibleError, match=r"^outer iteration 1: CRB constraint infeasible"):
+            monte_carlo_mse(config, angle, coeffs)
+
+    def test_one_step_scheme_runs_in_this_process(self, monkeypatch):
+        # no surface and no sensing: every cell finishes after one outer iteration
+        _cpus(monkeypatch, 2)
+        cells = [(0, 0.0), (1, 0.0), (2, 10.0)]
+        config = ExperimentConfig(**{**FAST, "scheme": "no_ris_comm_only"})
+        done = experiments._map_cells(_cells_where, config, cells)
+        assert [cell[2] for cell in done] == [TEST_PID] * 3
+        assert [cell[4] for cell in done] == [cells] * 3
+        assert multiprocessing.active_children() == []
+
     def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
         if experiments._openblas_threads() is None:
             pytest.skip("numpy does not use OpenBLAS: cells run in this process")
         monkeypatch.setattr(experiments, "_run_cells", _cells_failing_in_worker)
         _cpus(monkeypatch, 2)
-        config = ExperimentConfig(scheme="no_ris_comm_only", **FAST)
+        config = ExperimentConfig(scheme="ris_comm_only", **FAST)
         with pytest.raises(ValueError) as err:
             run_scheme(config)
         assert type(err.value) is ValueError

@@ -1212,19 +1212,24 @@ class TestRisOptimizeMatchesDenseReference:
         assert np.array_equal(values, [0.0, 0.0])
 
 
-def stacked_row(rng, kind, objective):
-    """One phase problem ``(phi0, F, d)`` of the ``objective`` form on a
-    12-element surface.  ``"scaled"`` is :func:`ris_quadratics` at a random
-    state; ``"zero"`` sets ``F = 0`` (lam = 0); ``"subnormal"`` scales ``F``
-    so that lam is subnormal; ``"tie"`` sets ``F = 0`` and ``d[0] = 0``, so
-    element 0 meets a zero direction at every step (the tie break)."""
-    channels = random_channelset(rng)
+def stacked_row(rng, kind, objective, n_ris=12):
+    """One phase problem ``(phi0, F, d)`` of the ``objective`` form on an
+    ``n_ris``-element surface.  ``"scaled"`` is :func:`ris_quadratics` at a
+    random state; ``"zero"`` sets ``F = 0`` (lam = 0); ``"subnormal"``
+    scales ``F`` so that lam is subnormal; ``"huge"`` scales ``F`` so that
+    lam is about 1e-300 and ``d`` by 1e10, so ``d / lam`` overflows (the
+    unscaled branch at a positive lam); ``"tie"`` sets ``F = 0`` and
+    ``d[0] = 0``, so element 0 meets a zero direction at every step (the
+    tie break)."""
+    channels = random_channelset(rng, n_ris=n_ris)
     h_eff, precoder, noise = random_state(rng)
     combiner = mmse_combiner(h_eff, precoder, noise)
     weight = weight_matrix(mse_matrix(h_eff, precoder, noise))
     factor, lin = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
     if kind == "subnormal":
         factor = factor * (1e-156 / np.linalg.norm(factor))
+    elif kind == "huge":
+        factor, lin = factor * (1e-150 / np.linalg.norm(factor)), lin * 1e10
     elif kind in ("zero", "tie"):
         factor = np.zeros_like(factor)
     if kind == "tie":
@@ -1232,10 +1237,11 @@ def stacked_row(rng, kind, objective):
     return random_unit_modulus(channels.n_ris, rng), factor, lin
 
 
-def stacked_problem(seed, kinds, objective):
+def stacked_problem(seed, kinds, objective, n_ris=12):
     """``(phi0, F, d)`` stacked over one :func:`stacked_row` per kind."""
     rng = np.random.default_rng(seed)
-    return tuple(np.stack(column) for column in zip(*(stacked_row(rng, kind, objective) for kind in kinds)))
+    rows = (stacked_row(rng, kind, objective, n_ris) for kind in kinds)
+    return tuple(np.stack(column) for column in zip(*rows))
 
 
 # (seed, kinds, objective) of stacks that mix scaled rows with the unscaled branches
@@ -1274,6 +1280,119 @@ class TestRisOptimizeStack:
         # the explicit examples above hold rows that stop on their own
         _, runs = ris_optimize(*stacked_problem(seed, kinds, objective))
         assert len({len(values) for values in runs}) >= 2, [len(values) for values in runs]
+
+
+def assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, labels):
+    """A stacked :func:`ris_optimize` call gives each row the bits of its
+    2-D call and leaves ``phi0`` as it was; ``labels`` name the rows."""
+    before = phi0.copy()
+    phases, runs = ris_optimize(phi0, factor, lin, max_iter=max_iter)
+    assert phases.shape == phi0.shape and len(runs) == len(phi0)
+    assert not np.shares_memory(phases, phi0)
+    assert np.array_equal(phi0, before)
+    for row, (p, f, d) in enumerate(zip(phi0, factor, lin)):
+        alone, values = ris_optimize(p, f, d, max_iter=max_iter)
+        assert phases[row].tobytes() == alone.tobytes(), (row, labels[row])
+        assert runs[row].tobytes() == values.tobytes(), (row, labels[row])
+
+
+# (seed, kinds, objective, n_ris) of stepped stacks whose rows stop at
+# different maps, with the row counts of the stacks they are stepped in:
+# once at most half the rows run, the running ones go on alone, stepped
+# together again from ``MIN_STACKED_ROWS`` rows and else one at a time.
+# On a one-element surface every row stops within two maps.
+STEPPED_STACKS = (
+    (4, ["scaled"] * 10 + ["zero"] * 3 + ["tie", "subnormal", "scaled"], "rate", 12, [16, 8, 4]),
+    (4, ["scaled"] * 7, "rate", 12, [7, 3]),
+    (1, ["scaled", "huge", "zero", "scaled", "tie", "subnormal", "scaled", "scaled"], "jcas", 12, [8, 4]),
+    (2, ["scaled", "huge", "scaled", "tie", "scaled", "scaled", "scaled"], "rate", 2, [7, 2]),
+    (3, ["scaled", "tie", "scaled", "zero", "huge", "scaled"], "rate", 1, [6]),
+)
+
+
+class TestRisOptimizeSteppedStack:
+    """Stacks of at least ``MIN_STACKED_ROWS`` rows, whose rows are stepped
+    together (``_mm_steps``), against 2-D calls, which step their one row
+    alone (``_mm_row``)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["scaled", "zero", "subnormal", "huge", "tie"]),
+            min_size=optimizer.MIN_STACKED_ROWS,
+            max_size=16,
+        ),
+        objective=st.sampled_from(["jcas", "rate"]),
+        max_iter=st.sampled_from([0, 1, 2, 3, optimizer.MAX_RIS_ITER]),
+        n_ris=st.sampled_from([1, 2, 12]),
+    )
+    def test_stepped_stack_equals_rows_alone(self, seed, kinds, objective, max_iter, n_ris):
+        """Whichever map each row stops at and whichever branch its step
+        size takes, on surfaces of one element (whose lead product runs
+        row by row), two and twelve."""
+        phi0, factor, lin = stacked_problem(seed, kinds, objective, n_ris)
+        assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, kinds)
+
+    @pytest.mark.parametrize("seed, kinds, objective, n_ris, stacks", STEPPED_STACKS)
+    def test_running_rows_go_on_without_the_stopped_ones(self, monkeypatch, seed, kinds, objective, n_ris, stacks):
+        phi0, factor, lin = stacked_problem(seed, kinds, objective, n_ris)
+        calls = {"solve": [], "steps": [], "row": 0}
+        solve, steps, row = optimizer._mm_solve, optimizer._mm_steps, optimizer._mm_row
+
+        def recording_solve(phi0, *args):
+            calls["solve"].append(len(phi0))
+            return solve(phi0, *args)
+
+        def recording_steps(phi0, *args):
+            calls["steps"].append(len(phi0))
+            return steps(phi0, *args)
+
+        def recording_row(*args):
+            calls["row"] += 1
+            return row(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_mm_solve", recording_solve)
+            patch.setattr(optimizer, "_mm_steps", recording_steps)
+            patch.setattr(optimizer, "_mm_row", recording_row)
+            _, runs = ris_optimize(phi0, factor, lin)
+        assert calls["solve"] == stacks, [len(values) for values in runs]
+        small = [size for size in stacks if size < optimizer.MIN_STACKED_ROWS]
+        assert calls["steps"] == [size for size in stacks if size >= optimizer.MIN_STACKED_ROWS]
+        assert calls["row"] == sum(small)
+        assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, kinds)
+
+    def test_two_d_calls_step_one_row(self, monkeypatch):
+        # the reference side of the tests above never takes the stacked maps
+        phi0, factor, lin = stacked_problem(0, ["scaled"], "jcas")
+        monkeypatch.setattr(optimizer, "_mm_steps", None)
+        ris_optimize(phi0[0], factor[0], lin[0])
+
+    @pytest.mark.parametrize(
+        "scheme, cells",
+        [
+            # a capped cell, whose windows reach MAX_WINDOW_ROWS iterations
+            ("ris_with_sensing", [(0, 20.0)]),
+            # six communication-only cells, one iteration each per call
+            ("ris_comm_only", [(seed_index, 10.0) for seed_index in range(6)]),
+        ],
+    )
+    def test_cell_stacks_equal_rows_alone(self, monkeypatch, scheme, cells):
+        stacks = []
+        solver = optimizer.ris_optimize
+
+        def recording(phi0, factor, linear, *args):
+            stacks.append((phi0.copy(), factor.copy(), linear.copy()))
+            return solver(phi0, factor, linear, *args)
+
+        monkeypatch.setattr(optimizer, "ris_optimize", recording)
+        config = ExperimentConfig(scheme=scheme, seeds=6)
+        jcas_optimize_batch([build_cell(config, *cell) for cell in cells])
+        stepped = [stack for stack in stacks if len(stack[0]) >= optimizer.MIN_STACKED_ROWS]
+        assert stepped
+        for phi0, factor, lin in stepped:
+            assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, range(len(phi0)))
 
 
 class TestJcasConfig:
@@ -1390,8 +1509,8 @@ def assert_batch_matches_cells_alone(scheme, cells, max_outer):
     for cell, (scene, channels, jcas, coeffs), result in zip(cells, built, batch):
         try:
             alone = jcas_optimize(scene, channels, jcas, coeffs)
-        except CrbInfeasibleError:
-            assert result is None, cell
+        except CrbInfeasibleError as err:
+            assert isinstance(result, CrbInfeasibleError) and str(result) == str(err), cell
             ends.append("infeasible")
             continue
         assert result.precoder.tobytes() == alone.precoder.tobytes(), cell
@@ -1435,7 +1554,8 @@ class TestLockstep:
         assert err.value.achieved > err.value.threshold == config.crb_threshold
 
     def test_one_solver_call_per_step(self, monkeypatch):
-        # every row of the stack goes to the phase solver in one call
+        # a step is one window: every (row, iteration) phase problem of it
+        # goes to the phase solver in one call, and each is solved once
         calls = []
 
         def recording(phi0, factor, linear, *args):
@@ -1443,16 +1563,28 @@ class TestLockstep:
             return ris_optimize(phi0, factor, linear, *args)
 
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
-        config = ExperimentConfig(scheme="ris_comm_only", seeds=4, max_outer=10)
-        built = [build_cell(config, seed_index, 10.0) for seed_index in range(4)]
-        state = optimizer._Lockstep(built)
-        rows = []
-        while len(state.cells) and state.iteration < config.max_outer:
-            rows.append(len(state.cells))
-            state.step()
-            assert len(calls) == len(rows)
-        assert [shape[0] for shape in calls] == rows and rows[0] == 4
-        assert all(len(shape) == 3 for shape in calls)
+        for scheme, snr_db in (("ris_comm_only", 10.0), ("ris_with_sensing", 30.0)):
+            calls.clear()
+            config = ExperimentConfig(scheme=scheme, seeds=4, max_outer=60)
+            built = [build_cell(config, seed_index, snr_db) for seed_index in range(4)]
+            state = optimizer._Lockstep(built)
+            windows = []
+            while len(state.cells) and state.iteration < config.max_outer:
+                start = state.iteration
+                state.step()
+                windows.append(state.iteration - start)
+                assert len(calls) == len(windows)
+            assert all(len(shape) == 3 for shape in calls)
+            outcomes = state.run()
+            assert sum(shape[0] for shape in calls) == sum(len(o.trace) - 1 for o in outcomes)
+            if scheme == "ris_comm_only":
+                # every communication-only proposal is kept, so each window is one iteration
+                assert set(windows) == {1} and calls[0][0] == len(built)
+            else:
+                # the capped cells keep none after iteration 1, and their windows grow to the cap
+                assert max(windows) == optimizer.MAX_WINDOW_ROWS // len(built)
+                assert max(shape[0] for shape in calls) == optimizer.MAX_WINDOW_ROWS
+                assert len(calls) < sum(windows) == config.max_outer
 
     def test_cells_must_share_solver_options(self, small_scene, small_channels):
         coeffs = PathCoefficients.random(1)
@@ -1461,6 +1593,125 @@ class TestLockstep:
         with pytest.raises(ValueError, match="share every solver option"):
             jcas_optimize_batch([cells[0], (small_scene, small_channels, JcasConfig(max_outer=3), coeffs)])
         assert jcas_optimize_batch([]) == []
+
+
+def windowed_outcomes(monkeypatch, scheme, cells, cap=None):
+    """``_Lockstep(...).run()`` of reference-dimension ``(seed_index,
+    snr_db)`` cells as one batch, with ``MAX_WINDOW_ROWS`` set to ``cap``
+    when given; returns the outcomes and the row count of every phase
+    solver call."""
+    rows = []
+    solver = optimizer.ris_optimize
+
+    def recording(phi0, factor, linear, *args):
+        rows.append(len(phi0))
+        return solver(phi0, factor, linear, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "ris_optimize", recording)
+        if cap is not None:
+            patch.setattr(optimizer, "MAX_WINDOW_ROWS", cap)
+        config = ExperimentConfig(scheme=scheme, seeds=8)
+        outcomes = optimizer._Lockstep([build_cell(config, *cell) for cell in cells]).run()
+    return outcomes, rows
+
+
+def assert_same_outcomes(got, expected, where):
+    """Results and traces equal bit for bit, errors in type, message and bound."""
+    assert len(got) == len(expected)
+    for cell, a, b in zip(where, got, expected):
+        assert type(a) is type(b), cell
+        if isinstance(a, CrbInfeasibleError):
+            assert (str(a), a.achieved, a.threshold) == (str(b), b.achieved, b.threshold), cell
+            continue
+        assert a.precoder.tobytes() == b.precoder.tobytes(), cell
+        assert a.ris_phase.tobytes() == b.ris_phase.tobytes(), cell
+        for name in TRACE_COLUMNS:
+            got_column, expected_column = np.array(getattr(a.trace, name)), np.array(getattr(b.trace, name))
+            assert got_column.tobytes() == expected_column.tobytes(), (cell, name)
+
+
+# reference-dimension ``(seed_index, snr_db)`` cells of each scheme, by how they end
+WINDOW_CELLS = {
+    # proposals kept at outer iterations 1-2, and the capped cells keep the first
+    "kept early": ("ris_with_sensing", [(2, 10.0), (0, 0.0), (2, 0.0)]),
+    # every communication-only proposal is kept, so each window is one iteration
+    "kept always": ("ris_comm_only", [(0, 10.0), (1, 20.0), (3, 30.0)]),
+    # merits that stall at 6-9 outer iterations
+    "stalled": ("ris_with_sensing", [(0, 10.0), (2, 10.0), (5, 10.0), (6, 10.0)]),
+    # a bound that turns infeasible at outer iteration 10, inside a window
+    "infeasible": ("ris_with_sensing", [(7, 10.0), (3, 5.0)]),
+    # capped at max_outer after five windows at the cap
+    "capped": ("ris_with_sensing", [(0, 20.0), (1, 25.0), (0, 30.0)]),
+    "mixed": ("ris_with_sensing", [(2, 10.0), (7, 10.0), (0, 30.0), (5, 10.0), (3, 5.0), (2, 0.0)]),
+}
+
+
+class TestWindows:
+    """A window solves the phase problems of several outer iterations in one
+    call; the cells must end as they do one iteration at a time."""
+
+    @pytest.mark.parametrize("group", WINDOW_CELLS)
+    def test_windows_equal_one_iteration_at_a_time(self, monkeypatch, group):
+        scheme, cells = WINDOW_CELLS[group]
+        batches = [[cell] for cell in cells] if len(cells) > 1 else []
+        for batch in [*batches, cells]:
+            windowed, rows = windowed_outcomes(monkeypatch, scheme, batch)
+            stepped, single_rows = windowed_outcomes(monkeypatch, scheme, batch, cap=1)
+            assert_same_outcomes(windowed, stepped, batch)
+            # with the cap at one, every call holds one iteration of each cell
+            assert max(single_rows, default=0) <= len(batch)
+            assert sum(rows) >= sum(single_rows)
+            if scheme == "ris_comm_only":
+                assert rows == single_rows
+            elif rows:
+                # the windows grew past one iteration
+                assert max(rows) > len(batch), batch
+
+    def test_infeasible_inside_a_window_keeps_its_message(self, monkeypatch):
+        # seed index 7 at 10 dB runs windows of 1, 2 and 4 iterations, and
+        # the fourth window's chain meets the infeasible bound at iteration 10
+        for cap in (None, 1):
+            (outcome,), rows = windowed_outcomes(monkeypatch, "ris_with_sensing", [(7, 10.0)], cap)
+            assert isinstance(outcome, CrbInfeasibleError)
+            assert str(outcome).startswith("outer iteration 10: CRB constraint infeasible: ")
+            assert rows == ([1, 2, 4, 2] if cap is None else [1] * 9)
+
+    def test_capped_windows_grow_to_the_cap(self, monkeypatch):
+        (outcome,), rows = windowed_outcomes(monkeypatch, "ris_with_sensing", [(0, 20.0)])
+        assert len(outcome.trace) - 1 == 100
+        cap = optimizer.MAX_WINDOW_ROWS
+        # the first proposal is kept: one iteration again, then doubling
+        assert rows[:6] == [1, 1, 2, 4, 8, cap] and sum(rows) == 100
+        assert len(rows) < 100 / cap + 6
+
+    def test_a_kept_proposal_drops_the_rest_of_its_window(self, monkeypatch):
+        # the solver proposes the held phase itself for the fifth problem it
+        # sees, which the guard keeps (its merit is unchanged); seed index 0
+        # at 10 dB runs windows of 1, 2 and 4 iterations, so the window of
+        # iterations 4-7 keeps the proposal of iteration 5 and drops the
+        # rest, and the cell must end as it does one iteration at a time
+        solver = optimizer.ris_optimize
+
+        def holding_the_fifth(phi0, factor, linear, *args):
+            phases, values = solver(phi0, factor, linear, *args)
+            seen.extend(range(len(seen), len(seen) + len(phi0)))
+            for row, index in enumerate(seen[-len(phi0):]):
+                if index == 4:
+                    phases[row] = phi0[row]
+            return phases, values
+
+        outcomes = []
+        for cap in (None, 1):
+            seen = []
+            monkeypatch.setattr(optimizer, "ris_optimize", holding_the_fifth)
+            outcomes.append(windowed_outcomes(monkeypatch, "ris_with_sensing", [(0, 10.0)], cap))
+            monkeypatch.setattr(optimizer, "ris_optimize", solver)
+        (windowed, rows), (stepped, single_rows) = outcomes
+        assert_same_outcomes(windowed, stepped, [(0, 10.0)])
+        assert rows[:3] == [1, 2, 4] and rows[3] == 1
+        # the windowed run solved iterations 6 and 7 twice
+        assert sum(rows) == sum(single_rows) + 2
 
 
 class TestJcasOptimize:
@@ -1516,23 +1767,31 @@ class TestJcasOptimize:
         assert "outer iteration" in str(err.value)
 
     def test_rate_evaluated_once_per_state(self, small_scene, small_channels, monkeypatch):
-        calls = []
+        calls, windows = [], []
 
         def counting_dl_rate(*args):
             calls.append(1)
             return dl_rate(*args)
 
+        def counting_ris_optimize(*args):
+            windows.append(1)
+            return ris_optimize(*args)
+
         monkeypatch.setattr(optimizer, "dl_rate", counting_dl_rate)
-        for ris_enabled, per_iteration in ((True, 2), (False, 1)):
+        monkeypatch.setattr(optimizer, "ris_optimize", counting_ris_optimize)
+        for ris_enabled in (True, False):
             calls.clear()
-            config = JcasConfig(ris_enabled=ris_enabled, n_streams=2, seed=7, max_outer=5)
+            windows.clear()
+            config = JcasConfig(ris_enabled=ris_enabled, n_streams=2, seed=7, max_outer=12)
             result = jcas_optimize(
                 small_scene, small_channels, config, coeffs=PathCoefficients.random(7)
             )
             iterations = len(result.trace) - 1
-            # the initial state, then the proposal and the current phase
-            # (RIS schemes) or the current state alone (no-RIS schemes)
-            assert len(calls) == 1 + per_iteration * iterations
+            # the initial state and the current state of each iteration,
+            # then the proposals of each window in one stacked call (RIS
+            # schemes: one window per solver call)
+            assert len(calls) == 1 + iterations + len(windows)
+            assert (0 < len(windows) < iterations) if ris_enabled else not windows
 
     @pytest.mark.parametrize(
         "scheme, reference",
@@ -1542,65 +1801,56 @@ class TestJcasOptimize:
         self, scheme, reference, small_scene, small_channels, monkeypatch
     ):
         counts = dict.fromkeys(("effective_channel", "si_channel", "fisher_core"), 0)
-        proposals, held, updates, stages, channels_at = [], [], [], [], []
-        pending = []
+        windows, stages, look_aheads = [], [], []
 
         def counting(name):
             original = getattr(optimizer, name)
 
             def counted(*args, **kwargs):
                 counts[name] += 1
-                out = original(*args, **kwargs)
-                if name == "effective_channel":
-                    channels_at.append((args[1], out))
-                return out
+                return original(*args, **kwargs)
 
             return counted
 
         def recording_ris(*args, **kwargs):
-            # one solver call per outer iteration, on the one-row stack,
+            # one solver call per window: ``jcas_optimize`` runs a batch of
+            # one, so the rows are the window's iterations in order, each
             # from the phase the loop holds
-            (phase,) = args[0]
-            held.append(phase)
+            held = args[0]
+            assert all(np.array_equal(row, held[0]) for row in held)
             phi, values = ris_optimize(*args, **kwargs)
-            (proposal,) = phi
-            proposals.append(proposal)
-            pending[:] = [proposal]
+            windows.append((held[0], phi))
             return phi, values
 
-        def record_update(phase, stage, feasible):
-            # the guard's look-ahead is the first update after a proposal,
-            # made at the proposal; the next step's update is made at the
-            # phase the loop holds, which is the proposal only if the guard
-            # kept it, and then the look-ahead came first.  Water-filling
-            # has no look-ahead.
-            ahead = stage == "precoder_update" and bool(pending) and np.array_equal(phase, pending[0])
-            pending.clear()
-            updates.append((ahead, feasible))
-            stages.append(stage)
-
         def recording_precoder(*args, **kwargs):
-            # ``jcas_optimize`` runs a batch of one: every stage gets a one-row stack
-            (phase,) = args[3]
-            out = precoder_update(*args, **kwargs)
-            record_update(phase, "precoder_update", out[2][0] < math.inf)
-            return out
+            stages.append("precoder_update")
+            return precoder_update(*args, **kwargs)
 
-        def recording_waterfill(h_eff, *args):
-            # the stage reads the effective channel of the phase the loop holds
-            (phase,) = next(phi for phi, h in channels_at if h.tobytes() == h_eff.tobytes())
-            record_update(phase, "waterfill_precoder", True)
-            return waterfill_precoder(h_eff, *args)
+        def recording_waterfill(*args):
+            stages.append("waterfill_precoder")
+            return waterfill_precoder(*args)
+
+        look_ahead = optimizer._Lockstep._look_ahead
+
+        def recording_look_ahead(state, passed, candidate, staged, precoder):
+            # the guard's bound check: one precoder update at the proposal
+            # that passed the merit test, which is kept iff it meets the bound
+            updates = len(stages)
+            accept, kept = look_ahead(state, passed, candidate, staged, precoder)
+            assert len(stages) == updates + 1
+            look_aheads.append(bool(accept.any()))
+            return accept, kept
 
         for name in counts:
             monkeypatch.setattr(optimizer, name, counting(name))
         monkeypatch.setattr(optimizer, "ris_optimize", recording_ris)
         monkeypatch.setattr(optimizer, "precoder_update", recording_precoder)
         monkeypatch.setattr(optimizer, "waterfill_precoder", recording_waterfill)
+        monkeypatch.setattr(optimizer._Lockstep, "_look_ahead", recording_look_ahead)
         ris_enabled, sensing = scheme_flags(scheme)
         if reference is True:
             # the guard never accepts a sensing phase on the small scene; at
-            # 10 dB, seed index 2, it accepts two within the first iterations
+            # 10 dB, seed index 2, it accepts some within the first iterations
             config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=10)
             scene, channels, jcas, coeffs = build_cell(config, 2, 10.0)
         elif reference == "bound":
@@ -1616,31 +1866,42 @@ class TestJcasOptimize:
             )
         result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
         iterations = len(result.trace) - 1
-        # a proposal was accepted iff the loop holds it at the next phase step (or the result)
-        following = held[1:] + [result.ris_phase]
-        accepted = [np.array_equal(p, q) for p, q in zip(proposals, following)]
-        look_aheads = [feasible for ahead, feasible in updates if ahead]
+        # a window keeps at most one proposal, after which its cell holds
+        # it; the window then ends, and the proposals after it are dropped
+        following = [held for held, _ in windows[1:]] + [result.ris_phase]
+        kept = [
+            next((i for i, p in enumerate(phi) if np.array_equal(p, after)), None)
+            for (_, phi), after in zip(windows, following)
+        ]
+        assert [k is not None for k in kept] == [
+            not np.array_equal(held, after) for (held, _), after in zip(windows, following)
+        ]
+        proposals = sum(len(phi) for _, phi in windows)
+        if ris_enabled:
+            assert iterations == sum(len(phi) if k is None else k + 1 for (_, phi), k in zip(windows, kept))
+            assert proposals >= iterations >= len(windows)
+        else:
+            assert windows == []
         # the sensing schemes update the precoder by WMMSE, the others by water-filling
         assert set(stages) == {"precoder_update" if sensing else "waterfill_precoder"}
-        assert len(proposals) == (iterations if ris_enabled else 0)
         if ris_enabled and sensing:
             # the look-ahead runs on each proposal that passes the merit
-            # test, and the proposal is kept iff its update meets the
-            # bound; every step makes its own update besides
-            assert look_aheads.count(True) == sum(accepted)
-            assert len(updates) - len(look_aheads) == iterations
+            # test, and the proposal is kept iff its update meets the bound;
+            # the window makes one update per proposal besides
+            assert look_aheads.count(True) == sum(k is not None for k in kept)
+            assert len(stages) == proposals + len(look_aheads)
         else:
-            assert look_aheads == [] and len(updates) == iterations
+            assert look_aheads == [] and len(stages) == (proposals if ris_enabled else iterations)
         if reference is True or (ris_enabled and not sensing):
-            assert sum(accepted) > 0
+            assert sum(k is not None for k in kept) > 0
         elif reference is False:
-            assert sum(accepted) == 0
+            assert all(k is None for k in kept)
         else:
             assert False in look_aheads
-        # the initial phase, then each proposal; a staged proposal's
-        # channels are reused, not rebuilt
-        assert counts["effective_channel"] == 1 + len(proposals)
-        assert counts["si_channel"] == (1 + len(proposals) if sensing else 0)
+        # the initial phase, then each window's proposals in one stack; a
+        # staged proposal's channels are reused, not rebuilt
+        assert counts["effective_channel"] == 1 + len(windows)
+        assert counts["si_channel"] == (1 + len(windows) if sensing else 0)
         assert counts["fisher_core"] == (1 + len(look_aheads) if sensing else 0)
 
     def test_guard_rejects_a_proposal_whose_next_update_misses_the_bound(self, monkeypatch):
