@@ -141,7 +141,10 @@ def build_channel_set(
 def nlos_residual(shape, nlos_si_power: float, seed) -> np.ndarray:
     """The non-LoS self-interference residual of :func:`build_channel_set`:
     i.i.d. circular Gaussian entries of variance ``nlos_si_power`` drawn
-    from ``seed``, or exact zeros (and no draw) at zero power."""
+    from ``seed``, or exact zeros (and no draw) at zero power.  Raises
+    ValueError for a negative or non-finite power."""
+    if not 0.0 <= nlos_si_power < np.inf:
+        raise ValueError(f"nlos_si_power must be finite and non-negative, got {nlos_si_power!r}")
     if nlos_si_power == 0.0:
         return np.zeros(shape, dtype=complex)
     rng = np.random.default_rng(seed)

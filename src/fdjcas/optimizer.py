@@ -27,9 +27,6 @@ RIS_TOL = 1e-5
 MAX_RIS_ITER = 56
 # SQUAREM backtracking stops within this distance of alpha = -1 and takes p2
 SQUAREM_ALPHA_SLACK = 0.01
-# stacks of at least this many rows take the stacked maps; a smaller one
-# steps its rows one at a time, which costs less there
-MIN_STACKED_ROWS = 6
 # outer loop: cap on rows x iterations of one window's stacked phase problems
 MAX_WINDOW_ROWS = 8
 # power multiplier: relative tolerance of the power match
@@ -468,13 +465,10 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     A stack of problems, ``phi0`` (rows, n), ``factor`` (rows, n, k) and
     ``linear`` (rows, n), returns the (rows, n) phases and a list of one
     value array per row; each row stops on its own and gets the bits of
-    its 2-D call.  The checks, the Grams and their eigenvalues, and the
-    map buffers below are made once for the stack.  A stack of at least
-    ``MIN_STACKED_ROWS`` rows is stepped together (:func:`_mm_steps`):
-    one map, one SQUAREM cycle and one backtrack serve every row still
-    running.  A smaller one steps its rows one at a time
-    (:func:`_mm_row`), which costs less there, and once at most half the
-    rows of a stepped stack still run, the rest go on by the same rule.
+    its 2-D call, which is a one-row stack.  The checks, the Grams and
+    their eigenvalues, and the map buffers below are made once for the
+    stack, and its rows are stepped together (:func:`_mm_steps`): one map,
+    one SQUAREM cycle and one backtrack serve every row still running.
 
     The n x n ``M`` is never formed.  Each map makes two products: ``[F^H;
     2 d^T] p`` gives ``y = F^H p`` and ``2 d^T p``, whose ``vdot`` with
@@ -486,13 +480,14 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     An extrapolated point costs one product, for its value.  The maps run
     in preallocated buffers, and the phase returned is an array of its
     own; ``phi0`` is not modified.  Raises ValueError for a non-positive
-    ``tol``, a negative ``max_iter``, a factor that is neither 2-D nor a
-    3-D stack or has no column, mismatched lengths, or non-finite inputs.
+    ``tol``, a ``max_iter`` that is not a non-negative integer, a factor
+    that is neither 2-D nor a 3-D stack or has no column, mismatched
+    lengths, or non-finite inputs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     factor = np.asarray(factor, dtype=complex)
     linear = np.asarray(linear, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
@@ -524,23 +519,9 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
         unscaled = ~((lams > 0.0) & np.isfinite(back).all(axis=(1, 2)))
         if unscaled.any():
             back[unscaled] = np.concatenate((factor[unscaled], np.conj(linear[unscaled])[..., None]), axis=-1)
-        phases, runs = _mm_solve(phi0, lead, back, lams, unscaled, tol, max_iter)
+        phases, runs = _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter)
     if single:
         return phases[0], runs[0]
-    return phases, runs
-
-
-def _mm_solve(phi0, lead, back, lams, unscaled, tol, max_iter):
-    """The maps of :func:`ris_optimize` on a stack given as to
-    :func:`_mm_steps`: its rows stepped together from ``MIN_STACKED_ROWS``
-    rows, else one at a time (:func:`_mm_row`).  Returns (phases, one
-    value array per row)."""
-    if len(lams) >= MIN_STACKED_ROWS:
-        return _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter)
-    phases, runs = np.empty_like(phi0), []
-    for row, (lam, plain) in enumerate(zip(lams.tolist(), unscaled.tolist())):
-        phases[row], values = _mm_row(phi0[row], lead[row], back[row], lam if plain else None, tol, max_iter)
-        runs.append(values)
     return phases, runs
 
 
@@ -561,32 +542,40 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
     each row's stop test, tie break, branch, step length and backtrack.
     A stopped row stays in the buffers, stepped but unread, until a cycle
     ends with at most half the rows running; the rest of the run then
-    goes on from each running row's cycle start without the stopped ones
-    (:func:`_mm_solve`), which re-evaluates that start to the same bits."""
+    goes on from each running row's cycle start without the stopped ones,
+    in a stack of its own, which re-evaluates that start to the same bits."""
     rows, n = phi0.shape
     k = lead.shape[1] - 1
-    matmul, copyto, subtract, multiply, add, absolute, divide, count = (
-        np.matmul, np.copyto, np.subtract, np.multiply, np.add, np.absolute, np.divide, np.count_nonzero
+    matmul, copyto, subtract, multiply, add, absolute, divide, count, less, less_equal, logical_and = (
+        np.matmul, np.copyto, np.subtract, np.multiply, np.add, np.absolute, np.divide, np.count_nonzero,
+        np.less, np.less_equal, np.logical_and,
     )
     # p0 starts a cycle, p1 and p2 are its maps and ``ext`` its extrapolated
-    # point.  ``head`` = [y; s] of the latest phase evaluated and ``tail`` =
-    # [y; 1] of the latest kept one: the value is the dot of their real
-    # views.  |q| goes into the real part of the complex ``mag``, so q/mag
-    # needs no cast; ``coef`` holds a real step coefficient the same way.
-    p0, p1, p2, ext, z, q = (np.empty((rows, n), dtype=complex) for _ in range(6))
-    # the cycle's first and second differences, with their squared norms
-    diffs, squares = np.empty((2, rows, n), dtype=complex), np.empty((2, rows, 1, 1))
-    r, v = diffs
+    # point; r and v are the cycle's first and second differences, and
+    # ``terms`` the extrapolation's -2 alpha r and alpha**2 v.  ``head`` =
+    # [y; s] of the latest phase evaluated and ``tail`` = [y; 1] of the
+    # latest kept one: the value is the dot of their real views.  |q| goes
+    # into the real part of the complex ``mag``, so q/mag needs no cast.
+    points = np.empty((10, rows, n), dtype=complex)
+    p0, p1, p2, ext, z, q, r, v = points[:8]
+    diffs, terms = points[6:8], points[8:]
     copyto(p0, phi0)
-    mag, coef = np.zeros((rows, n), dtype=complex), np.zeros((rows, 1), dtype=complex)
-    head, tail, ext_head, ext_tail = (np.ones((rows, k + 1), dtype=complex) for _ in range(4))
-    mag_real, coef_real = mag.real, coef.real[:, 0]
-    diff_rows, diff_columns = diffs.view(float)[..., None, :], diffs.view(float)[..., None]
+    mag = np.zeros((rows, n), dtype=complex)
+    head, tail, ext_head, ext_tail = np.ones((4, rows, k + 1), dtype=complex)
+    mag_real = mag.real
     # ``history[j]`` holds every row's value after map j; ``moved`` the
-    # extrapolated points' values and ``value`` those of the cycle starts
+    # extrapolated points' values and ``value`` those of the cycle starts;
+    # the stop test's value change and bound go into ``change`` and its
+    # verdict into ``stalled``
     history, moved = np.empty((max_iter + 1, rows)), np.empty(rows)
+    change = np.empty((2, rows))
+    delta, bound = change
+    stalled = np.empty(rows, dtype=bool)
+    # the rest of the extrapolation's buffers are made at the first cycle
+    # that gets that far
+    squares = None
     lam = lams.astype(complex)[:, None]
-    branch = unscaled[:, None] if unscaled.any() else None
+    branch = unscaled[:, None] if count(unscaled) else None
     active = np.ones(rows, dtype=bool)
     phases, runs = phi0.copy(), [None] * rows
 
@@ -594,7 +583,7 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
         # the views ``evaluate`` writes and reads for one (head, tail) pair
         return head, head[..., None], tail[:, :k], head[:, :k], tail.view(float)[:, None, :], head.view(float)[..., None]
 
-    kept_views, ext_views = products(head, tail), products(ext_head, ext_tail)
+    kept_views = products(head, tail)
 
     def evaluate(x, views, out):
         head, head_column, tail_y, head_y, tail_row, head_column_real = views
@@ -620,179 +609,91 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
         divide(q, mag, x)
         value = evaluate(x, kept_views, out)
         # a NaN value sends its row's step through the tie break
-        if math.isnan(value.sum()):
+        if math.isnan(value.dot(value)):
             tie = active & (value != value)
             if count(tie):
                 copyto(x, p, where=tie[:, None] & ~(mag_real > 0.0))
                 evaluate(x, kept_views, out)
         return value
 
+    def stopping(value, previous):
+        # the stop rule per running row: the value changed by at most
+        # ``tol`` relative (|tol value| is tol |value|), or absolute at a
+        # zero value
+        subtract(value, previous, delta)
+        multiply(value, tol, bound)
+        absolute(change, change)
+        less_equal(delta, bound, stalled)
+        if count(value) < rows:
+            copyto(stalled, delta <= tol, where=value == 0.0)
+        return logical_and(stalled, active, stalled)
+
     value = evaluate(p0, kept_views, history[0]).copy()
     if max_iter == 0:
         return phases, list(history.T.copy())
-    maps = 0
+    maps, running = 0, rows
     while True:
         for p, x in ((p0, p1), (p1, p2)):
             previous, value = value, mm_map(p, x, history[maps + 1])
             maps += 1
-            stop = active if maps == max_iter else active & _stalled(value, previous, tol)
+            stop = active if maps == max_iter else stopping(value, previous)
             if count(stop):
-                for row in np.flatnonzero(stop).tolist():
+                stopped = np.flatnonzero(stop).tolist()
+                for row in stopped:
                     phases[row], runs[row] = x[row], history[: maps + 1, row].copy()
-                active = active & ~stop
-                if not count(active):
+                running -= len(stopped)
+                if not running:
                     return phases, runs
+                active = active & ~stop
+        if squares is None:
+            # the differences' squared norms; ``alpha`` is the second row of
+            # ``factors``, so that one product of the two gives both step
+            # coefficients, which go into the real parts of ``coefs``
+            squares, factors = np.empty((2, rows, 1, 1)), np.full((2, rows), -2.0)
+            coefs = np.zeros((2, rows, 1), dtype=complex)
+            coefs_real, ext_views = coefs.real[..., 0], products(ext_head, ext_tail)
+            diff_rows, diff_columns = diffs.view(float)[..., None, :], diffs.view(float)[..., None]
+            rr, vv, alpha = squares[0, :, 0, 0], squares[1, :, 0, 0], factors[1]
+            trying, better = np.zeros((2, rows), dtype=bool)
+            # the backtrack's numbers as 0-d arrays, which ufuncs take faster than floats
+            one, half, clamp = np.array(1.0), np.array(0.5), np.array(-1.0 - SQUAREM_ALPHA_SLACK)
         # S3 step length, then backtrack toward alpha = -1, which is p2
-        # itself; a ratio at most 1 clamps to -1, and so does an infinite one
+        # itself; a ratio at most 1 clamps to -1, and so does an infinite
+        # one.  ``trying`` is all False here, so its rows outside ``active``
+        # stay so.  A kept extrapolated point goes into p2, which starts the
+        # next cycle.
         subtract(p1, p0, r)
         subtract(p2, p1, v)
         subtract(v, r, v)
         matmul(diff_rows, diff_columns, out=squares)
-        alpha = -np.sqrt(squares[0, :, 0, 0] / squares[1, :, 0, 0])
-        trying = active & (alpha < -1.0 - SQUAREM_ALPHA_SLACK) & (alpha > -math.inf)
+        np.negative(np.sqrt(divide(rr, vv, alpha), alpha), alpha)
+        less(alpha, clamp, out=trying, where=active)
+        np.greater(alpha, -math.inf, out=trying, where=trying)
         value = value.copy()
-        took = np.zeros(rows, dtype=bool)
         while count(trying):
-            multiply(alpha, -2.0, coef_real)
-            multiply(r, coef, ext)
-            add(ext, p0, ext)
-            multiply(alpha, alpha, coef_real)
-            multiply(v, coef, q)
-            add(ext, q, ext)
+            multiply(alpha, factors, coefs_real)
+            multiply(diffs, coefs, terms)
+            add(terms[0], p0, ext)
+            add(ext, terms[1], ext)
             absolute(ext, mag_real)
             divide(ext, mag, ext)
-            better = trying & (evaluate(ext, ext_views, moved) <= value)
+            logical_and(less_equal(evaluate(ext, ext_views, moved), value, better), trying, better)
             if count(better):
                 column = better[:, None]
-                copyto(p0, ext, where=column)
+                copyto(p2, ext, where=column)
                 copyto(tail, ext_tail, where=column)
                 copyto(value, moved, where=better)
-                took |= better
                 trying ^= better
-            alpha = 0.5 * (alpha - 1.0)
-            trying &= alpha < -1.0 - SQUAREM_ALPHA_SLACK
-        copyto(p0, p2, where=~took[:, None])
-        if 2 * np.count_nonzero(active) <= rows:
+            multiply(subtract(alpha, one), half, alpha)
+            logical_and(trying, less(alpha, clamp), out=trying)
+        p0, p2 = p2, p0
+        if 2 * running <= rows:
             # go on with the running rows alone, from their cycle starts
             keep = np.flatnonzero(active)
-            rest = _mm_solve(p0[keep], lead[keep], back[keep], lams[keep], unscaled[keep], tol, max_iter - maps)
+            rest = _mm_steps(p0[keep], lead[keep], back[keep], lams[keep], unscaled[keep], tol, max_iter - maps)
             for row, phase, values in zip(keep.tolist(), *rest):
                 phases[row], runs[row] = phase, np.concatenate((history[: maps + 1, row], values[1:]))
             return phases, runs
-
-
-def _mm_row(phi0, lead, back, lam, tol, max_iter):
-    """The SQUAREM-accelerated MM maps of :func:`ris_optimize` on one
-    problem, the path of stacks below ``MIN_STACKED_ROWS`` rows: ``lead``
-    is ``[F^H; 2 d^T]``, and ``back`` is ``[F | conj(d)] / lam`` when
-    ``lam`` is None, or ``[F | conj(d)]`` itself with ``lam`` given (the
-    unscaled branch).  Runs under the caller's ``np.errstate``; gives
-    the bits of :func:`_mm_steps`."""
-    if lam is None:
-        direction = np.subtract
-    else:
-
-        def direction(p, z, q):
-            return np.subtract(np.multiply(lam, p, q), z, q)
-
-    k, n = lead.shape[0] - 1, lead.shape[1]
-    lead_dot, back_dot = lead.dot, back.dot
-    # ``head`` = [y; s] of the latest phase and ``tail`` = [y; 1]; the
-    # objective Re(vdot(tail, head)) is the dot of their real views.  |q|
-    # goes into the real part of the complex ``mag``, so q/mag needs no cast.
-    head, tail = np.empty(k + 1, dtype=complex), np.ones(k + 1, dtype=complex)
-    head_y, tail_y = head[:k], tail[:k]
-    head_real, tail_dot = head.view(float), tail.view(float).dot
-    z, q, mag = np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.zeros(n, dtype=complex)
-    mag_real = mag.real
-    absolute, divide, copyto, subtract, multiply, add = (
-        np.absolute, np.divide, np.copyto, np.subtract, np.multiply, np.add
-    )
-
-    def evaluate(p):
-        lead_dot(p, head)
-        copyto(tail_y, head_y)
-        return float(tail_dot(head_real))
-
-    def mm_map(p, x):
-        # x = MM(p), given ``tail`` of p; leaves ``tail`` of x
-        back_dot(tail, z)
-        direction(p, z, q)
-        absolute(q, mag_real)
-        divide(q, mag, x)
-        value = evaluate(x)
-        if value != value:
-            copyto(x, p, where=~(mag_real > 0.0))
-            value = evaluate(x)
-        return value
-
-    # p0 starts a cycle and p1, p2 are its two maps; the extrapolation's
-    # buffers are made at the first cycle that gets that far
-    p0, p1, p2 = phi0.copy(), np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    ext = None
-    value = evaluate(p0)
-    values = [value]
-    maps = 0
-    while maps < max_iter:
-        start = value
-        value = mm_map(p0, p1)
-        maps += 1
-        values.append(value)
-        if _stalled_row(value, start, tol) or maps == max_iter:
-            return p1, np.asarray(values)
-        previous, value = value, mm_map(p1, p2)
-        maps += 1
-        values.append(value)
-        if _stalled_row(value, previous, tol) or maps == max_iter:
-            return p2, np.asarray(values)
-        if ext is None:
-            # the extrapolated point, the first and second differences, and p2's ``tail``
-            ext, r, v = (np.empty(n, dtype=complex) for _ in range(3))
-            kept = np.empty(k, dtype=complex)
-            r_real, v_real = r.view(float), v.view(float)
-        # S3 step length, then backtrack toward alpha = -1, which is p2 itself
-        subtract(p1, p0, r)
-        subtract(p2, p1, v)
-        subtract(v, r, v)
-        rr, vv = float(r_real.dot(r_real)), float(v_real.dot(v_real))
-        ratio = rr / vv if vv > 0.0 else 1.0
-        # a ratio below 1 clamps to -1, and an infinite one takes p2 too
-        alpha = -math.sqrt(ratio) if 1.0 < ratio < math.inf else -1.0
-        copyto(kept, tail_y)
-        while alpha < -1.0 - SQUAREM_ALPHA_SLACK:
-            multiply(r, -2.0 * alpha, ext)
-            add(ext, p0, ext)
-            multiply(v, alpha * alpha, q)
-            add(ext, q, ext)
-            absolute(ext, mag_real)
-            divide(ext, mag, ext)
-            moved = evaluate(ext)
-            if moved <= value:
-                p0, ext, value = ext, p0, moved
-                break
-            alpha = 0.5 * (alpha - 1.0)
-        else:
-            copyto(tail_y, kept)
-            p0, p2 = p2, p0
-    return p0, np.asarray(values)
-
-
-def _stalled_row(value, previous, tol) -> bool:
-    """:func:`_stalled` of one row's float values."""
-    delta = abs(value - previous)
-    scale = abs(value)
-    return (delta <= tol * scale) if scale > 0.0 else (delta <= tol)
-
-
-def _stalled(value, previous, tol):
-    """The stop rule of :func:`ris_optimize`, per row: the value changed
-    by at most ``tol`` relative, or absolute at a zero value."""
-    delta = np.abs(value - previous)
-    scale = np.abs(value)
-    stalled = delta <= tol * scale
-    if not scale.all():
-        stalled = np.where(scale > 0.0, stalled, delta <= tol)
-    return stalled
 
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:

@@ -51,6 +51,11 @@ class TestBuildChannelSet:
         ch = build_channel_set(reference_scene, nlos_si_power=0.0, seed=1)
         assert np.all(ch.si_nlos == 0.0)
 
+    @pytest.mark.parametrize("power", [-0.01, np.nan, np.inf])
+    def test_bad_nlos_power_rejected(self, small_scene, power):
+        with pytest.raises(ValueError, match="nlos_si_power"):
+            build_channel_set(small_scene, n_user_antennas=3, nlos_si_power=power)
+
     def test_same_seed_bit_identical(self, reference_scene):
         a = build_channel_set(reference_scene, seed=42)
         b = build_channel_set(reference_scene, seed=42)

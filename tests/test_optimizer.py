@@ -865,10 +865,18 @@ class TestRisOptimize:
         with pytest.raises(ValueError, match=which):
             ris_optimize(args["phi0"], args["factor"], args["linear"])
 
-    @pytest.mark.parametrize("max_iter", [-1, -3])
+    @pytest.mark.parametrize("max_iter", [-1, -3, 2.5])
     def test_rejects_negative_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), max_iter=max_iter)
+
+    def test_numpy_integer_max_iter(self):
+        rng = np.random.default_rng(25)
+        factor, lin = random_quadratic(rng, n=6)
+        phi0 = random_unit_modulus(6, rng)
+        phi, values = ris_optimize(phi0, factor, lin, max_iter=np.int64(3))
+        expect_phi, expect_values = ris_optimize(phi0, factor, lin, max_iter=3)
+        assert phi.tobytes() == expect_phi.tobytes() and values.tobytes() == expect_values.tobytes()
 
     def test_subnormal_step_size_falls_back_quietly(self):
         # lam is subnormal, so 1/lam overflows and the scaled buffer is not
@@ -1251,37 +1259,6 @@ MIXED_STACKS = (
 )
 
 
-class TestRisOptimizeStack:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(st.sampled_from(["scaled", "zero", "subnormal", "tie"]), min_size=1, max_size=5),
-        objective=st.sampled_from(["jcas", "rate"]),
-        max_iter=st.sampled_from([0, 1, 2, 3, optimizer.MAX_RIS_ITER]),
-    )
-    @example(seed=5, kinds=MIXED_STACKS[0][1], objective=MIXED_STACKS[0][2], max_iter=optimizer.MAX_RIS_ITER)
-    @example(seed=6, kinds=MIXED_STACKS[1][1], objective=MIXED_STACKS[1][2], max_iter=optimizer.MAX_RIS_ITER)
-    def test_stack_equals_rows_alone(self, seed, kinds, objective, max_iter):
-        """A stacked call gives each row the bits of its 2-D call, whichever
-        step each row stops at and whichever branch its step size takes."""
-        phi0, factor, lin = stacked_problem(seed, kinds, objective)
-        before = phi0.copy()
-        phases, runs = ris_optimize(phi0, factor, lin, max_iter=max_iter)
-        assert phases.shape == phi0.shape and len(runs) == len(kinds)
-        assert not np.shares_memory(phases, phi0)
-        assert np.array_equal(phi0, before)
-        for row, (p, f, d) in enumerate(zip(phi0, factor, lin)):
-            alone, values = ris_optimize(p, f, d, max_iter=max_iter)
-            assert phases[row].tobytes() == alone.tobytes(), (row, kinds[row])
-            assert runs[row].tobytes() == values.tobytes(), (row, kinds[row])
-
-    @pytest.mark.parametrize("seed, kinds, objective", MIXED_STACKS)
-    def test_mixed_stacks_stop_at_different_steps(self, seed, kinds, objective):
-        # the explicit examples above hold rows that stop on their own
-        _, runs = ris_optimize(*stacked_problem(seed, kinds, objective))
-        assert len({len(values) for values in runs}) >= 2, [len(values) for values in runs]
-
-
 def assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, labels):
     """A stacked :func:`ris_optimize` call gives each row the bits of its
     2-D call and leaves ``phi0`` as it was; ``labels`` name the rows."""
@@ -1296,10 +1273,9 @@ def assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, labels):
         assert runs[row].tobytes() == values.tobytes(), (row, labels[row])
 
 
-# (seed, kinds, objective, n_ris) of stepped stacks whose rows stop at
-# different maps, with the row counts of the stacks they are stepped in:
-# once at most half the rows run, the running ones go on alone, stepped
-# together again from ``MIN_STACKED_ROWS`` rows and else one at a time.
+# (seed, kinds, objective, n_ris) of stacks whose rows stop at different
+# maps, with the row counts of the stacks they are stepped in: once at most
+# half the rows run, the running ones go on alone in a stack of their own.
 # On a one-element surface every row stops within two maps.
 STEPPED_STACKS = (
     (4, ["scaled"] * 10 + ["zero"] * 3 + ["tie", "subnormal", "scaled"], "rate", 12, [16, 8, 4]),
@@ -1307,26 +1283,24 @@ STEPPED_STACKS = (
     (1, ["scaled", "huge", "zero", "scaled", "tie", "subnormal", "scaled", "scaled"], "jcas", 12, [8, 4]),
     (2, ["scaled", "huge", "scaled", "tie", "scaled", "scaled", "scaled"], "rate", 2, [7, 2]),
     (3, ["scaled", "tie", "scaled", "zero", "huge", "scaled"], "rate", 1, [6]),
+    (6, ["scaled", "huge", "scaled", "zero"], "rate", 12, [4, 2, 1]),
 )
 
 
 class TestRisOptimizeSteppedStack:
-    """Stacks of at least ``MIN_STACKED_ROWS`` rows, whose rows are stepped
-    together (``_mm_steps``), against 2-D calls, which step their one row
-    alone (``_mm_row``)."""
+    """Stacked calls against 2-D calls, which step their row as a one-row
+    stack."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(
-            st.sampled_from(["scaled", "zero", "subnormal", "huge", "tie"]),
-            min_size=optimizer.MIN_STACKED_ROWS,
-            max_size=16,
-        ),
+        kinds=st.lists(st.sampled_from(["scaled", "zero", "subnormal", "huge", "tie"]), min_size=1, max_size=16),
         objective=st.sampled_from(["jcas", "rate"]),
         max_iter=st.sampled_from([0, 1, 2, 3, optimizer.MAX_RIS_ITER]),
         n_ris=st.sampled_from([1, 2, 12]),
     )
+    @example(seed=5, kinds=MIXED_STACKS[0][1], objective=MIXED_STACKS[0][2], max_iter=optimizer.MAX_RIS_ITER, n_ris=12)
+    @example(seed=6, kinds=MIXED_STACKS[1][1], objective=MIXED_STACKS[1][2], max_iter=optimizer.MAX_RIS_ITER, n_ris=12)
     def test_stepped_stack_equals_rows_alone(self, seed, kinds, objective, max_iter, n_ris):
         """Whichever map each row stops at and whichever branch its step
         size takes, on surfaces of one element (whose lead product runs
@@ -1334,40 +1308,27 @@ class TestRisOptimizeSteppedStack:
         phi0, factor, lin = stacked_problem(seed, kinds, objective, n_ris)
         assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, kinds)
 
+    @pytest.mark.parametrize("seed, kinds, objective", MIXED_STACKS)
+    def test_mixed_stacks_stop_at_different_steps(self, seed, kinds, objective):
+        # the explicit examples above hold rows that stop on their own
+        _, runs = ris_optimize(*stacked_problem(seed, kinds, objective))
+        assert len({len(values) for values in runs}) >= 2, [len(values) for values in runs]
+
     @pytest.mark.parametrize("seed, kinds, objective, n_ris, stacks", STEPPED_STACKS)
     def test_running_rows_go_on_without_the_stopped_ones(self, monkeypatch, seed, kinds, objective, n_ris, stacks):
         phi0, factor, lin = stacked_problem(seed, kinds, objective, n_ris)
-        calls = {"solve": [], "steps": [], "row": 0}
-        solve, steps, row = optimizer._mm_solve, optimizer._mm_steps, optimizer._mm_row
+        calls = []
+        steps = optimizer._mm_steps
 
-        def recording_solve(phi0, *args):
-            calls["solve"].append(len(phi0))
-            return solve(phi0, *args)
-
-        def recording_steps(phi0, *args):
-            calls["steps"].append(len(phi0))
+        def recording(phi0, *args):
+            calls.append(len(phi0))
             return steps(phi0, *args)
 
-        def recording_row(*args):
-            calls["row"] += 1
-            return row(*args)
-
         with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "_mm_solve", recording_solve)
-            patch.setattr(optimizer, "_mm_steps", recording_steps)
-            patch.setattr(optimizer, "_mm_row", recording_row)
+            patch.setattr(optimizer, "_mm_steps", recording)
             _, runs = ris_optimize(phi0, factor, lin)
-        assert calls["solve"] == stacks, [len(values) for values in runs]
-        small = [size for size in stacks if size < optimizer.MIN_STACKED_ROWS]
-        assert calls["steps"] == [size for size in stacks if size >= optimizer.MIN_STACKED_ROWS]
-        assert calls["row"] == sum(small)
+        assert calls == stacks, [len(values) for values in runs]
         assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, kinds)
-
-    def test_two_d_calls_step_one_row(self, monkeypatch):
-        # the reference side of the tests above never takes the stacked maps
-        phi0, factor, lin = stacked_problem(0, ["scaled"], "jcas")
-        monkeypatch.setattr(optimizer, "_mm_steps", None)
-        ris_optimize(phi0[0], factor[0], lin[0])
 
     @pytest.mark.parametrize(
         "scheme, cells",
@@ -1389,9 +1350,8 @@ class TestRisOptimizeSteppedStack:
         monkeypatch.setattr(optimizer, "ris_optimize", recording)
         config = ExperimentConfig(scheme=scheme, seeds=6)
         jcas_optimize_batch([build_cell(config, *cell) for cell in cells])
-        stepped = [stack for stack in stacks if len(stack[0]) >= optimizer.MIN_STACKED_ROWS]
-        assert stepped
-        for phi0, factor, lin in stepped:
+        assert stacks
+        for phi0, factor, lin in stacks:
             assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, range(len(phi0)))
 
 
