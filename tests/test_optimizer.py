@@ -1259,6 +1259,21 @@ MIXED_STACKS = (
 )
 
 
+class TestRisOptimizeStack:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["scaled", "zero", "subnormal", "tie"]), min_size=1, max_size=5),
+        objective=st.sampled_from(["jcas", "rate"]),
+        max_iter=st.sampled_from([0, 1, 2, 3, optimizer.MAX_RIS_ITER]),
+    )
+    def test_stack_equals_rows_alone(self, seed, kinds, objective, max_iter):
+        """A stacked call gives each row the bits of its 2-D call, whichever
+        step each row stops at and whichever branch its step size takes."""
+        phi0, factor, lin = stacked_problem(seed, kinds, objective)
+        assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, kinds)
+
+
 def assert_rows_get_their_bits_alone(phi0, factor, lin, max_iter, labels):
     """A stacked :func:`ris_optimize` call gives each row the bits of its
     2-D call and leaves ``phi0`` as it was; ``labels`` name the rows."""
