@@ -181,8 +181,15 @@ def build_scene(
     nonzero.  The RIS first element sits ``bs_ris_distance`` from the
     first transmit antenna at in-plane angle ``bs_ris_angle``; its columns
     extend along x and its rows along z.  User and target sit in the y = 0 plane at
-    the given ranges/angles from the first transmit antenna.
+    the given ranges/angles from the first transmit antenna.  A non-finite
+    surface or user angle or user range, or a user range that is not
+    positive, raises ValueError naming the argument.
     """
+    for name, value in (("bs_ris_angle", bs_ris_angle), ("user_angle", user_angle), ("user_range", user_range)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not user_range > 0.0:
+        raise ValueError(f"user_range must be positive, got {user_range!r}")
     spacing = wavelength / 2.0
     tx_rx_gap = 2.0 * wavelength
     z = np.arange(n_bs_tx) * spacing

@@ -120,8 +120,12 @@ class JcasConfig:
             raise ValueError("crb_threshold must be positive (inf disables it)")
         if not 0.0 < self.outer_tol < math.inf:
             raise ValueError("outer_tol must be finite and positive")
-        if self.max_outer < 0:
-            raise ValueError("max_outer must be >= 0")
+        # a bool is an int; a float such as 2.5 or NaN is not
+        for name, least in (("max_outer", 0), ("n_streams", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                kind = "a non-negative" if least == 0 else "a positive"
+                raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
     @property
     def enforced_crb_threshold(self) -> float:
@@ -750,7 +754,10 @@ class _Lockstep:
     every cell the bits it gets alone, so a cell's result does not depend
     on its batch-mates.  The phase solver gets every (row, iteration)
     problem of a window in one call and steps its rows together; a window
-    gives the bits of its iterations run one at a time.
+    gives the bits of its iterations run one at a time.  A
+    communication-only row with the surface also runs SQUAREM over the
+    phase it holds (:meth:`_cycle`); ``anchor``, ``middle`` and
+    ``halfway`` hold each such row's cycle.
     """
 
     def __init__(self, cells):
@@ -760,6 +767,7 @@ class _Lockstep:
         self.scenes, channels, configs, self.coeffs = (list(column) for column in zip(*cells))
         config = self.config = configs[0]
         self.sensing = config.sensing_enabled
+        self.cycling = config.ris_enabled and not self.sensing
         self.constrain = math.isfinite(config.enforced_crb_threshold)
         self.objective = RIS_OBJECTIVE_JCAS if self.sensing else RIS_OBJECTIVE_RATE
         self.noise_radar = [ch.noise_radar for ch in channels]
@@ -782,6 +790,11 @@ class _Lockstep:
         every = np.ones(len(cells), dtype=bool)
         leak = si_channel(self.links, phi) if self.sensing else None
         self._move(every, phi, self._stage(every, phi, effective_channel(self.links, phi), leak))
+        # the outer cycle of each row: its start, its first kept move and
+        # whether it has made that move (None without the cycle)
+        self.anchor = self.middle = self.halfway = None
+        if self.cycling:
+            self.anchor, self.middle, self.halfway = self.phi, self.phi, np.zeros(len(cells), dtype=bool)
         self.precoder = dominant_precoder(self.terms.h_eff, config.n_streams, config.power_budget)
         evaluated = _evaluate(self.precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
         self.merit = self._record(self.precoder, evaluated, np.zeros(len(cells)))
@@ -862,10 +875,11 @@ class _Lockstep:
             if self.outcomes[cell] is None:
                 self.outcomes[cell] = JcasResult(self.precoder[row].copy(), self.phi[row].copy(), self.traces[cell])
         keep = ~stopped
-        self.cells, self.phi, self.precoder, self.merit, self.noise_user, self.deriv, self.noise_cov = (
-            None if a is None else a[keep]
-            for a in (self.cells, self.phi, self.precoder, self.merit, self.noise_user, self.deriv, self.noise_cov)
-        )
+        stacked = ("cells", "phi", "precoder", "merit", "noise_user", "deriv", "noise_cov")
+        for name in (*stacked, "anchor", "middle", "halfway"):
+            stack = getattr(self, name)
+            if stack is not None:
+                setattr(self, name, stack[keep])
         self.links = _Links(*(a[keep] for a in self.links))
         self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
 
@@ -954,6 +968,73 @@ class _Lockstep:
             for lo, hi in zip([0, *ends[:-1]], ends)
         ]
 
+    def _cycle(self, accept, precoder, evaluated):
+        """The outer SQUAREM cycle of communication-only rows, after the
+        guard kept the proposals of the rows that ``accept`` selects and
+        before the record: a row that has now made two kept moves
+        ``p0 -> p1 -> p2`` ends its cycle through :meth:`_extrapolate` at
+        this iteration's ``precoder``, and the point it keeps starts the
+        next one; a rejected proposal restarts the cycle at the held phase.
+        Returns the merit terms ``evaluated`` with those of the kept
+        extrapolated points."""
+        ending = accept & self.halfway
+        starting = accept & ~self.halfway
+        self.middle = np.where(starting[:, None], self.phi, self.middle)
+        self.anchor = np.where(accept[:, None], self.anchor, self.phi)
+        self.halfway = starting
+        if ending.any():
+            evaluated = self._extrapolate(ending, precoder, evaluated)
+            self.anchor = np.where(ending[:, None], self.phi, self.anchor)
+        return evaluated
+
+    def _extrapolate(self, ending, precoder, evaluated):
+        """SQUAREM's step on the held phases of the rows that ``ending``
+        selects, the rule of :func:`ris_optimize` one level up: with
+        ``r = p1 - p0`` and ``v = p2 - 2 p1 + p0``, the S3 step length
+        ``alpha = -|r|/|v|``, clamped to at most -1, gives the point
+        ``p0 - 2 alpha r + alpha**2 v``, projected by ``x/|x|`` (an element
+        with ``x = 0`` keeps ``p2``'s value).  The point replaces ``p2``
+        when its merit at ``precoder`` is no higher than ``p2``'s; otherwise
+        ``alpha`` halves toward -1 (``alpha <- (alpha - 1)/2``), and within
+        ``SQUAREM_ALPHA_SLACK`` of -1 the row keeps ``p2``.  A zero ``v``
+        or an infinite ratio keeps ``p2`` at once.  Each backtrack round
+        evaluates the points of the rows still trying as one stack, and a
+        kept point is staged from the channels of its evaluation.  Returns
+        the merit terms ``evaluated`` with those of the kept points."""
+        rows = np.flatnonzero(ending)
+        p0, p1, p2 = self.anchor[rows], self.middle[rows], self.phi[rows]
+        r = p1 - p0
+        v = (p2 - p1) - r
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha = -np.sqrt(np.square(r.view(float)).sum(axis=-1) / np.square(v.view(float)).sum(axis=-1))
+        # a zero v gives alpha = -inf (NaN when r is zero too), and so does a
+        # ratio that overflows: such rows keep p2
+        clamp = -1.0 - SQUAREM_ALPHA_SLACK
+        trying = (alpha < clamp) & (alpha > -math.inf)
+        objective, rate = evaluated[0].copy(), evaluated[1].copy()
+        phi, h_eff = self.phi.copy(), self.terms.h_eff.copy()
+        kept = np.zeros(len(self.cells), dtype=bool)
+        while trying.any():
+            some = np.flatnonzero(trying)
+            at = rows[some]
+            step = alpha[some, None]
+            point = p0[some] + r[some] * (-2.0 * step) + v[some] * (step * step)
+            magnitude = np.abs(point)
+            point = np.divide(point, magnitude, out=p2[some], where=magnitude > 0.0)
+            channel = effective_channel(_Links(*(a[at] for a in self.links)), point)
+            moved, moved_rate, _ = _evaluate(precoder[at], channel, None, self.noise_user[at])
+            better = moved <= objective[at]
+            won = at[better]
+            phi[won], h_eff[won] = point[better], channel[better]
+            objective[won], rate[won] = moved[better], moved_rate[better]
+            kept[won] = True
+            trying[some[better]] = False
+            alpha = (alpha - 1.0) * 0.5
+            trying &= alpha < clamp
+        if kept.any():
+            self._move(kept, phi, self._stage(kept, phi, h_eff, None))
+        return objective, rate, evaluated[2]
+
     def step(self):
         """A window of outer iterations of every cell in the stack: the
         precoder, then a guarded phase proposal and the record, for each.
@@ -970,7 +1051,9 @@ class _Lockstep:
         after a window that kept one; rows times window stays within
         ``MAX_WINDOW_ROWS``.  Without the surface nothing can be proposed,
         and a window is one iteration; a communication-only cell then
-        finishes after one step."""
+        finishes after one step.  With it, a communication-only row passes
+        each guarded proposal to its outer cycle (:meth:`_cycle`), which
+        may hold an extrapolated phase instead, before the record."""
         config = self.config
         width = 1
         if config.ris_enabled:
@@ -1002,6 +1085,8 @@ class _Lockstep:
                         self._move(accept, candidate, staged)
                         evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
                         kept = True
+                if self.cycling:
+                    evaluated = self._cycle(accept, precoder, evaluated)
             self.precoder = precoder
             merit = self._record(precoder, evaluated, lam0)
             if config.ris_enabled or self.sensing:
@@ -1091,6 +1176,12 @@ def jcas_optimize(
     precoder stages of a window of iterations ahead and solves their phase
     problems in one stacked call; the window ends at the first kept
     proposal, and the result is the one the iterations give one at a time.
+
+    A communication-only cell with the surface runs SQUAREM (Varadhan and
+    Roland 2008) on the phase it holds, the extrapolation of
+    :func:`ris_optimize` one level up (:meth:`_Lockstep._cycle`): an
+    extrapolated point replaces a kept proposal only when its merit is no
+    higher, so the recorded merit still never rises.
     """
     (outcome,) = _Lockstep([(scene, channels, config, coeffs)]).run()
     if isinstance(outcome, CrbInfeasibleError):

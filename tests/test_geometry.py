@@ -207,6 +207,23 @@ class TestScene:
         assert moved.ris_positions is reference_scene.ris_positions
         assert reference_scene.target_angle == np.deg2rad(20.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, bad)
+            for name in ("bs_ris_angle", "user_angle", "user_range")
+            for bad in (math.nan, math.inf, -math.inf)
+        ]
+        + [("user_range", 0.0), ("user_range", -80.0)],
+    )
+    def test_bad_placement_rejected_by_name(self, name, value):
+        # a NaN user angle used to give a NaN user position whose channels
+        # came out finite, an infinite surface angle an SVD that did not
+        # converge, and a zero user range a zero-length direction only at
+        # channel synthesis
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_scene(**{name: value})
+
     def test_angles_finite_validation(self):
         with pytest.raises(InfeasibleGeometryError):
             RisAngles(np.nan, 0.0)

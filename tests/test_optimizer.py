@@ -1370,17 +1370,109 @@ class TestRisOptimizeSteppedStack:
             assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, range(len(phi0)))
 
 
+class SpyingNumpy:
+    """numpy as :mod:`fdjcas.optimizer` sees it, with two of the ufuncs
+    that :func:`optimizer._mm_steps` binds at its start watched.
+
+    An in-place ``divide`` projects the extrapolated points of one SQUAREM
+    backtrack round; past ``limit`` rounds it raises, so a backtrack that
+    never ends fails instead of hanging.  A ``copyto`` with a ``(rows, 1)``
+    mask copies the kept extrapolated points of the rows it selects, and
+    ``kept`` collects those masks of every stack of ``rows`` rows."""
+
+    def __init__(self, rows=None, limit=100):
+        self.rows, self.limit, self.rounds, self.kept = rows, limit, 0, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        if len(args) == 3 and args[2] is args[0]:
+            self.rounds += 1
+            assert self.rounds <= self.limit, "the backtrack does not end"
+        return np.divide(*args, **kwargs)
+
+    def copyto(self, dst, src, **kwargs):
+        where = kwargs.get("where")
+        if where is not None and np.shape(where) == (self.rows, 1):
+            self.kept.append(np.array(where[:, 0]))
+        return np.copyto(dst, src, **kwargs)
+
+
+class TestMmStepsBranches:
+    """Problems that reach the branches of :func:`optimizer._mm_steps` that
+    the solver's other problems leave out."""
+
+    def test_zero_value_falls_back_to_an_absolute_stop(self):
+        # F = 2^-10 [1, -1]^T and d = 0: from [1, i] the first map gives two
+        # equal elements, so F^H p and the value are exactly zero, and the
+        # change of 2^-19 from the start passes the absolute test at tol
+        factor = np.array([[1.0], [-1.0]], dtype=complex) * 2.0**-10
+        phi0 = np.array([1.0, 1.0j])
+        phi, values = ris_optimize(phi0, factor, np.zeros(2, dtype=complex))
+        assert values.tolist() == [2.0**-19, 0.0]
+        assert phi[0] == phi[1]
+        # a relative test alone takes a second map
+        assert not abs(values[1] - values[0]) <= optimizer.RIS_TOL * abs(values[1])
+
+    def test_infinite_step_length_takes_p2(self, monkeypatch):
+        # a map that turns each element by 2^-30 rad keeps (1, k 2^-30) on the
+        # unit circle, so the first difference is nonzero and the second
+        # exactly zero: alpha = -inf, and the cycle takes p2 with no backtrack
+        n, step = 2, 2.0**-30
+        lead = np.zeros((1, n + 1, n), dtype=complex)
+        lead[0, :n] = np.eye(n)
+        lead[0, n] = 1j  # s = 2 d^T p with d = i/2: the value is |p|^2 - Im(sum p)
+        back = np.zeros((1, n, n + 1), dtype=complex)
+        back[0, :, :n] = -1j * step * np.eye(n)  # z = -i step p, so q = p - z = (1 + i step) p
+        numpy = SpyingNumpy()
+        monkeypatch.setattr(optimizer, "np", numpy)
+        # the solver runs under the caller's errstate, as ris_optimize sets it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phases, (values,) = optimizer._mm_steps(
+                np.ones((1, n), dtype=complex), lead, back, np.ones(1), np.zeros(1, dtype=bool), 1e-12, 3
+            )
+        assert numpy.rounds == 0
+        assert phases[0].tolist() == [complex(1.0, 3 * step)] * n
+        assert values.tolist() == [n - k * n * step for k in range(4)]
+
+    def test_a_stopped_row_is_not_extrapolated(self, monkeypatch):
+        # at tol 0.5, row 1 stops at its second map and row 0 runs on; run
+        # on alone, row 1 keeps its first extrapolated point (its third map
+        # starts there, not at p2), so a backtrack that let a stopped row
+        # try would keep it
+        rows = [stacked_row(np.random.default_rng(seed), "scaled", "rate") for seed in (1, 2)]
+        phi0, factor, lin = (np.stack(column) for column in zip(*rows))
+        p0, f, d = rows[1]
+        _, _, maps = squarem_reference(
+            p0, lambda p: mm_step(p, f, d), lambda p: ris_objective_value(p, f, d), 1e-300, 3
+        )
+        assert not np.array_equal(maps[2], mm_step(maps[1], f, d))
+        numpy = SpyingNumpy(rows=2)
+        monkeypatch.setattr(optimizer, "np", numpy)
+        _, runs = ris_optimize(phi0, factor, lin, tol=0.5)
+        monkeypatch.undo()
+        assert len(runs[1]) == 3 and len(runs[0]) > 3
+        assert not any(mask[1] for mask in numpy.kept)
+        assert_rows_get_their_bits_alone(phi0, factor, lin, optimizer.MAX_RIS_ITER, ["running", "stopped"])
+
+
 class TestJcasConfig:
     @pytest.mark.parametrize(
         "value, name",
         [(bad, "power_budget") for bad in (math.nan, math.inf, 0.0, -1.0)]
         + [(bad, "crb_threshold") for bad in (math.nan, 0.0, -1.0)]
         + [(bad, "outer_tol") for bad in (math.nan, math.inf, 0.0, -1.0)]
-        + [(-3, "max_outer")],
+        + [(bad, "max_outer") for bad in (-3, 2.5, math.nan, True)]
+        + [(bad, "n_streams") for bad in (0, -1, 1.5, math.nan, True)],
     )
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             JcasConfig(**{name: value})
+
+    def test_numpy_integer_loop_sizes(self):
+        config = JcasConfig(max_outer=np.int64(0), n_streams=np.int32(1))
+        assert (config.max_outer, config.n_streams) == (0, 1)
 
 
 class TestSolverInvariants:
@@ -1506,6 +1598,9 @@ class TestLockstep:
         ),
         max_outer=st.sampled_from([3, 12]),
     )
+    # communication-only cells whose outer cycles end at different
+    # iterations, and which stop at different iterations
+    @example(scheme="ris_comm_only", cells=[(0, 0.0), (1, 30.0), (5, 5.0), (3, 20.0), (1, 10.0)], max_outer=12)
     def test_batch_equals_cells_run_alone(self, scheme, cells, max_outer):
         assert_batch_matches_cells_alone(scheme, cells, max_outer)
 
@@ -1689,6 +1784,182 @@ class TestWindows:
         assert sum(rows) == sum(single_rows) + 2
 
 
+def extrapolation_reference(p0, p1, p2, merit, precoder, channels):
+    """The outer cycle's SQUAREM step written out by hand on one cell: the
+    S3 step length ``alpha = -|r|/|v|`` clamped to at most -1, the point
+    ``p0 - 2 alpha r + alpha**2 v`` projected by ``x/|x|`` (a zero element
+    keeps p2's value), kept when its merit at ``precoder`` is no higher
+    than p2's ``merit``, and ``alpha`` halved toward -1 while it is not,
+    until within ``SQUAREM_ALPHA_SLACK`` of -1.  A zero ``v`` or an
+    infinite ratio takes p2.  Returns (phase, merit, points evaluated)."""
+    r = p1 - p0
+    v = (p2 - p1) - r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = -np.sqrt(np.square(r.view(float)).sum() / np.square(v.view(float)).sum())
+    points = []
+    while -math.inf < alpha < -1.0 - optimizer.SQUAREM_ALPHA_SLACK:
+        point = p0 + r * (-2.0 * alpha) + v * (alpha * alpha)
+        magnitude = np.abs(point)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            point = np.where(magnitude > 0.0, point / magnitude, p2)
+        points.append(point)
+        moved = -dl_rate(effective_channel(channels, point), precoder, channels.noise_user)
+        if moved <= merit:
+            return point, moved, points
+        alpha = (alpha - 1.0) * 0.5
+    return p2, merit, points
+
+
+def comm_only_reference(channels, config, solver=ris_optimize):
+    """The communication-only design with the surface, one cell and one
+    outer iteration at a time, from the public stages: the water-filled
+    precoder at the held phase, the ``"rate"`` phase problem at that
+    precoder's combiner and weights, its proposal kept when its merit (the
+    negative rate) is no higher, and the outer cycle: the second kept move
+    since the cycle started ends it with :func:`extrapolation_reference`,
+    and a rejected proposal restarts it at the held phase.  The loop stops
+    when the merit changes by at most ``outer_tol`` relative, or at
+    ``max_outer``.  ``solver`` makes the proposals.  Returns (precoder,
+    phase, trace rows of iteration, objective, rate and lambda0, the
+    number of proposals rejected)."""
+    noise = channels.noise_user
+    phi = np.exp(2j * np.pi * np.random.default_rng([config.seed, 0]).random(channels.n_ris))
+    h_eff = effective_channel(channels, phi)
+    precoder = dominant_precoder(h_eff, config.n_streams, config.power_budget)
+    merit = -dl_rate(h_eff, precoder, noise)
+    trace = [(0, merit, -merit, 0.0)]
+    start, middle, rejected = phi, None, 0
+    for iteration in range(1, config.max_outer + 1):
+        (precoder,), (lam0,) = waterfill_precoder(
+            h_eff[None], np.full((1, 1, 1), noise), config.n_streams, config.power_budget
+        )
+        current = -dl_rate(h_eff, precoder, noise)
+        combiner = mmse_combiner(h_eff, precoder, noise)
+        weight = weight_matrix(mse_matrix(h_eff, precoder, noise))
+        proposal, _ = solver(phi, *ris_quadratics(precoder, combiner, weight, channels, objective="rate"))
+        proposed = -dl_rate(effective_channel(channels, proposal), precoder, noise)
+        if proposed <= current:
+            phi, current = proposal, proposed
+            if middle is None:
+                middle = phi
+            else:
+                phi, current, _ = extrapolation_reference(start, middle, phi, current, precoder, channels)
+                start, middle = phi, None
+            h_eff = effective_channel(channels, phi)
+        else:
+            start, middle, rejected = phi, None, rejected + 1
+        trace.append((iteration, current, -current, lam0))
+        if abs(current - merit) <= config.outer_tol * max(abs(merit), 1e-300):
+            break
+        merit = current
+    return precoder, phi, trace, rejected
+
+
+def assert_matches_reference(result, precoder, phi, trace):
+    """A communication-only result equals :func:`comm_only_reference`'s
+    precoder, phase and trace bit for bit."""
+    assert result.precoder.tobytes() == precoder.tobytes()
+    assert result.ris_phase.tobytes() == phi.tobytes()
+    for name, column in zip(("iteration", "objective", "rate_bps_hz", "lambda0"), zip(*trace)):
+        assert np.array(getattr(result.trace, name)).tobytes() == np.array(column).tobytes(), name
+    assert np.all(np.isnan(result.trace.si_power)) and np.all(np.isnan(result.trace.crb))
+
+
+class TestOuterCycle:
+    """SQUAREM on the held phase of the communication-only cells with the
+    surface."""
+
+    @pytest.mark.parametrize("seed_index", [0, 1, 4])
+    @pytest.mark.parametrize("snr_db, max_outer", [(0.0, 100), (10.0, 100), (30.0, 100), (15.0, 6)])
+    def test_lockstep_equals_reference(self, seed_index, snr_db, max_outer):
+        config = ExperimentConfig(scheme="ris_comm_only", seeds=5, max_outer=max_outer)
+        scene, channels, jcas, coeffs = build_cell(config, seed_index, snr_db)
+        result = jcas_optimize(scene, channels, jcas, coeffs)
+        assert_matches_reference(result, *comm_only_reference(channels, jcas)[:3])
+
+    def test_a_rejected_proposal_restarts_the_cycle(self, monkeypatch):
+        # the fourth proposal, made halfway through the second cycle, is
+        # replaced by a phase of ones, which the guard rejects; the cycle
+        # then starts again at the phase held.  At the default outer_tol
+        # the precoder step alone would then stop the cell.
+        def rejecting_the_fourth():
+            rows = []
+
+            def solver(phi0, *args):
+                phases, values = ris_optimize(phi0, *args)
+                for row in range(len(np.atleast_2d(phases))):
+                    rows.append(row)
+                    if len(rows) == 4:
+                        np.atleast_2d(phases)[row] = 1.0
+                return phases, values
+
+            return solver
+
+        config = ExperimentConfig(scheme="ris_comm_only", seeds=1, outer_tol=1e-9, max_outer=30)
+        scene, channels, jcas, coeffs = build_cell(config, 0, 10.0)
+        precoder, phi, trace, rejected = comm_only_reference(channels, jcas, rejecting_the_fourth())
+        assert rejected == 1 and len(trace) > 8
+        monkeypatch.setattr(optimizer, "ris_optimize", rejecting_the_fourth())
+        assert_matches_reference(jcas_optimize(scene, channels, jcas, coeffs), precoder, phi, trace)
+
+    def test_capped_cell_now_stops_on_the_merit_test(self):
+        # with plain outer steps, seed index 0 at 0 dB ran into
+        # max_outer = 100 at 7.58 b/s/Hz, its rate still climbing 0.13% per
+        # iteration
+        config = ExperimentConfig(scheme="ris_comm_only", seeds=1)
+        scene, channels, jcas, coeffs = build_cell(config, 0, 0.0)
+        trace = jcas_optimize(scene, channels, jcas, coeffs).trace
+        assert len(trace) - 1 < jcas.max_outer // 5 and trace.rate_bps_hz[-1] > 10.0
+        merit = np.array(trace.objective)
+        assert abs(merit[-1] - merit[-2]) <= jcas.outer_tol * abs(merit[-2])
+        assert np.all(np.diff(merit) <= 0.0)
+
+    @staticmethod
+    def ended_cycle(monkeypatch, p0, p1, p2):
+        """A communication-only cell at reference size whose cycle from
+        ``p0`` made the kept moves ``p1`` and ``p2``, passed to
+        :meth:`_Lockstep._extrapolate`; returns the phase it holds after,
+        the merit terms returned and the number of points evaluated."""
+        config = ExperimentConfig(scheme="ris_comm_only", seeds=1)
+        state = optimizer._Lockstep([build_cell(config, 0, 10.0)])
+        state.anchor, state.middle, state.phi = p0[None], p1[None], p2[None]
+        evaluated = (np.array([-1.0]), np.array([1.0]), np.array([math.nan]))
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(1)
+            assert len(evaluations) <= 100, "the backtrack does not end"
+            return effective_channel(*args)
+
+        monkeypatch.setattr(optimizer, "effective_channel", counted)
+        merit = state._extrapolate(np.ones(1, dtype=bool), state.precoder, evaluated)
+        return state.phi[0], merit, len(evaluations)
+
+    @pytest.mark.parametrize("kind", ["zero v", "infinite ratio"])
+    def test_zero_v_and_infinite_ratio_take_p2(self, monkeypatch, kind):
+        # (1, k 2^-27) lies on the unit circle to the bit, so elements that
+        # step along the imaginary axis by 2^-27 make r nonzero and v zero;
+        # in the second case one element instead moves only at p2, by
+        # 2^-537, whose square is the least subnormal: |r|^2/|v|^2 overflows
+        n = 100
+        step = np.full(n, 2.0**-27)
+        p0 = np.ones(n, dtype=complex)
+        p1, p2 = p0 + 1j * step, p0 + 2j * step
+        if kind == "infinite ratio":
+            p1[0], p2[0] = 1.0, complex(1.0, 2.0**-537)
+        r, v = p1 - p0, (p2 - p1) - (p1 - p0)
+        assert np.any(r != 0.0) and np.all(np.abs(p2) == 1.0)
+        if kind == "zero v":
+            assert np.all(v == 0.0)
+        else:
+            assert np.count_nonzero(v) == 1 and np.square(v.view(float)).sum() > 0.0
+        phi, merit, evaluations = self.ended_cycle(monkeypatch, p0, p1, p2)
+        assert evaluations == 0
+        assert phi.tobytes() == p2.tobytes()
+        objective, rate, si_power = merit
+        assert (objective.tolist(), rate.tolist()) == ([-1.0], [1.0]) and np.isnan(si_power).all()
+
+
 class TestJcasOptimize:
     def test_no_ris_monotone_at_zero_profile(self, small_scene, small_channels):
         config = JcasConfig(
@@ -1777,15 +2048,31 @@ class TestJcasOptimize:
     ):
         counts = dict.fromkeys(("effective_channel", "si_channel", "fisher_core"), 0)
         windows, stages, look_aheads = [], [], []
+        # window -> (the kept proposal that ended an outer cycle, the points
+        # its extrapolation evaluated, one per backtrack round)
+        extrapolations = {}
 
         def counting(name):
             original = getattr(optimizer, name)
 
             def counted(*args, **kwargs):
                 counts[name] += 1
+                if name == "effective_channel" and extrapolating:
+                    extrapolating[-1].append(np.asarray(args[1])[0].copy())
                 return original(*args, **kwargs)
 
             return counted
+
+        extrapolating = []
+        extrapolate = optimizer._Lockstep._extrapolate
+
+        def recording_extrapolate(state, *args):
+            extrapolating.append([])
+            extrapolations[len(windows) - 1] = (state.phi[0].copy(), extrapolating[-1])
+            try:
+                return extrapolate(state, *args)
+            finally:
+                extrapolating.pop()
 
         def recording_ris(*args, **kwargs):
             # one solver call per window: ``jcas_optimize`` runs a batch of
@@ -1822,6 +2109,7 @@ class TestJcasOptimize:
         monkeypatch.setattr(optimizer, "precoder_update", recording_precoder)
         monkeypatch.setattr(optimizer, "waterfill_precoder", recording_waterfill)
         monkeypatch.setattr(optimizer._Lockstep, "_look_ahead", recording_look_ahead)
+        monkeypatch.setattr(optimizer._Lockstep, "_extrapolate", recording_extrapolate)
         ris_enabled, sensing = scheme_flags(scheme)
         if reference is True:
             # the guard never accepts a sensing phase on the small scene; at
@@ -1842,12 +2130,16 @@ class TestJcasOptimize:
         result = jcas_optimize(scene, channels, jcas, coeffs=coeffs)
         iterations = len(result.trace) - 1
         # a window keeps at most one proposal, after which its cell holds
-        # it; the window then ends, and the proposals after it are dropped
+        # it, or, where the proposal ends an outer cycle, the extrapolated
+        # point last evaluated; the window then ends, and the proposals
+        # after it are dropped
         following = [held for held, _ in windows[1:]] + [result.ris_phase]
-        kept = [
-            next((i for i, p in enumerate(phi) if np.array_equal(p, after)), None)
-            for (_, phi), after in zip(windows, following)
-        ]
+        kept, extrapolated = [], []
+        for window, ((_, phi), after) in enumerate(zip(windows, following)):
+            proposal, points = extrapolations.get(window, (None, []))
+            extrapolated.append(bool(points) and np.array_equal(points[-1], after))
+            held = proposal if extrapolated[-1] else after
+            kept.append(next((i for i, p in enumerate(phi) if np.array_equal(p, held)), None))
         assert [k is not None for k in kept] == [
             not np.array_equal(held, after) for (held, _), after in zip(windows, following)
         ]
@@ -1873,9 +2165,16 @@ class TestJcasOptimize:
             assert all(k is None for k in kept)
         else:
             assert False in look_aheads
-        # the initial phase, then each window's proposals in one stack; a
-        # staged proposal's channels are reused, not rebuilt
-        assert counts["effective_channel"] == 1 + len(windows)
+        # the initial phase, then each window's proposals in one stack, and
+        # each backtrack round of an outer cycle's extrapolation; a staged
+        # phase's channels are reused, not rebuilt
+        rounds = sum(len(points) for _, points in extrapolations.values())
+        assert counts["effective_channel"] == 1 + len(windows) + rounds
+        if ris_enabled and not sensing:
+            # the communication-only cell holds an extrapolated point at least once
+            assert any(extrapolated)
+        else:
+            assert extrapolations == {}
         assert counts["si_channel"] == (1 + len(windows) if sensing else 0)
         assert counts["fisher_core"] == (1 + len(look_aheads) if sensing else 0)
 
