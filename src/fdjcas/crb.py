@@ -52,8 +52,9 @@ def aoa_crb(precoder, path_response_deriv, noise_cov, snapshots: int = 1):
     stack of designs along leading axes it returns one bound per design,
     NaN where the information vanishes, instead of raising.
     """
-    if snapshots < 1:
-        raise ValueError("snapshots must be at least 1")
+    # a bool is an int; a float such as 1.5 or NaN is not
+    if isinstance(snapshots, bool) or not isinstance(snapshots, (int, np.integer)) or snapshots < 1:
+        raise ValueError(f"snapshots must be a positive integer, got {snapshots!r}")
     fisher = fisher_information(precoder, path_response_deriv, noise_cov)
     if np.ndim(fisher):
         return np.array([1.0 / (snapshots * x) if 0.0 < x < math.inf else math.nan for x in fisher.tolist()])

@@ -57,8 +57,9 @@ def simulate_snapshots(
     noise, from ``default_rng(seed)``.  The batches' samples are the rows
     of one (len(seeds), n_bs_rx, snapshots) array, their common ``base``.
     """
-    if snapshots < 1:
-        raise ValueError("snapshots must be at least 1")
+    # a bool is an int; a float such as 1.5 or NaN is not
+    if isinstance(snapshots, bool) or not isinstance(snapshots, (int, np.integer)) or snapshots < 1:
+        raise ValueError(f"snapshots must be a positive integer, got {snapshots!r}")
     if not 0.0 <= residual_factor < math.inf:
         raise ValueError(f"residual_factor must be finite and >= 0, got {residual_factor!r}")
     seeds = list(seeds)

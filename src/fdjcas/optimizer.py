@@ -121,7 +121,7 @@ class JcasConfig:
         if not 0.0 < self.outer_tol < math.inf:
             raise ValueError("outer_tol must be finite and positive")
         # a bool is an int; a float such as 2.5 or NaN is not
-        for name, least in (("max_outer", 0), ("n_streams", 1)):
+        for name, least in (("max_outer", 0), ("n_streams", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 kind = "a non-negative" if least == 0 else "a positive"
@@ -298,24 +298,28 @@ def _bound(precoder, fisher) -> np.ndarray:
 
 
 class _PhaseTerms(NamedTuple):
-    """Channel terms that depend on the phase profile alone.
+    """What depends on the phase profile alone.
 
     ``h_eff`` is the effective downlink channel, ``leak`` the SI channel and
     ``leak_gram`` its Gram ``leak^H leak`` (both None without the SI term),
-    and ``fisher`` the Fisher core (None without the CRB constraint).  A
-    stack of cells carries one leading axis on every term.
+    ``fisher`` the Fisher core (None without the CRB constraint), and
+    ``deriv`` and ``noise_cov`` the sensing context's response derivative
+    and noise covariance (None without sensing).  A stack of cells carries
+    one leading axis on every term.
     """
 
     h_eff: np.ndarray
     leak: np.ndarray | None
     leak_gram: np.ndarray | None
     fisher: np.ndarray | None
+    deriv: np.ndarray | None
+    noise_cov: np.ndarray | None
 
 
-def _phase_terms(h_eff, leak=None, path_response_deriv=None, noise_cov=None) -> _PhaseTerms:
+def _phase_terms(h_eff, leak, deriv, noise_cov, constrain) -> _PhaseTerms:
     leak_gram = None if leak is None else _ct(leak) @ leak
-    fisher = None if path_response_deriv is None else fisher_core(path_response_deriv, noise_cov)
-    return _PhaseTerms(h_eff, leak, leak_gram, fisher)
+    fisher = fisher_core(deriv, noise_cov) if constrain else None
+    return _PhaseTerms(h_eff, leak, leak_gram, fisher, deriv, noise_cov)
 
 
 def precoder_update(
@@ -366,14 +370,12 @@ def precoder_update(
         if constrain and (path_response_deriv is None or noise_cov is None):
             raise ValueError("CRB constraint requires the response derivative and noise covariance")
         phase_terms = _phase_terms(
-            effective_channel(channels, phi),
-            si_channel(channels, phi),
-            *((path_response_deriv, noise_cov) if constrain else ()),
+            effective_channel(channels, phi), si_channel(channels, phi), path_response_deriv, noise_cov, constrain
         )
     single = np.ndim(combiner) == 2
     if single:
         combiner, weight = combiner[None], weight[None]
-        phase_terms = _PhaseTerms(*(None if term is None else term[None] for term in phase_terms))
+        phase_terms = _rows(phase_terms, None)
     h_eff = phase_terms.h_eff
     rhs = _ct(h_eff) @ _ct(combiner) @ weight
     fh = combiner @ h_eff
@@ -544,10 +546,8 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
     its stack-mates.  The running rows have all taken the same number of
     maps, so one map and one SQUAREM cycle serve them all; masks carry
     each row's stop test, tie break, branch, step length and backtrack.
-    A stopped row stays in the buffers, stepped but unread, until a cycle
-    ends with at most half the rows running; the rest of the run then
-    goes on from each running row's cycle start without the stopped ones,
-    in a stack of its own, which re-evaluates that start to the same bits."""
+    A stopped row stays in the buffers, stepped but unread, until the last
+    row stops."""
     rows, n = phi0.shape
     k = lead.shape[1] - 1
     matmul, copyto, subtract, multiply, add, absolute, divide, count, less, less_equal, logical_and = (
@@ -575,9 +575,17 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
     change = np.empty((2, rows))
     delta, bound = change
     stalled = np.empty(rows, dtype=bool)
-    # the rest of the extrapolation's buffers are made at the first cycle
-    # that gets that far
-    squares = None
+    # the differences' squared norms; ``alpha`` is the second row of
+    # ``factors``, so that one product of the two gives both step
+    # coefficients, which go into the real parts of ``coefs``
+    squares, factors = np.empty((2, rows, 1, 1)), np.full((2, rows), -2.0)
+    coefs = np.zeros((2, rows, 1), dtype=complex)
+    coefs_real = coefs.real[..., 0]
+    diff_rows, diff_columns = diffs.view(float)[..., None, :], diffs.view(float)[..., None]
+    rr, vv, alpha = squares[0, :, 0, 0], squares[1, :, 0, 0], factors[1]
+    trying, better = np.zeros((2, rows), dtype=bool)
+    # the backtrack's numbers as 0-d arrays, which ufuncs take faster than floats
+    one, half, clamp = np.array(1.0), np.array(0.5), np.array(-1.0 - SQUAREM_ALPHA_SLACK)
     lam = lams.astype(complex)[:, None]
     branch = unscaled[:, None] if count(unscaled) else None
     active = np.ones(rows, dtype=bool)
@@ -587,7 +595,7 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
         # the views ``evaluate`` writes and reads for one (head, tail) pair
         return head, head[..., None], tail[:, :k], head[:, :k], tail.view(float)[:, None, :], head.view(float)[..., None]
 
-    kept_views = products(head, tail)
+    kept_views, ext_views = products(head, tail), products(ext_head, ext_tail)
 
     def evaluate(x, views, out):
         head, head_column, tail_y, head_y, tail_row, head_column_real = views
@@ -635,32 +643,18 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
     value = evaluate(p0, kept_views, history[0]).copy()
     if max_iter == 0:
         return phases, list(history.T.copy())
-    maps, running = 0, rows
+    maps = 0
     while True:
         for p, x in ((p0, p1), (p1, p2)):
             previous, value = value, mm_map(p, x, history[maps + 1])
             maps += 1
             stop = active if maps == max_iter else stopping(value, previous)
             if count(stop):
-                stopped = np.flatnonzero(stop).tolist()
-                for row in stopped:
+                for row in np.flatnonzero(stop).tolist():
                     phases[row], runs[row] = x[row], history[: maps + 1, row].copy()
-                running -= len(stopped)
-                if not running:
-                    return phases, runs
                 active = active & ~stop
-        if squares is None:
-            # the differences' squared norms; ``alpha`` is the second row of
-            # ``factors``, so that one product of the two gives both step
-            # coefficients, which go into the real parts of ``coefs``
-            squares, factors = np.empty((2, rows, 1, 1)), np.full((2, rows), -2.0)
-            coefs = np.zeros((2, rows, 1), dtype=complex)
-            coefs_real, ext_views = coefs.real[..., 0], products(ext_head, ext_tail)
-            diff_rows, diff_columns = diffs.view(float)[..., None, :], diffs.view(float)[..., None]
-            rr, vv, alpha = squares[0, :, 0, 0], squares[1, :, 0, 0], factors[1]
-            trying, better = np.zeros((2, rows), dtype=bool)
-            # the backtrack's numbers as 0-d arrays, which ufuncs take faster than floats
-            one, half, clamp = np.array(1.0), np.array(0.5), np.array(-1.0 - SQUAREM_ALPHA_SLACK)
+                if not count(active):
+                    return phases, runs
         # S3 step length, then backtrack toward alpha = -1, which is p2
         # itself; a ratio at most 1 clamps to -1, and so does an infinite
         # one.  ``trying`` is all False here, so its rows outside ``active``
@@ -691,13 +685,6 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
             multiply(subtract(alpha, one), half, alpha)
             logical_and(trying, less(alpha, clamp), out=trying)
         p0, p2 = p2, p0
-        if 2 * running <= rows:
-            # go on with the running rows alone, from their cycle starts
-            keep = np.flatnonzero(active)
-            rest = _mm_steps(p0[keep], lead[keep], back[keep], lams[keep], unscaled[keep], tol, max_iter - maps)
-            for row, phase, values in zip(keep.tolist(), *rest):
-                phases[row], runs[row] = phase, np.concatenate((history[: maps + 1, row], values[1:]))
-            return phases, runs
 
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
@@ -722,22 +709,16 @@ class _Links(NamedTuple):
 
 
 class _Stage(NamedTuple):
-    """One outer iteration of :meth:`_Lockstep._chain`: the precoder stage
-    of the rows it holds, and what its feasible rows propose from.
+    """One outer iteration of :meth:`_Lockstep._chain` for every row of the
+    stack: its precoder stage, and the merit terms ``evaluated`` of its
+    precoder at the phases held (None at an infeasible bound)."""
 
-    ``feasible`` holds the stack indices of the feasible rows (None: every
-    row of the stack).  ``combiner``, ``weight`` and ``fitting`` (the
-    precoder), and the merit terms ``evaluated``, hold the feasible rows;
-    ``precoder``, ``lam0`` and ``mu`` every row of the stage."""
-
-    feasible: np.ndarray | None
     combiner: np.ndarray | None
     weight: np.ndarray | None
-    fitting: np.ndarray
     precoder: np.ndarray
     lam0: np.ndarray
     mu: np.ndarray
-    evaluated: tuple
+    evaluated: tuple | None
 
 
 class _Lockstep:
@@ -785,8 +766,8 @@ class _Lockstep:
         else:
             phi = np.zeros((len(cells), channels[0].n_ris), dtype=complex)
         # the first move sets every row, so there is nothing to keep
-        self.phi = self.deriv = self.noise_cov = None
-        self.terms = _PhaseTerms(None, None, None, None)
+        self.phi = None
+        self.terms = _PhaseTerms(*[None] * len(_PhaseTerms._fields))
         every = np.ones(len(cells), dtype=bool)
         leak = si_channel(self.links, phi) if self.sensing else None
         self._move(every, phi, self._stage(every, phi, effective_channel(self.links, phi), leak))
@@ -800,10 +781,10 @@ class _Lockstep:
         self.merit = self._record(self.precoder, evaluated, np.zeros(len(cells)))
 
     def _stage(self, rows, phi, h_eff, leak):
-        """What depends on the phase, for the rows that the mask ``rows``
-        selects at their phase in ``phi``: the sensing context and the phase
-        terms from ``h_eff`` and ``leak``, the channels the caller computed at
-        ``phi``.  Returns (deriv, noise_cov, terms) of those rows."""
+        """The phase record (:class:`_PhaseTerms`) of the rows that the mask
+        ``rows`` selects at their phase in ``phi``, with their sensing
+        context, from ``h_eff`` and ``leak``, the channels the caller
+        computed at ``phi``."""
         deriv = noise_cov = None
         if self.sensing:
             contexts = [
@@ -812,18 +793,13 @@ class _Lockstep:
             ]
             deriv = np.stack([c.path_response_deriv for c in contexts])
             noise_cov = np.stack([c.noise_cov for c in contexts])
-        fisher_args = (deriv, noise_cov) if self.constrain else ()
-        return deriv, noise_cov, _phase_terms(h_eff[rows], None if leak is None else leak[rows], *fisher_args)
+        return _phase_terms(h_eff[rows], None if leak is None else leak[rows], deriv, noise_cov, self.constrain)
 
-    def _move(self, rows, phi, staged):
+    def _move(self, rows, phi, terms):
         """Move the rows that the mask ``rows`` selects to their phase in
-        ``phi``, with what :meth:`_stage` built for them there."""
-        deriv, noise_cov, terms = staged
+        ``phi``, with the ``terms`` that :meth:`_stage` built for them there."""
         self.phi = _put_rows(self.phi, rows, phi[rows])
-        if self.sensing:
-            self.deriv = _put_rows(self.deriv, rows, deriv)
-            self.noise_cov = _put_rows(self.noise_cov, rows, noise_cov)
-        self.terms = _PhaseTerms(*(None if v is None else _put_rows(old, rows, v) for old, v in zip(self.terms, terms)))
+        self.terms = _PhaseTerms(*(_put_rows(old, rows, new) for old, new in zip(self.terms, terms)))
 
     def _wmmse_update(self, phi, terms, precoder, noise):
         """The combiner, the weights and ``precoder_update`` of sensing rows
@@ -842,26 +818,22 @@ class _Lockstep:
         )
         return (combiner, weight, *update)
 
-    def _look_ahead(self, passed, candidate, staged, precoder):
+    def _look_ahead(self, passed, candidate, terms, precoder):
         """The bound check of the guard: the precoder update that the next
-        step makes at the proposal of each row that passed the merit test.
-        A row whose update misses the bound keeps its phase.  Returns the
-        accepted rows' mask and their part of ``staged``."""
-        deriv, noise_cov, terms = staged
-        rows = _narrow(None, passed)
-        mu = self._wmmse_update(
-            _pick(candidate, rows), terms, _pick(precoder, rows), _pick(self.noise_user, rows)
-        )[-1]
+        step makes at the proposal of each row that passed the merit test,
+        whose phase ``terms`` those rows hold.  A row whose update misses
+        the bound keeps its phase.  Returns the accepted rows' mask and
+        their part of ``terms``."""
+        mu = self._wmmse_update(candidate[passed], terms, precoder[passed], self.noise_user[passed])[-1]
         fits = mu < math.inf
         accept = passed.copy()
         accept[passed] = fits
-        if not fits.all():
-            staged = (deriv[fits], noise_cov[fits], _PhaseTerms(*(None if t is None else t[fits] for t in terms)))
-        return accept, staged
+        return accept, terms if fits.all() else _rows(terms, fits)
 
     def _record(self, precoder, evaluated, lam0):
         objective, rate, si_power = evaluated
-        crb = aoa_crb(precoder, self.deriv, self.noise_cov).tolist() if self.sensing else [math.nan] * len(rate)
+        terms = self.terms
+        crb = aoa_crb(precoder, terms.deriv, terms.noise_cov).tolist() if self.sensing else [math.nan] * len(rate)
         rows = zip(self.cells.tolist(), objective.tolist(), rate.tolist(), si_power.tolist(), crb, lam0.tolist())
         for cell, *row in rows:
             self.traces[cell].append(self.iteration, *row)
@@ -875,18 +847,16 @@ class _Lockstep:
             if self.outcomes[cell] is None:
                 self.outcomes[cell] = JcasResult(self.precoder[row].copy(), self.phi[row].copy(), self.traces[cell])
         keep = ~stopped
-        stacked = ("cells", "phi", "precoder", "merit", "noise_user", "deriv", "noise_cov")
-        for name in (*stacked, "anchor", "middle", "halfway"):
+        for name in ("cells", "phi", "precoder", "merit", "noise_user", "anchor", "middle", "halfway"):
             stack = getattr(self, name)
             if stack is not None:
                 setattr(self, name, stack[keep])
-        self.links = _Links(*(a[keep] for a in self.links))
-        self.terms = _PhaseTerms(*(None if a is None else a[keep] for a in self.terms))
+        self.links, self.terms = _rows(self.links, keep), _rows(self.terms, keep)
 
-    def _precoder_step(self, rows, precoder):
-        """The precoder stage of one outer iteration for the stack rows at
-        the indices ``rows`` (None: every row), at their phase, from their
-        ``precoder``: (combiner, weight, precoder, lambda0, mu) of those rows.
+    def _precoder_step(self, precoder):
+        """The precoder stage of one outer iteration for every row, at its
+        phase, from its ``precoder``: (combiner, weight, precoder, lambda0,
+        mu).
 
         A sensing row updates the combiner and weights, then the WMMSE
         precoder with its bound check; ``mu`` is inf where the bound is
@@ -894,12 +864,9 @@ class _Lockstep:
         precoder at its phase, and the combiner and weights at that
         precoder only build the ``"rate"`` phase form (None without the
         surface); its ``mu`` is zero."""
-        phi, noise, terms = self.phi, self.noise_user, self.terms
-        if rows is not None:
-            phi, noise = phi[rows], noise[rows]
-            terms = _PhaseTerms(*(None if t is None else t[rows] for t in terms))
+        noise, terms = self.noise_user, self.terms
         if self.sensing:
-            return self._wmmse_update(phi, terms, precoder, noise)
+            return self._wmmse_update(self.phi, terms, precoder, noise)
         config = self.config
         precoder, lam0 = waterfill_precoder(terms.h_eff, noise, config.n_streams, config.power_budget)
         combiner = weight = None
@@ -911,62 +878,49 @@ class _Lockstep:
     def _chain(self, width):
         """The precoder stage of up to ``width`` outer iterations, each from
         the one before at the phases held now: what the steps make while
-        the guard rejects every proposal.  A row's chain ends where such a
-        step would stop it: at an infeasible bound, or where its merit
-        stalls.  Returns one :class:`_Stage` per iteration."""
+        the guard rejects every proposal.  The chain ends at the first
+        iteration at which some row's merit stalls, and before a later one
+        at which some row's bound is infeasible, so every stage holds every
+        row; a first stage with an infeasible bound ends it unevaluated.
+        Returns one :class:`_Stage` per iteration."""
         chain = []
-        rows, precoder, merit = None, self.precoder, self.merit
+        precoder, merit = self.precoder, self.merit
         while True:
-            combiner, weight, precoder, lam0, mu = self._precoder_step(rows, precoder)
+            combiner, weight, precoder, lam0, mu = self._precoder_step(precoder)
             # only a sensing row can miss the bound
-            feasible, fitting = rows, precoder
-            if self.sensing:
-                fit = mu < math.inf
-                feasible = _narrow(rows, fit)
-                if feasible is not rows:
-                    combiner, weight, fitting = (None if a is None else a[fit] for a in (combiner, weight, precoder))
-            leak = None if self.terms.leak is None else _pick(self.terms.leak, feasible)
-            evaluated = _evaluate(fitting, _pick(self.terms.h_eff, feasible), leak, _pick(self.noise_user, feasible))
-            chain.append(_Stage(feasible, combiner, weight, fitting, precoder, lam0, mu, evaluated))
-            if len(chain) == width:
+            if self.sensing and (mu == math.inf).any():
+                return chain or [_Stage(combiner, weight, precoder, lam0, mu, None)]
+            evaluated = _evaluate(precoder, self.terms.h_eff, self.terms.leak, self.noise_user)
+            chain.append(_Stage(combiner, weight, precoder, lam0, mu, evaluated))
+            if len(chain) == width or _merit_stalled(evaluated[0], merit, self.config.outer_tol).any():
                 return chain
-            going = ~_merit_stalled(evaluated[0], merit if feasible is rows else merit[fit], self.config.outer_tol)
-            if not going.any():
-                return chain
-            rows = _narrow(feasible, going)
-            precoder, merit = fitting[going], evaluated[0][going]
+            merit = evaluated[0]
 
     def _propose(self, chain):
-        """The phase proposal of every feasible (row, iteration) of the
-        chain, each from its row's phase held now, solved in one
-        :func:`ris_optimize` call and evaluated as one stack.  Returns one
-        (candidate, h_eff, leak, proposed) entry per iteration, over its
-        feasible rows: the proposal, its channels and its merit terms at
-        that iteration's precoder; None for an iteration without one."""
-        sizes = [len(stage.fitting) for stage in chain]
-        if not sum(sizes):
-            return [None] * len(chain)
+        """The phase proposal of every (row, iteration) of the chain, each
+        from its row's phase held now, solved in one :func:`ris_optimize`
+        call and evaluated as one stack.  Returns one (candidate, h_eff,
+        leak, proposed) entry per iteration: the proposals, their channels
+        and their merit terms at that iteration's precoder."""
         if len(chain) == 1:
-            ((rows, combiner, weight, precoder, *_),) = chain
+            ((combiner, weight, precoder, *_),) = chain
+            links, phi, noise = self.links, self.phi, self.noise_user
         else:
             combiner, weight, precoder = (
-                np.concatenate([getattr(stage, name) for stage in chain]) for name in ("combiner", "weight", "fitting")
+                np.concatenate([getattr(stage, name) for stage in chain]) for name in ("combiner", "weight", "precoder")
             )
-            every = np.arange(len(self.cells))
-            rows = np.concatenate([every if stage.feasible is None else stage.feasible for stage in chain])
-        links = self.links if rows is None else _Links(*(a[rows] for a in self.links))
+            rows = np.tile(np.arange(len(self.cells)), len(chain))
+            links, phi, noise = _rows(self.links, rows), self.phi[rows], self.noise_user[rows]
         factor, lin = ris_quadratics(precoder, combiner, weight, links, objective=self.objective)
-        candidate, _ = ris_optimize(_pick(self.phi, rows), factor, lin, RIS_TOL, MAX_RIS_ITER)
+        candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
         h_eff = effective_channel(links, candidate)
         leak = si_channel(links, candidate) if self.sensing else None
-        proposed = _evaluate(precoder, h_eff, leak, _pick(self.noise_user, rows))
+        proposed = _evaluate(precoder, h_eff, leak, noise)
         if len(chain) == 1:
             return [(candidate, h_eff, leak, proposed)]
-        ends = np.cumsum(sizes).tolist()
-        return [
-            (candidate[lo:hi], h_eff[lo:hi], None if leak is None else leak[lo:hi], tuple(a[lo:hi] for a in proposed))
-            for lo, hi in zip([0, *ends[:-1]], ends)
-        ]
+        outputs = (candidate, h_eff, leak, *proposed)
+        parts = [[None] * len(chain) if a is None else np.split(a, len(chain)) for a in outputs]
+        return [(c, h, l, tuple(p)) for c, h, l, *p in zip(*parts)]
 
     def _cycle(self, accept, precoder, evaluated):
         """The outer SQUAREM cycle of communication-only rows, after the
@@ -1021,7 +975,7 @@ class _Lockstep:
             point = p0[some] + r[some] * (-2.0 * step) + v[some] * (step * step)
             magnitude = np.abs(point)
             point = np.divide(point, magnitude, out=p2[some], where=magnitude > 0.0)
-            channel = effective_channel(_Links(*(a[at] for a in self.links)), point)
+            channel = effective_channel(_rows(self.links, at), point)
             moved, moved_rate, _ = _evaluate(precoder[at], channel, None, self.noise_user[at])
             better = moved <= objective[at]
             won = at[better]
@@ -1046,43 +1000,46 @@ class _Lockstep:
         call, and the iterations are then recorded, guarded and
         stop-tested in order, exactly as one at a time.  The first
         iteration at which some row keeps a proposal moves that row and
-        ends the window; the stages made past it are dropped.  The window
-        doubles after a window that kept no proposal and returns to one
-        after a window that kept one; rows times window stays within
-        ``MAX_WINDOW_ROWS``.  Without the surface nothing can be proposed,
-        and a window is one iteration; a communication-only cell then
-        finishes after one step.  With it, a communication-only row passes
-        each guarded proposal to its outer cycle (:meth:`_cycle`), which
-        may hold an extrapolated phase instead, before the record."""
+        ends the window; the stages made past it are dropped.  A row whose
+        bound is infeasible at the window's first iteration leaves the
+        stack with its error, and the step ends there: the other rows make
+        that iteration again in the next step, from the same precoder, to
+        the same bits.  The window doubles after a window that kept no
+        proposal and returns to one after a window that kept one; rows
+        times window stays within ``MAX_WINDOW_ROWS``.  Without the surface
+        nothing can be proposed, and a window is one iteration; a
+        communication-only cell then finishes after one step.  With it, a
+        communication-only row passes each guarded proposal to its outer
+        cycle (:meth:`_cycle`), which may hold an extrapolated phase
+        instead, before the record."""
         config = self.config
         width = 1
         if config.ris_enabled:
             width = max(1, min(self.window, MAX_WINDOW_ROWS // len(self.cells), config.max_outer - self.iteration))
         chain = self._chain(width)
+        first = chain[0]
+        if first.evaluated is None:
+            infeasible = first.mu == math.inf
+            achieved = _bound(first.precoder[infeasible], self.terms.fisher[infeasible])
+            for cell, value in zip(self.cells[infeasible], achieved.tolist()):
+                self.outcomes[cell] = CrbInfeasibleError(
+                    value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration + 1}"
+                )
+            self._finish(infeasible)
+            return
         proposals = self._propose(chain) if config.ris_enabled else [None] * len(chain)
         kept = False
-        for (*_, fitting, precoder, lam0, mu, evaluated), proposal in zip(chain, proposals):
+        for (*_, precoder, lam0, _, evaluated), proposal in zip(chain, proposals):
             self.iteration += 1
-            infeasible = mu == math.inf if self.sensing else None
-            if infeasible is not None and infeasible.any():
-                achieved = _bound(precoder[infeasible], self.terms.fisher[infeasible])
-                for cell, value in zip(self.cells[infeasible], achieved.tolist()):
-                    self.outcomes[cell] = CrbInfeasibleError(
-                        value, config.enforced_crb_threshold, context=f"outer iteration {self.iteration}"
-                    )
-                self._finish(infeasible)
-                if not len(self.cells):
-                    return
-                precoder, lam0 = fitting, lam0[~infeasible]
             if proposal is not None:
                 candidate, h_eff, leak, proposed = proposal
                 accept = proposed[0] <= evaluated[0]
                 if accept.any():
-                    staged = self._stage(accept, candidate, h_eff, leak)
+                    terms = self._stage(accept, candidate, h_eff, leak)
                     if self.constrain:
-                        accept, staged = self._look_ahead(accept, candidate, staged, precoder)
+                        accept, terms = self._look_ahead(accept, candidate, terms, precoder)
                     if accept.any():
-                        self._move(accept, candidate, staged)
+                        self._move(accept, candidate, terms)
                         evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
                         kept = True
                 if self.cycling:
@@ -1096,7 +1053,7 @@ class _Lockstep:
             self.merit = merit
             if stalled.any():
                 self._finish(stalled)
-            if kept or not len(self.cells):
+            if kept:
                 break
         self.window = 1 if kept else min(2 * self.window, MAX_WINDOW_ROWS)
 
@@ -1110,26 +1067,19 @@ class _Lockstep:
 
 def _put_rows(stack, rows, values):
     """``stack`` with the rows that the mask ``rows`` selects replaced by
-    ``values``, as a new array; ``values`` itself when it takes every row."""
-    if rows.all():
+    ``values``, as a new array; ``values`` itself when it is None or takes
+    every row."""
+    if values is None or rows.all():
         return values
     out = stack.copy()
     out[rows] = values
     return out
 
 
-def _pick(stack, rows):
-    """The rows of ``stack`` at the indices ``rows``; ``stack`` itself for
-    None, which stands for every row."""
-    return stack if rows is None else stack[rows]
-
-
-def _narrow(rows, keep):
-    """The indices among ``rows`` (None: every row) that the mask ``keep``
-    over them selects; ``rows`` itself when it selects them all."""
-    if keep.all():
-        return rows
-    return np.flatnonzero(keep) if rows is None else rows[keep]
+def _rows(record, index):
+    """The record (:class:`_Links` or :class:`_PhaseTerms`) with each of its
+    stacks indexed by ``index`` along the leading axis (None adds one)."""
+    return type(record)(*(None if stack is None else stack[index] for stack in record))
 
 
 def _merit_stalled(merit, previous, outer_tol):

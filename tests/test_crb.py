@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,12 @@ class TestAoaCrb:
             assert np.array_equal(core, core.conj().T)
             via_core = 2.0 * np.real(np.trace(precoder.conj().T @ core @ precoder))
             assert via_core == pytest.approx(fisher_information(precoder, deriv, noise), rel=1e-12)
+
+    @pytest.mark.parametrize("snapshots", [0, -2, 1.5, 2.0, True, math.nan])
+    def test_snapshots_must_be_a_positive_integer(self, snapshots):
+        precoder, deriv, noise = random_instance(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="snapshots"):
+            aoa_crb(precoder, deriv, noise, snapshots=snapshots)
 
     def test_snapshots_divide(self):
         rng = np.random.default_rng(5)

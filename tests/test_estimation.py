@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,12 @@ class TestSimulateSnapshots:
                     sensing_scene, ch, v, phi, direct_only(), 8, seeds=[0], residual_factor=factor
                 )
 
+    @pytest.mark.parametrize("snapshots", [0, -2, 2.5, 8.0, True, math.nan])
+    def test_snapshots_must_be_a_positive_integer(self, sensing_scene, snapshots):
+        ch = build_channel_set(sensing_scene, 5, 0.0, 0)
+        v = np.zeros((15, 2), dtype=complex)
+        with pytest.raises(ValueError, match="snapshots"):
+            simulate_snapshots(sensing_scene, ch, v, np.ones(100, dtype=complex), direct_only(), snapshots, seeds=[0])
 
     @pytest.mark.parametrize("residual_factor", [0.0, 0.1, 1.0])
     def test_batches_equal_per_seed_reference(self, ris_design, residual_factor):
