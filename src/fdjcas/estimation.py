@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .geometry import Scene
+from .geometry import Scene, _check_length
 from .steering import PathCoefficients, build_sensing_context
 
 
@@ -23,7 +23,9 @@ class SnapshotBatch:
 
     ``samples`` is (n_bs_rx, snapshots), or (trials, n_bs_rx, snapshots)
     for a stack of trials; ``spacing`` and ``wavelength`` describe the
-    receive array so the batch is self-contained for estimation.
+    receive array so the batch is self-contained for estimation.  Raises
+    ValueError for a spacing or wavelength that is not finite and
+    positive, or for non-finite samples.
     """
 
     samples: np.ndarray
@@ -32,6 +34,10 @@ class SnapshotBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
+        for name in ("spacing", "wavelength"):
+            _check_length(name, getattr(self, name))
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples has non-finite entries")
 
 
 def simulate_snapshots(

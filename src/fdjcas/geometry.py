@@ -76,13 +76,9 @@ class Scene:
         for name in ("bs_tx_positions", "bs_rx_positions", "ris_positions"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "user_position", np.asarray(self.user_position, dtype=float))
-        if self.bs_ris_distance <= 0.0:
-            raise ValueError("bs_ris_distance must be positive")
-        if self.target_range <= 0.0:
-            raise ValueError("target_range must be positive")
+        for name in ("bs_ris_distance", "target_range", "wavelength", "spacing"):
+            _check_length(name, getattr(self, name))
         _check_target_angle(self.target_angle)
-        if self.wavelength <= 0.0 or self.spacing <= 0.0:
-            raise ValueError("wavelength and spacing must be positive")
         if self.ris_positions.shape[0] != self.ris_rows * self.ris_cols:
             raise ValueError("ris_positions inconsistent with ris_rows*ris_cols")
         _check_ula_spacing(self.bs_tx_positions, self.spacing, "bs_tx_positions")
@@ -123,6 +119,12 @@ class Scene:
         """(n_ris, 2) per-element [x, z] displacement from the first element."""
         rel = self.ris_positions - self.ris_positions[0]
         return rel[:, [0, 2]]
+
+
+def _check_length(name, value):
+    # a NaN fails the comparison too
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_target_angle(angle):
@@ -183,13 +185,18 @@ def build_scene(
     extend along x and its rows along z.  User and target sit in the y = 0 plane at
     the given ranges/angles from the first transmit antenna.  A non-finite
     surface or user angle or user range, or a user range that is not
-    positive, raises ValueError naming the argument.
+    positive, raises ValueError naming the argument, and so does a length
+    (``wavelength``, ``bs_ris_distance``, ``target_range``) that is not
+    finite and positive.
     """
     for name, value in (("bs_ris_angle", bs_ris_angle), ("user_angle", user_angle), ("user_range", user_range)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not user_range > 0.0:
         raise ValueError(f"user_range must be positive, got {user_range!r}")
+    # the positions scale with these two, so they are checked before those are built
+    _check_length("wavelength", wavelength)
+    _check_length("bs_ris_distance", bs_ris_distance)
     spacing = wavelength / 2.0
     tx_rx_gap = 2.0 * wavelength
     z = np.arange(n_bs_tx) * spacing

@@ -300,43 +300,30 @@ def _bound(precoder, fisher) -> np.ndarray:
 class _PhaseTerms(NamedTuple):
     """What depends on the phase profile alone.
 
-    ``h_eff`` is the effective downlink channel, ``leak`` the SI channel and
-    ``leak_gram`` its Gram ``leak^H leak`` (both None without the SI term),
-    ``fisher`` the Fisher core (None without the CRB constraint), and
-    ``deriv`` and ``noise_cov`` the sensing context's response derivative
-    and noise covariance (None without sensing).  A stack of cells carries
-    one leading axis on every term.
+    ``h_eff`` is the effective downlink channel, ``leak`` the SI channel
+    (None without the SI term), ``fisher`` the Fisher core (None without
+    the CRB constraint), and ``deriv`` and ``noise_cov`` the sensing
+    context's response derivative and noise covariance (None without
+    sensing).  A stack of cells carries one leading axis on every term.
     """
 
     h_eff: np.ndarray
     leak: np.ndarray | None
-    leak_gram: np.ndarray | None
     fisher: np.ndarray | None
     deriv: np.ndarray | None
     noise_cov: np.ndarray | None
 
 
-def _phase_terms(h_eff, leak, deriv, noise_cov, constrain) -> _PhaseTerms:
-    leak_gram = None if leak is None else _ct(leak) @ leak
-    fisher = fisher_core(deriv, noise_cov) if constrain else None
-    return _PhaseTerms(h_eff, leak, leak_gram, fisher, deriv, noise_cov)
-
-
-def precoder_update(
-    combiner,
-    weight,
-    channels: ChannelSet,
-    phi,
-    power_budget: float,
-    crb_threshold: float = math.inf,
-    path_response_deriv=None,
-    noise_cov=None,
-    *,
-    phase_terms: _PhaseTerms | None = None,
-):
+def precoder_update(combiner, weight, h_eff, leak, power_budget: float, crb_threshold: float = math.inf, fisher=None):
     """Precoder minimizing the weighted-MSE-plus-interference surrogate
     under the power budget, checked against the angle-accuracy bound when
     its threshold is finite.
+
+    ``h_eff`` and ``leak`` are the effective downlink channel and the SI
+    channel at the phase profile (:func:`effective_channel`,
+    :func:`si_channel`), and ``fisher`` the Fisher core of the angle bound
+    there (:func:`fdjcas.crb.fisher_core`), which a finite threshold
+    requires.
 
     The stationary solution is a regularized normal-equations solve whose
     power multiplier is found by Newton's method (zero when slack).  The sensing
@@ -349,42 +336,28 @@ def precoder_update(
     threshold at zero multiplier is therefore infeasible, and
     CrbInfeasibleError reports that bound as ``achieved``.
 
-    ``phase_terms`` is the phase profile's channel terms that
-    :func:`jcas_optimize` keeps from one outer iteration to the next: the
-    effective channel, the SI channel and its Gram, and the Fisher core
-    when the threshold is finite.  Given, it replaces
-    ``channels``, ``phi``, ``path_response_deriv`` and ``noise_cov``;
-    otherwise the terms are built from those arguments.  Both ways give
-    bit-identical results.
-
-    A stack of cells (a leading axis on ``combiner``, ``weight`` and
-    ``phi`` or the terms) is solved in one call, each cell bit for bit as
-    alone, and returns arrays.  A stacked cell whose bound is infeasible
-    does not raise: its ``mu`` is inf and its precoder is the
-    zero-multiplier one.
+    A stack of cells (a leading axis on every array) is solved in one
+    call, each cell bit for bit as alone, and returns arrays.  A stacked
+    cell whose bound is infeasible does not raise: its ``mu`` is inf and
+    its precoder is the zero-multiplier one.
 
     Returns (precoder, lambda0, mu).
     """
     constrain = math.isfinite(crb_threshold)
-    if phase_terms is None:
-        if constrain and (path_response_deriv is None or noise_cov is None):
-            raise ValueError("CRB constraint requires the response derivative and noise covariance")
-        phase_terms = _phase_terms(
-            effective_channel(channels, phi), si_channel(channels, phi), path_response_deriv, noise_cov, constrain
-        )
+    if constrain and fisher is None:
+        raise ValueError("a finite CRB threshold requires the Fisher core")
     single = np.ndim(combiner) == 2
     if single:
-        combiner, weight = combiner[None], weight[None]
-        phase_terms = _rows(phase_terms, None)
-    h_eff = phase_terms.h_eff
+        combiner, weight, h_eff, leak = combiner[None], weight[None], h_eff[None], leak[None]
+        fisher = None if fisher is None else fisher[None]
     rhs = _ct(h_eff) @ _ct(combiner) @ weight
     fh = combiner @ h_eff
-    gram = _herm(_ct(fh) @ weight @ fh + phase_terms.leak_gram)
+    gram = _herm(_ct(fh) @ weight @ fh + _ct(leak) @ leak)
 
     precoder, lam = _solve_power_constrained(gram, rhs, power_budget)
     mu = np.zeros(len(gram))
     if constrain:
-        bound = _bound(precoder, phase_terms.fisher)
+        bound = _bound(precoder, fisher)
         mu[bound > crb_threshold] = math.inf
     if not single:
         return precoder, lam, mu
@@ -785,7 +758,7 @@ class _Lockstep:
         ``rows`` selects at their phase in ``phi``, with their sensing
         context, from ``h_eff`` and ``leak``, the channels the caller
         computed at ``phi``."""
-        deriv = noise_cov = None
+        deriv = noise_cov = fisher = None
         if self.sensing:
             contexts = [
                 build_sensing_context(self.scenes[cell], p, self.coeffs[cell], self.noise_radar[cell])
@@ -793,7 +766,9 @@ class _Lockstep:
             ]
             deriv = np.stack([c.path_response_deriv for c in contexts])
             noise_cov = np.stack([c.noise_cov for c in contexts])
-        return _phase_terms(h_eff[rows], None if leak is None else leak[rows], deriv, noise_cov, self.constrain)
+            if self.constrain:
+                fisher = fisher_core(deriv, noise_cov)
+        return _PhaseTerms(h_eff[rows], None if leak is None else leak[rows], fisher, deriv, noise_cov)
 
     def _move(self, rows, phi, terms):
         """Move the rows that the mask ``rows`` selects to their phase in
@@ -801,30 +776,25 @@ class _Lockstep:
         self.phi = _put_rows(self.phi, rows, phi[rows])
         self.terms = _PhaseTerms(*(_put_rows(old, rows, new) for old, new in zip(self.terms, terms)))
 
-    def _wmmse_update(self, phi, terms, precoder, noise):
+    def _wmmse_update(self, terms, precoder, noise):
         """The combiner, the weights and ``precoder_update`` of sensing rows
-        at their phase ``phi`` with its ``terms``, from their ``precoder``
-        and noise: (combiner, weight, precoder, lambda0, mu) of those rows."""
+        at the phase whose ``terms`` they hold, from their ``precoder`` and
+        noise: (combiner, weight, precoder, lambda0, mu) of those rows."""
         combiner = mmse_combiner(terms.h_eff, precoder, noise)
         weight = weight_matrix(mse_matrix(terms.h_eff, precoder, noise))
+        config = self.config
         update = precoder_update(
-            combiner,
-            weight,
-            self.links,
-            phi,
-            self.config.power_budget,
-            crb_threshold=self.config.enforced_crb_threshold,
-            phase_terms=terms,
+            combiner, weight, terms.h_eff, terms.leak, config.power_budget, config.enforced_crb_threshold, terms.fisher
         )
         return (combiner, weight, *update)
 
-    def _look_ahead(self, passed, candidate, terms, precoder):
+    def _look_ahead(self, passed, terms, precoder):
         """The bound check of the guard: the precoder update that the next
         step makes at the proposal of each row that passed the merit test,
         whose phase ``terms`` those rows hold.  A row whose update misses
         the bound keeps its phase.  Returns the accepted rows' mask and
         their part of ``terms``."""
-        mu = self._wmmse_update(candidate[passed], terms, precoder[passed], self.noise_user[passed])[-1]
+        mu = self._wmmse_update(terms, precoder[passed], self.noise_user[passed])[-1]
         fits = mu < math.inf
         accept = passed.copy()
         accept[passed] = fits
@@ -866,7 +836,7 @@ class _Lockstep:
         surface); its ``mu`` is zero."""
         noise, terms = self.noise_user, self.terms
         if self.sensing:
-            return self._wmmse_update(self.phi, terms, precoder, noise)
+            return self._wmmse_update(terms, precoder, noise)
         config = self.config
         precoder, lam0 = waterfill_precoder(terms.h_eff, noise, config.n_streams, config.power_budget)
         combiner = weight = None
@@ -1037,7 +1007,7 @@ class _Lockstep:
                 if accept.any():
                     terms = self._stage(accept, candidate, h_eff, leak)
                     if self.constrain:
-                        accept, terms = self._look_ahead(accept, candidate, terms, precoder)
+                        accept, terms = self._look_ahead(accept, terms, precoder)
                     if accept.any():
                         self._move(accept, candidate, terms)
                         evaluated = tuple(np.where(accept, new, old) for new, old in zip(proposed, evaluated))
@@ -1078,7 +1048,7 @@ def _put_rows(stack, rows, values):
 
 def _rows(record, index):
     """The record (:class:`_Links` or :class:`_PhaseTerms`) with each of its
-    stacks indexed by ``index`` along the leading axis (None adds one)."""
+    stacks indexed by ``index`` along the leading axis."""
     return type(record)(*(None if stack is None else stack[index] for stack in record))
 
 
@@ -1117,11 +1087,11 @@ def jcas_optimize(
     constraint raises CrbInfeasibleError with the iteration index attached.
 
     What depends only on the phase profile (the effective channel, the SI
-    channel and its Gram, and the Fisher core when the bound is enforced)
-    is built at the start and again only for a proposal that passes the
-    merit test, from the channels computed to evaluate it, and reaches
-    :func:`precoder_update` through its ``phase_terms`` keyword.  The cell
-    runs as a batch of one of :func:`jcas_optimize_batch`.  While the
+    channel, and the Fisher core when the bound is enforced) is built at
+    the start and again only for a proposal that passes the merit test,
+    from the channels computed to evaluate it, and is what
+    :func:`precoder_update` takes.  The cell runs as a batch of one of
+    :func:`jcas_optimize_batch`.  While the
     guard rejects proposals the phase stays, so the loop makes the
     precoder stages of a window of iterations ahead and solves their phase
     problems in one stacked call; the window ends at the first kept

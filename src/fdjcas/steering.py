@@ -64,7 +64,13 @@ class PathCoefficients:
 
     @classmethod
     def random(cls, seed, direct_mag: float = 1.0, ris_mag: float = 0.5) -> "PathCoefficients":
-        """Coefficients with fixed magnitudes and seeded uniform phases."""
+        """Coefficients with fixed magnitudes and seeded uniform phases.
+
+        Raises ValueError for a magnitude that is negative or not finite."""
+        for name, mag in (("direct_mag", direct_mag), ("ris_mag", ris_mag)):
+            # a NaN fails the comparison too
+            if not 0.0 <= mag < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {mag!r}")
         rng = np.random.default_rng(seed)
         phases = np.exp(2j * np.pi * rng.random(4))
         return cls(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdjcas.channels import build_channel_set
-from fdjcas.crb import aoa_crb
+from fdjcas.crb import aoa_crb, fisher_core
 from fdjcas.experiments import ExperimentConfig, SCHEMES, monte_carlo_mse, run_scheme
 from fdjcas.geometry import build_scene, ris_angles_of_target
 from fdjcas.optimizer import (
@@ -218,10 +218,9 @@ def test_criterion_04_precoder_constraints():
             ctx = build_sensing_context(scene, phi, coeffs, noise)
             try:
                 v, lam, mu = precoder_update(
-                    f, w, channels, phi, POWER,
+                    f, w, h_eff, si_channel(channels, phi), POWER,
                     crb_threshold=THRESHOLD,
-                    path_response_deriv=ctx.path_response_deriv,
-                    noise_cov=ctx.noise_cov,
+                    fisher=fisher_core(ctx.path_response_deriv, ctx.noise_cov),
                 )
             except CrbInfeasibleError:
                 infeasible += 1

@@ -394,6 +394,25 @@ class TestMusicEstimate:
         with pytest.raises(ValueError, match="grid_resolution"):
             music_estimate(batch, 1, bad)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [(name, bad) for name in ("spacing", "wavelength") for bad in (0.0, -0.05, np.nan, np.inf)],
+    )
+    def test_bad_array_geometry_rejected_by_name(self, name, bad):
+        # MUSIC used to return an angle for these, with no error
+        samples = random_unit_modulus(4 * 16, np.random.default_rng(11)).reshape(4, 16)
+        geometry = {"spacing": 0.5, "wavelength": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            estimation.SnapshotBatch(samples, **geometry)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_samples_rejected(self, bad):
+        # eigh used to fail on them with "Eigenvalues did not converge"
+        samples = random_unit_modulus(3 * 4 * 16, np.random.default_rng(11)).reshape(3, 4, 16)
+        samples[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="samples has non-finite entries"):
+            estimation.SnapshotBatch(samples, 0.5, 1.0)
+
 
 class TestMonteCarlo:
     ANGLE = np.deg2rad(20.0)

@@ -214,15 +214,27 @@ class TestScene:
             for name in ("bs_ris_angle", "user_angle", "user_range")
             for bad in (math.nan, math.inf, -math.inf)
         ]
-        + [("user_range", 0.0), ("user_range", -80.0)],
+        + [("user_range", 0.0), ("user_range", -80.0)]
+        + [
+            (name, bad)
+            for name in ("bs_ris_distance", "target_range", "wavelength")
+            for bad in (0.0, math.nan, math.inf)
+        ],
     )
     def test_bad_placement_rejected_by_name(self, name, value):
         # a NaN user angle used to give a NaN user position whose channels
         # came out finite, an infinite surface angle an SVD that did not
         # converge, and a zero user range a zero-length direction only at
-        # channel synthesis
+        # channel synthesis; a NaN wavelength or an infinite surface
+        # distance also ended in that SVD, and an infinite target range
+        # gave a NaN target position
         with pytest.raises(ValueError, match=f"^{name} must be"):
             build_scene(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.05, math.nan, math.inf])
+    def test_bad_spacing_rejected_by_name(self, reference_scene, value):
+        with pytest.raises(ValueError, match="^spacing must be finite and positive"):
+            dataclasses.replace(reference_scene, spacing=value)
 
     def test_angles_finite_validation(self):
         with pytest.raises(InfeasibleGeometryError):

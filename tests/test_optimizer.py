@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -177,10 +178,10 @@ class TestPrecoderUpdate:
         v0 = (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))) / 4
         f = mmse_combiner(h_eff, v0, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
-        v, lam, mu = precoder_update(f, w, small_channels, phi, power_budget=1e9)
+        leak = si_channel(small_channels, phi)
+        v, lam, mu = precoder_update(f, w, h_eff, leak, power_budget=1e9)
         assert lam == 0.0
         assert mu == 0.0
-        leak = si_channel(small_channels, phi)
         gram = (f @ h_eff).conj().T @ w @ (f @ h_eff) + leak.conj().T @ leak
         rhs = h_eff.conj().T @ f.conj().T @ w
         assert np.linalg.norm(gram @ v - rhs) < 1e-8
@@ -193,7 +194,7 @@ class TestPrecoderUpdate:
         f = mmse_combiner(h_eff, v0, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
         budget = 1.0
-        v, lam, _ = precoder_update(f, w, small_channels, phi, power_budget=budget)
+        v, lam, _ = precoder_update(f, w, h_eff, si_channel(small_channels, phi), power_budget=budget)
         power = float(np.sum(np.abs(v) ** 2))
         assert lam > 0.0
         assert abs(power - budget) / budget < 1e-12
@@ -226,10 +227,9 @@ class TestPrecoderUpdate:
         f = mmse_combiner(h_eff, v0, small_channels.noise_user)
         w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
         v, lam, mu = precoder_update(
-            f, w, small_channels, phi, 1.0,
+            f, w, h_eff, si_channel(small_channels, phi), 1.0,
             crb_threshold=1e6,
-            path_response_deriv=ctx.path_response_deriv,
-            noise_cov=ctx.noise_cov,
+            fisher=fisher_core(ctx.path_response_deriv, ctx.noise_cov),
         )
         assert mu == 0.0
 
@@ -244,18 +244,18 @@ class TestPrecoderUpdate:
         w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
         with pytest.raises(CrbInfeasibleError) as err:
             precoder_update(
-                f, w, small_channels, phi, 1.0,
+                f, w, h_eff, si_channel(small_channels, phi), 1.0,
                 crb_threshold=1e-30,
-                path_response_deriv=ctx.path_response_deriv,
-                noise_cov=ctx.noise_cov,
+                fisher=fisher_core(ctx.path_response_deriv, ctx.noise_cov),
             )
         assert err.value.achieved > err.value.threshold
         assert "rad^2" in str(err.value)
 
     @staticmethod
     def sensing_state(scene, seed, snr_db):
-        """Combiner, weight, channels, phase and sensing context of a
-        random precoder-update input on ``scene``, drawn from ``seed``."""
+        """Combiner, weight, effective channel, SI channel and Fisher core
+        of a random precoder-update input on ``scene``, drawn from
+        ``seed``."""
         rng = np.random.default_rng(seed)
         noise = 10.0 ** (-snr_db / 10.0)
         scene = scene.with_target_angle(rng.uniform(-1.0, 1.0))
@@ -268,7 +268,7 @@ class TestPrecoderUpdate:
         f = mmse_combiner(h_eff, v0, noise)
         w = weight_matrix(mse_matrix(h_eff, v0, noise))
         ctx = build_sensing_context(scene, phi, PathCoefficients.random(seed), noise)
-        return f, w, channels, phi, ctx
+        return f, w, h_eff, si_channel(channels, phi), fisher_core(ctx.path_response_deriv, ctx.noise_cov)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -291,18 +291,17 @@ class TestPrecoderUpdate:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_solve_power_constrained", counting)
             zero = []
-            for f, w, channels, phi, ctx in states:
-                v, lam, mu = precoder_update(f, w, channels, phi, budget)
+            for f, w, h_eff, leak, fisher in states:
+                v, lam, mu = precoder_update(f, w, h_eff, leak, budget)
                 assert mu == 0.0
-                fisher = fisher_core(ctx.path_response_deriv, ctx.noise_cov)
                 (bound,) = optimizer._bound(v[None], fisher[None])
                 assert 0.0 < bound < math.inf
                 zero.append((v, lam, bound))
-            for (f, w, channels, phi, ctx), (v0, lam0, bound) in zip(states, zero):
+            for (f, w, h_eff, leak, fisher), (v0, lam0, bound) in zip(states, zero):
                 for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
                     threshold = bound * factor
                     solves.clear()
-                    args = (f, w, channels, phi, budget, threshold, ctx.path_response_deriv, ctx.noise_cov)
+                    args = (f, w, h_eff, leak, budget, threshold, fisher)
                     if bound > threshold:
                         with pytest.raises(CrbInfeasibleError) as err:
                             precoder_update(*args)
@@ -314,20 +313,11 @@ class TestPrecoderUpdate:
                     assert len(solves) == 1
             # the stacked form: every row checked against one threshold
             bounds = np.array([bound for _, _, bound in zero])
-            terms = optimizer._phase_terms(
-                np.stack([effective_channel(channels, phi) for _, _, channels, phi, _ in states]),
-                np.stack([si_channel(channels, phi) for _, _, channels, phi, _ in states]),
-                np.stack([ctx.path_response_deriv for *_, ctx in states]),
-                np.stack([ctx.noise_cov for *_, ctx in states]),
-                True,
-            )
-            combiner, weight = np.stack([s[0] for s in states]), np.stack([s[1] for s in states])
+            combiner, weight, h_eff, leak, fisher = (np.stack(column) for column in zip(*states))
             for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0):
                 threshold = bounds[pick % len(states)] * factor
                 solves.clear()
-                v, lam, mu = precoder_update(
-                    combiner, weight, None, None, budget, threshold, phase_terms=terms
-                )
+                v, lam, mu = precoder_update(combiner, weight, h_eff, leak, budget, threshold, fisher)
                 assert len(solves) == 1
                 assert (mu == math.inf).tolist() == (bounds > threshold).tolist()
                 assert np.all((mu == 0.0) | (mu == math.inf))
@@ -552,7 +542,7 @@ class TestWaterfillPrecoder:
         start = dominant_precoder(h, streams, budget)
         combiner = mmse_combiner(h, start, noise)
         weight = weight_matrix(mse_matrix(h, start, noise))
-        wmmse, _, _ = precoder_update(combiner, weight, channels, phi, budget)
+        wmmse, _, _ = precoder_update(combiner, weight, h, si_channel(channels, phi), budget)
         assert rate >= dl_rate(h, wmmse, noise) - 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
@@ -2115,11 +2105,11 @@ class TestJcasOptimize:
 
         look_ahead = optimizer._Lockstep._look_ahead
 
-        def recording_look_ahead(state, passed, candidate, staged, precoder):
+        def recording_look_ahead(state, passed, staged, precoder):
             # the guard's bound check: one precoder update at the proposal
             # that passed the merit test, which is kept iff it meets the bound
             updates = len(stages)
-            accept, kept = look_ahead(state, passed, candidate, staged, precoder)
+            accept, kept = look_ahead(state, passed, staged, precoder)
             assert len(stages) == updates + 1
             look_aheads.append(bool(accept.any()))
             return accept, kept
@@ -2230,8 +2220,8 @@ class TestJcasOptimize:
         context = build_sensing_context(scene, proposal, coeffs, channels.noise_radar)
         with pytest.raises(CrbInfeasibleError):
             precoder_update(
-                combiner, weight, channels, proposal, jcas.power_budget, jcas.crb_threshold,
-                context.path_response_deriv, context.noise_cov,
+                combiner, weight, h_eff, si_channel(channels, proposal), jcas.power_budget, jcas.crb_threshold,
+                fisher_core(context.path_response_deriv, context.noise_cov),
             )
         # the guard keeps the old phase, and the cell runs on within the bound
         assert np.array_equal(state.phi, start)
@@ -2247,68 +2237,90 @@ class TestJcasOptimize:
         result = jcas_optimize(scene, channels, jcas, coeffs)
         assert result.trace.crb[-1] <= jcas.crb_threshold
 
-    def test_prebuilt_phase_terms_match_a_fresh_build(self, monkeypatch):
-        # every precoder update of the outer loop, called again on its cell
-        # without the terms the loop kept, must give the same bits: a
-        # record left stale after an accepted phase would not
-        calls = []
+    def test_phase_records_match_a_rebuild_at_the_held_phase(self, monkeypatch):
+        # every phase record the loop stages, and the one it holds at every
+        # precoder step, must be the bits of a rebuild at the row's phase: a
+        # record left stale after a kept proposal would not be; and every
+        # stacked precoder update must give each row the bits of its
+        # single-cell call on the same arrays
+        stage, precoder_step = optimizer._Lockstep._stage, optimizer._Lockstep._precoder_step
+        batch, staged, updates = [], [], []
+
+        def check(state, record, phases, cells):
+            for row, (phi, cell) in enumerate(zip(phases, cells.tolist())):
+                scene, channels, _, coeffs = batch[cell]
+                assert record.h_eff[row].tobytes() == effective_channel(channels, phi).tobytes()
+                if not state.sensing:
+                    assert record.leak is record.fisher is record.deriv is None
+                    continue
+                ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
+                assert record.leak[row].tobytes() == si_channel(channels, phi).tobytes()
+                assert record.deriv[row].tobytes() == ctx.path_response_deriv.tobytes()
+                assert record.noise_cov[row].tobytes() == ctx.noise_cov.tobytes()
+                if state.constrain:
+                    fisher = fisher_core(ctx.path_response_deriv, ctx.noise_cov)
+                    assert record.fisher[row].tobytes() == fisher.tobytes()
+                else:
+                    assert record.fisher is None
+
+        def checked_stage(state, rows, phi, h_eff, leak):
+            record = stage(state, rows, phi, h_eff, leak)
+            check(state, record, phi[rows], state.cells[rows])
+            staged.append(1)
+            return record
+
+        def checked_precoder_step(state, precoder):
+            check(state, state.terms, state.phi, state.cells)
+            return precoder_step(state, precoder)
 
         def recording(*args, **kwargs):
-            calls.append((args, kwargs))
-            return precoder_update(*args, **kwargs)
+            result = precoder_update(*args, **kwargs)
+            updates.append((args, kwargs, result))
+            return result
 
-        def outcome(args, kwargs):
-            try:
-                v, lam, mu = precoder_update(*args, **kwargs)
-            except CrbInfeasibleError as err:
-                return "infeasible", err.achieved
-            return v.tobytes(), lam, mu
-
+        monkeypatch.setattr(optimizer._Lockstep, "_stage", checked_stage)
+        monkeypatch.setattr(optimizer._Lockstep, "_precoder_step", checked_precoder_step)
         monkeypatch.setattr(optimizer, "precoder_update", recording)
-        outcomes = []
+        infeasible = 0
         for scheme in SCHEMES:
             config = ExperimentConfig(scheme=scheme, seeds=3, max_outer=30)
-            for snr_db in (0.0, 30.0):
-                # at 0 dB the sensing bound is infeasible at seed index 1, and
-                # the guard accepts a sensing phase at seed index 2
-                for seed_index in (1, 2):
-                    scene, channels, jcas, coeffs = build_cell(config, seed_index, snr_db)
-                    try:
-                        jcas_optimize(scene, channels, jcas, coeffs)
-                    except CrbInfeasibleError:
-                        pass
-                    for args, kwargs in calls:
-                        # ``jcas_optimize`` runs a batch of one: each call
-                        # carries a one-row stack, and the fresh call is the
-                        # single-cell form of the same update
-                        (combiner,), (weight,), (phi,) = args[0], args[1], args[3]
-                        fresh = {k: v for k, v in kwargs.items() if k != "phase_terms"}
-                        if math.isfinite(fresh["crb_threshold"]):
-                            ctx = build_sensing_context(scene, phi, coeffs, channels.noise_radar)
-                            fresh.update(
-                                path_response_deriv=ctx.path_response_deriv, noise_cov=ctx.noise_cov
-                            )
-                            # a stale Fisher core changes the outputs only
-                            # where it moves the bound across the threshold
-                            (kept_fisher,) = kwargs["phase_terms"].fisher
-                            assert kept_fisher.tobytes() == fisher_core(
-                                ctx.path_response_deriv, ctx.noise_cov
-                            ).tobytes(), (scheme, snr_db, seed_index)
-                        stack = precoder_update(*args, **kwargs)
-                        (v,), (lam,), (mu,) = stack
-                        if mu == math.inf:
-                            # a stacked infeasible cell returns its
-                            # zero-multiplier precoder instead of raising
-                            (best,) = optimizer._bound(stack[0], kwargs["phase_terms"].fisher)
-                            kept = "infeasible", float(best)
-                        else:
-                            kept = v.tobytes(), lam, mu
-                        single = outcome((combiner, weight, channels, phi, *args[4:]), fresh)
-                        assert kept == single, (scheme, snr_db, seed_index)
-                        outcomes.append(kept)
-                    calls.clear()
+            # at 0 dB the sensing bound is infeasible at seed index 1, and
+            # the guard accepts a sensing phase at seed index 2
+            batch[:] = [build_cell(config, seed_index, snr_db) for snr_db in (0.0, 30.0) for seed_index in (1, 2)]
+            staged.clear()
+            jcas_optimize_batch(batch)
+            if scheme_flags(scheme)[0]:
+                # the constructor's record, then at least one kept proposal
+                assert len(staged) > 1, scheme
+            for args, kwargs, (v, lam, mu) in updates:
+                (combiner, weight, h_eff, leak, budget, threshold, fisher) = inspect.signature(
+                    precoder_update
+                ).bind(*args, **kwargs).arguments.values()
+                for row in range(len(combiner)):
+                    single = (combiner[row], weight[row], h_eff[row], leak[row], budget, threshold, fisher[row])
+                    if mu[row] == math.inf:
+                        # a stacked infeasible cell returns its
+                        # zero-multiplier precoder instead of raising
+                        with pytest.raises(CrbInfeasibleError) as err:
+                            precoder_update(*single)
+                        (best,) = optimizer._bound(v[row][None], fisher[row][None])
+                        assert err.value.achieved == best
+                        infeasible += 1
+                    else:
+                        v_row, lam_row, mu_row = precoder_update(*single)
+                        assert (v_row.tobytes(), lam_row, mu_row) == (v[row].tobytes(), lam[row], mu[row])
+            updates.clear()
         # the cells include infeasible ones, which raise in the single form
-        assert any(kept[0] == "infeasible" for kept in outcomes)
+        assert infeasible > 0
+
+    def test_finite_threshold_without_fisher_core_is_rejected(self, small_channels):
+        phi = np.ones(small_channels.n_ris, dtype=complex)
+        h_eff = effective_channel(small_channels, phi)
+        v0 = dominant_precoder(h_eff, 2, 1.0)
+        f = mmse_combiner(h_eff, v0, small_channels.noise_user)
+        w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
+        with pytest.raises(ValueError, match="Fisher core"):
+            precoder_update(f, w, h_eff, si_channel(small_channels, phi), 1.0, crb_threshold=0.01)
 
     @staticmethod
     def run_reference_cells(max_outer):

@@ -217,3 +217,20 @@ class TestSensingContext:
         assert ctx.path_response_deriv.shape == (10, 15)
         assert np.allclose(ctx.noise_cov, 0.25 * np.eye(10))
         assert np.allclose(ctx.path_response, path_matrix(steering_set(reference_scene), phi, coeffs))
+
+
+class TestPathCoefficientsRandom:
+    def test_zero_magnitude_gives_a_zero_path(self):
+        coeffs = PathCoefficients.random(3, direct_mag=2.0, ris_mag=0.0)
+        assert abs(coeffs.direct) == pytest.approx(2.0, rel=1e-15)
+        assert coeffs.double_bounce == coeffs.outgoing_via_ris == coeffs.return_via_ris == 0.0
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [(name, bad) for name in ("direct_mag", "ris_mag") for bad in (-1.0, np.nan, np.inf, -np.inf)],
+    )
+    def test_bad_magnitude_rejected_by_name(self, name, bad):
+        # a NaN or infinite magnitude used to surface as an infeasible CRB
+        # design, and a negative one flipped the path's phase
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            PathCoefficients.random(0, **{name: bad})
