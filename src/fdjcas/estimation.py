@@ -126,15 +126,17 @@ def music_estimate(
     removing ``signal_subspace_dim`` dominant ones; the estimate is the
     grid angle minimizing the null spectrum of :func:`_null_polynomial`.
     A stack of trials returns the list of their estimates.  Raises
-    ValueError for a ``grid_resolution`` that is not finite and positive.
+    ValueError for a ``grid_resolution`` that is not finite and positive,
+    and for a ``signal_subspace_dim`` that is not an integer in (0, n_bs_rx).
     """
     if not 0.0 < grid_resolution < math.inf:
         raise ValueError(f"grid_resolution must be finite and positive, got {grid_resolution!r}")
     if batch.samples.ndim not in (2, 3):
         raise ValueError("samples must be (n_bs_rx, snapshots) or (trials, n_bs_rx, snapshots)")
     n_rx, snapshots = batch.samples.shape[-2:]
-    if not 0 < signal_subspace_dim < n_rx:
-        raise ValueError("signal subspace dimension must lie in (0, n_bs_rx)")
+    dim = signal_subspace_dim
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 0 < dim < n_rx:
+        raise ValueError(f"signal_subspace_dim must be an integer in (0, n_bs_rx = {n_rx}), got {dim!r}")
     stack = batch.samples.reshape(-1, n_rx, snapshots)
     cov = stack @ stack.conj().transpose(0, 2, 1) / snapshots
     evals, evecs = np.linalg.eigh(0.5 * (cov + cov.conj().transpose(0, 2, 1)))

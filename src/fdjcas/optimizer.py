@@ -272,6 +272,8 @@ def waterfill_precoder(h_eff, noise_user, n_streams: int, power_budget: float):
     and returns arrays (precoder, lambda0); ``lambda0 = 1 / (ln 2 level)``
     is the multiplier of the power budget for the rate in bits/s/Hz.
     """
+    if not 0.0 < power_budget < math.inf:
+        raise ValueError(f"power_budget must be finite and positive, got {power_budget!r}")
     _, svals, vh = np.linalg.svd(h_eff, full_matrices=False)
     modes = min(n_streams, svals.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -343,6 +345,8 @@ def precoder_update(combiner, weight, h_eff, leak, power_budget: float, crb_thre
 
     Returns (precoder, lambda0, mu).
     """
+    if not 0.0 < power_budget < math.inf:
+        raise ValueError(f"power_budget must be finite and positive, got {power_budget!r}")
     constrain = math.isfinite(crb_threshold)
     if constrain and fisher is None:
         raise ValueError("a finite CRB threshold requires the Fisher core")
@@ -383,7 +387,8 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     ``d = conj(F c)``.  ``F`` has one row per surface element and
     ``n_streams * (n_streams + n_bs_rx)`` (``"jcas"``) or ``n_streams**2``
     (``"rate"``) columns; the surface-sized ``M`` is never formed.  A stack
-    of cells gives one ``F`` and one ``d`` per cell along a leading axis.
+    of cells gives one ``F`` and one ``d`` per cell along a leading axis,
+    from channels stacked alike or from 2-D ones that every cell shares.
     """
     if objective not in (RIS_OBJECTIVE_JCAS, RIS_OBJECTIVE_RATE):
         raise ValueError(f"unknown ris objective {objective!r}")
@@ -392,7 +397,8 @@ def ris_quadratics(precoder, combiner, weight, channels: ChannelSet, objective: 
     x = _ct(combiner @ channels.ris_to_user) @ root
     c = _ct(root) @ (combiner @ channels.bs_to_user @ precoder)
     if objective == RIS_OBJECTIVE_JCAS:
-        x = np.concatenate([x, _ct(channels.ris_to_bs)], axis=-1)
+        ris_to_bs_h = _ct(channels.ris_to_bs)
+        x = np.concatenate([x, np.broadcast_to(ris_to_bs_h, x.shape[:-1] + ris_to_bs_h.shape[-1:])], axis=-1)
         c = np.concatenate([c, channels.si_los @ precoder], axis=-2)
     else:
         c = c - _ct(root)
@@ -465,7 +471,7 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     factor = np.asarray(factor, dtype=complex)
     linear = np.asarray(linear, dtype=complex)
@@ -665,20 +671,16 @@ def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
     the initialization point of the alternating design."""
     if not 0 < n_streams <= h_eff.shape[-1]:
         raise ValueError(f"n_streams {n_streams} must lie in [1, n_tx = {h_eff.shape[-1]}]")
+    if not 0.0 < power_budget < math.inf:
+        raise ValueError(f"power_budget must be finite and positive, got {power_budget!r}")
     cov = _herm(_ct(h_eff) @ h_eff)
     _, evecs = np.linalg.eigh(cov)
     top = evecs[..., -n_streams:][..., ::-1]
     return np.sqrt(power_budget / n_streams) * top
 
 
-class _Links(NamedTuple):
-    """The channel matrices the design reads, one leading axis per cell."""
-
-    bs_to_user: np.ndarray
-    ris_to_user: np.ndarray
-    bs_to_ris: np.ndarray
-    ris_to_bs: np.ndarray
-    si_los: np.ndarray
+# the channel matrices the design reads, which the cells of a batch share
+_LINK_NAMES = ("bs_to_user", "ris_to_user", "bs_to_ris", "ris_to_bs", "si_los")
 
 
 class _Stage(NamedTuple):
@@ -719,6 +721,10 @@ class _Lockstep:
         if len({replace(config, seed=0) for _, _, config, _ in cells}) != 1:
             raise ValueError("the cells of a batch must share every solver option but the seed")
         self.scenes, channels, configs, self.coeffs = (list(column) for column in zip(*cells))
+        links = self.links = channels[0]
+        for name in _LINK_NAMES:
+            if not all(np.array_equal(getattr(ch, name), getattr(links, name)) for ch in channels[1:]):
+                raise ValueError(f"the cells of a batch must share the link {name}")
         config = self.config = configs[0]
         self.sensing = config.sensing_enabled
         self.cycling = config.ris_enabled and not self.sensing
@@ -730,14 +736,12 @@ class _Lockstep:
         self.traces = [IterationTrace() for _ in cells]
         self.iteration = 0
         self.window = 1
-        self.links = _Links(*(np.stack([getattr(ch, name) for ch in channels]) for name in _Links._fields))
         self.noise_user = np.array([ch.noise_user for ch in channels])[:, None, None]
         if config.ris_enabled:
-            phi = np.stack(
-                [np.exp(2j * np.pi * np.random.default_rng([c.seed, 0]).random(ch.n_ris)) for c, ch in zip(configs, channels)]
-            )
+            draws = [np.random.default_rng([c.seed, 0]).random(links.n_ris) for c in configs]
+            phi = np.stack([np.exp(2j * np.pi * draw) for draw in draws])
         else:
-            phi = np.zeros((len(cells), channels[0].n_ris), dtype=complex)
+            phi = np.zeros((len(cells), links.n_ris), dtype=complex)
         # the first move sets every row, so there is nothing to keep
         self.phi = None
         self.terms = _PhaseTerms(*[None] * len(_PhaseTerms._fields))
@@ -821,7 +825,7 @@ class _Lockstep:
             stack = getattr(self, name)
             if stack is not None:
                 setattr(self, name, stack[keep])
-        self.links, self.terms = _rows(self.links, keep), _rows(self.terms, keep)
+        self.terms = _rows(self.terms, keep)
 
     def _precoder_step(self, precoder):
         """The precoder stage of one outer iteration for every row, at its
@@ -869,28 +873,18 @@ class _Lockstep:
     def _propose(self, chain):
         """The phase proposal of every (row, iteration) of the chain, each
         from its row's phase held now, solved in one :func:`ris_optimize`
-        call and evaluated as one stack.  Returns one (candidate, h_eff,
-        leak, proposed) entry per iteration: the proposals, their channels
-        and their merit terms at that iteration's precoder."""
-        if len(chain) == 1:
-            ((combiner, weight, precoder, *_),) = chain
-            links, phi, noise = self.links, self.phi, self.noise_user
-        else:
-            combiner, weight, precoder = (
-                np.concatenate([getattr(stage, name) for stage in chain]) for name in ("combiner", "weight", "precoder")
-            )
-            rows = np.tile(np.arange(len(self.cells)), len(chain))
-            links, phi, noise = _rows(self.links, rows), self.phi[rows], self.noise_user[rows]
-        factor, lin = ris_quadratics(precoder, combiner, weight, links, objective=self.objective)
+        call and evaluated as one stack.  Returns (candidate, h_eff, leak,
+        objective, rate, si_power), one block of rows per iteration: the
+        proposals, their channels and their merit terms at its precoder."""
+        combiner, weight, precoder = (
+            np.concatenate([getattr(stage, name) for stage in chain]) for name in ("combiner", "weight", "precoder")
+        )
+        phi, noise = np.tile(self.phi, (len(chain), 1)), np.tile(self.noise_user, (len(chain), 1, 1))
+        factor, lin = ris_quadratics(precoder, combiner, weight, self.links, objective=self.objective)
         candidate, _ = ris_optimize(phi, factor, lin, RIS_TOL, MAX_RIS_ITER)
-        h_eff = effective_channel(links, candidate)
-        leak = si_channel(links, candidate) if self.sensing else None
-        proposed = _evaluate(precoder, h_eff, leak, noise)
-        if len(chain) == 1:
-            return [(candidate, h_eff, leak, proposed)]
-        outputs = (candidate, h_eff, leak, *proposed)
-        parts = [[None] * len(chain) if a is None else np.split(a, len(chain)) for a in outputs]
-        return [(c, h, l, tuple(p)) for c, h, l, *p in zip(*parts)]
+        h_eff = effective_channel(self.links, candidate)
+        leak = si_channel(self.links, candidate) if self.sensing else None
+        return (candidate, h_eff, leak, *_evaluate(precoder, h_eff, leak, noise))
 
     def _cycle(self, accept, precoder, evaluated):
         """The outer SQUAREM cycle of communication-only rows, after the
@@ -945,7 +939,7 @@ class _Lockstep:
             point = p0[some] + r[some] * (-2.0 * step) + v[some] * (step * step)
             magnitude = np.abs(point)
             point = np.divide(point, magnitude, out=p2[some], where=magnitude > 0.0)
-            channel = effective_channel(_rows(self.links, at), point)
+            channel = effective_channel(self.links, point)
             moved, moved_rate, _ = _evaluate(precoder[at], channel, None, self.noise_user[at])
             better = moved <= objective[at]
             won = at[better]
@@ -997,12 +991,14 @@ class _Lockstep:
                 )
             self._finish(infeasible)
             return
-        proposals = self._propose(chain) if config.ris_enabled else [None] * len(chain)
+        proposals = self._propose(chain) if config.ris_enabled else None
+        # rows leave only at the iteration that ends the loop, so every block has this many
+        block = len(self.cells)
         kept = False
-        for (*_, precoder, lam0, _, evaluated), proposal in zip(chain, proposals):
+        for at, (*_, precoder, lam0, _, evaluated) in zip(range(0, block * len(chain), block), chain):
             self.iteration += 1
-            if proposal is not None:
-                candidate, h_eff, leak, proposed = proposal
+            if proposals is not None:
+                candidate, h_eff, leak, *proposed = (None if a is None else a[at : at + block] for a in proposals)
                 accept = proposed[0] <= evaluated[0]
                 if accept.any():
                     terms = self._stage(accept, candidate, h_eff, leak)
@@ -1047,8 +1043,8 @@ def _put_rows(stack, rows, values):
 
 
 def _rows(record, index):
-    """The record (:class:`_Links` or :class:`_PhaseTerms`) with each of its
-    stacks indexed by ``index`` along the leading axis."""
+    """The :class:`_PhaseTerms` record with each of its stacks indexed by
+    ``index`` along the leading axis."""
     return type(record)(*(None if stack is None else stack[index] for stack in record))
 
 
@@ -1114,11 +1110,11 @@ def jcas_optimize_batch(cells) -> list:
     cell, run in lockstep; a cell whose angle bound is infeasible gets the
     CrbInfeasibleError that :func:`jcas_optimize` raises for it alone.
 
-    The cells must have the same dimensions and share every
-    :class:`JcasConfig` option but ``seed``; scenes, channels (noise
-    included) and coefficients may differ.  Each outer iteration stacks the
-    cells still running into one call of every stage, and each cell's
-    result is bit for bit the one it gets alone.
+    The cells must share every :class:`JcasConfig` option but ``seed``, and
+    by value the links the design reads (all but ``si_nlos``), or ValueError
+    is raised; target angles, noise and coefficients may differ.  Each outer
+    iteration stacks the cells still running into one call of every stage,
+    and each cell's result is bit for bit the one it gets alone.
     """
     cells = list(cells)
     if not cells:

@@ -344,8 +344,11 @@ class TestMusicEstimate:
         v = np.ones((15, 1), dtype=complex)
         phi = np.ones(100, dtype=complex)
         (batch,) = simulate_snapshots(sensing_scene, ch, v, phi, direct_only(), 16, seeds=[0])
-        with pytest.raises(ValueError):
-            music_estimate(batch, 10, 1e-3)
+        # a bool is an int, and a float would reach the subspace slicing
+        for bad in (10, 0, -1, True, 2.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match="signal_subspace_dim"):
+                music_estimate(batch, bad, 1e-3)
+        assert music_estimate(batch, np.int64(2), 1e-3) == music_estimate(batch, 2, 1e-3)
 
     @pytest.mark.parametrize("n_rx", [2, 3, 4])
     def test_noiseless_sources_on_grid_recovered(self, n_rx):

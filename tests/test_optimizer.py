@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import types
 import warnings
 
 import numpy as np
@@ -198,6 +199,24 @@ class TestPrecoderUpdate:
         power = float(np.sum(np.abs(v) ** 2))
         assert lam > 0.0
         assert abs(power - budget) / budget < 1e-12
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_power_budget_rejected(self, small_channels, budget):
+        # every public precoder entry point, as JcasConfig does: a NaN
+        # precoder, a zero one or the sqrt of a negative budget otherwise
+        phi = np.ones(small_channels.n_ris, dtype=complex)
+        h_eff, leak = effective_channel(small_channels, phi), si_channel(small_channels, phi)
+        v0 = dominant_precoder(h_eff, 2, 1.0)
+        f = mmse_combiner(h_eff, v0, small_channels.noise_user)
+        w = weight_matrix(mse_matrix(h_eff, v0, small_channels.noise_user))
+        with pytest.raises(ValueError, match="power_budget"):
+            precoder_update(f, w, h_eff, leak, budget)
+        with pytest.raises(ValueError, match="power_budget"):
+            precoder_update(f[None], w[None], h_eff[None], leak[None], budget)
+        with pytest.raises(ValueError, match="power_budget"):
+            waterfill_precoder(h_eff[None], np.full((1, 1, 1), small_channels.noise_user), 2, budget)
+        with pytest.raises(ValueError, match="power_budget"):
+            dominant_precoder(h_eff, 2, budget)
 
     def test_power_monotone_in_multiplier(self, small_channels):
         rng = np.random.default_rng(7)
@@ -629,6 +648,30 @@ class TestRisQuadratics:
         ]
         assert np.max(np.abs(np.array(devs) - devs[0])) < 1e-8
 
+    @pytest.mark.parametrize("objective", ["jcas", "rate"])
+    def test_shared_channels_serve_a_stack(self, objective):
+        # 2-D channels with a stack of precoders, combiners and weights give
+        # the bits of the same channels stacked per row, and of each row's
+        # 2-D call: the lockstep loop holds one link set for the batch
+        rng = np.random.default_rng(12)
+        channels = random_channelset(rng)
+        rows = 5
+        precoder = complex_normal(rng, (rows, channels.n_bs_tx, 2)) / 4
+        combiner = complex_normal(rng, (rows, 2, channels.n_user))
+        root = complex_normal(rng, (rows, 2, 2))
+        weight = root @ root.conj().swapaxes(-1, -2)
+        stacked = types.SimpleNamespace(
+            **{name: np.stack([getattr(channels, name)] * rows) for name in optimizer._LINK_NAMES}
+        )
+        shared = ris_quadratics(precoder, combiner, weight, channels, objective=objective)
+        per_row = ris_quadratics(precoder, combiner, weight, stacked, objective=objective)
+        for got, expected in zip(shared, per_row):
+            assert got.tobytes() == expected.tobytes()
+        for row in range(rows):
+            alone = ris_quadratics(precoder[row], combiner[row], weight[row], channels, objective=objective)
+            for got, expected in zip(shared, alone):
+                assert got[row].tobytes() == expected.tobytes()
+
     def test_unknown_objective_rejected(self, small_channels):
         v = np.zeros((6, 2), dtype=complex)
         with pytest.raises(ValueError):
@@ -856,7 +899,7 @@ class TestRisOptimize:
         with pytest.raises(ValueError, match=which):
             ris_optimize(args["phi0"], args["factor"], args["linear"])
 
-    @pytest.mark.parametrize("max_iter", [-1, -3, 2.5])
+    @pytest.mark.parametrize("max_iter", [-1, -3, 2.5, 3.0, True, False])
     def test_rejects_negative_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             ris_optimize(np.ones(4, dtype=complex), np.eye(4, dtype=complex), np.ones(4), max_iter=max_iter)
@@ -1648,6 +1691,23 @@ class TestLockstep:
                 assert max(windows) == optimizer.MAX_WINDOW_ROWS // len(built)
                 assert max(shape[0] for shape in calls) == optimizer.MAX_WINDOW_ROWS
                 assert len(calls) < sum(windows) == config.max_outer
+
+    @pytest.mark.parametrize("name", optimizer._LINK_NAMES)
+    def test_cells_must_share_links(self, small_scene, small_channels, name):
+        # the batch holds the first cell's links; a cell whose links differ
+        # by value is rejected, and fresh arrays of equal value are not
+        coeffs = PathCoefficients.random(1)
+        jcas = JcasConfig(max_outer=2)
+        fresh = {link: getattr(small_channels, link).copy() for link in optimizer._LINK_NAMES}
+        copied = dataclasses.replace(small_channels, **fresh)
+        # the design never reads the SI residual, and noise is per cell
+        other = dataclasses.replace(copied, si_nlos=np.zeros_like(copied.si_nlos), noise_user=0.3, noise_radar=0.2)
+        shared = jcas_optimize_batch([(small_scene, small_channels, jcas, coeffs), (small_scene, other, jcas, coeffs)])
+        alone = jcas_optimize(small_scene, other, jcas, coeffs)
+        assert shared[1].precoder.tobytes() == alone.precoder.tobytes()
+        fresh[name][-1, -1] += 1e-9
+        with pytest.raises(ValueError, match=f"share the link {name}"):
+            jcas_optimize_batch([(small_scene, small_channels, jcas, coeffs), (small_scene, copied, jcas, coeffs)])
 
     def test_cells_must_share_solver_options(self, small_scene, small_channels):
         coeffs = PathCoefficients.random(1)
