@@ -301,14 +301,14 @@ def _run_cells(config: ExperimentConfig, cells) -> list:
 
 def _cell_metrics(config: ExperimentConfig, seed_index: int, cell, result) -> dict:
     """The metrics of one optimized cell, with its MUSIC trials when sensing."""
-    scene, channels, jcas, coeffs = cell
+    scene, channels, _, coeffs = cell
     metrics = {
         "rate_bps_hz": result.trace.rate_bps_hz[-1],
         "si_power": result.trace.si_power[-1],
         "crb_rad2": result.trace.crb[-1],
         "sq_errors": [],
     }
-    if jcas.sensing_enabled and config.mse_trials > 0:
+    if _runs_trials(config):
         trials = max(1, config.mse_trials // config.seeds)
         seeds = [config.root_seed + seed_index * trials + trial for trial in range(trials)]
         estimates = estimate_angles(config, scene, channels, coeffs, result, seeds)
@@ -371,36 +371,60 @@ def _run_share(send, share_fn, config: ExperimentConfig, share) -> None:
     send.close()
 
 
-def _map_cells(share_fn, config: ExperimentConfig, cells) -> list:
+# The fewest cells each process's share of a call must hold for the call to
+# fork, by scheme, when its cells run no MUSIC trials (see _map_cells); the
+# crossovers behind them are in BENCH_31.json, re-measured with
+# tests/record_fork_crossover.py.
+_MIN_SHARE = {
+    SCHEME_RIS_SENSING: 1,
+    SCHEME_NO_RIS_SENSING: 8,
+    SCHEME_RIS_COMM: 8,
+    SCHEME_NO_RIS_COMM: math.inf,
+}
+
+
+def _runs_trials(config: ExperimentConfig) -> bool:
+    """Whether each cell of a ``run_scheme`` call of ``config`` runs MUSIC trials."""
+    return scheme_flags(config.scheme)[1] and config.mse_trials > 0
+
+
+def _least_share(scheme: str, trials: bool) -> float:
+    """The fewest cells each process's share must hold for a call of
+    ``scheme`` to fork: one when its cells run MUSIC trials, which pay for
+    a worker sooner, else the scheme's ``_MIN_SHARE``."""
+    return 1 if trials else _MIN_SHARE[scheme]
+
+
+def _map_cells(share_fn, config: ExperimentConfig, cells, least: float) -> list:
     """The results of every cell, in order, from ``share_fn(config,
     share)``, which returns one result per cell of the list ``share``.
 
-    With more than one CPU in the affinity mask (``taskset`` narrows it),
-    each of ``workers`` processes runs one share, ``cells[i::workers]``,
-    in one call: this process the first, and one forked worker process
-    each of the others, which sends its results back through a pipe.
+    The call runs on ``workers`` processes, each of which runs one share,
+    ``cells[i::workers]``, in one call: this process the first, and one
+    forked worker process each of the others, which sends its results back
+    through a pipe.  ``workers`` is the largest count, up to the CPUs of
+    the affinity mask (``taskset`` narrows it), that gives every share at
+    least ``least`` cells (see :func:`_least_share`), so a call of fewer
+    than ``2 * least`` cells runs in this process.  A worker takes
+    milliseconds to start, and while it lives this process runs its own
+    share slower, on copy-on-write page faults, so only shares of costly
+    cells pay for it.
+
     Every process uses one OpenBLAS thread meanwhile: forked workers
     inherit the parent's thread pool, and with 2 threads in each of 2
     processes on 2 cores a two-cell sensing call ran 2.3x slower than in
-    one process.  All cells form one share here when there is one CPU or
-    one cell, when numpy's BLAS is not OpenBLAS, or when other Python
-    threads are alive, because forking a threaded process can deadlock the
-    child, and for the one-step scheme (no surface, no sensing), whose
-    cells all finish after one outer iteration.  Each cell has its own
-    seed streams, so the results are the same either way.  An error raised
-    in a worker is raised here.
+    one process.  All cells form one share here also when numpy's BLAS is
+    not OpenBLAS, or when other Python threads are alive, because forking
+    a threaded process can deadlock the child.  Each cell has its own seed
+    streams, so the results are the same either way.  An error raised in a
+    worker is raised here.
     """
-    uses_ris, sensing = scheme_flags(config.scheme)
-    if not (uses_ris or sensing):
-        # every cell of a one-step scheme finishes after one outer iteration:
-        # a worker would cost more to start than its share costs to run
-        return share_fn(config, cells)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(cells), cpus)
+    workers = min(cpus, int(len(cells) // least))
     blas = _openblas_threads() if workers > 1 and threading.active_count() == 1 else None
     if blas is None:
         return share_fn(config, cells)
-    # imported here: one-cell calls never fork
+    # imported here: calls that stay in this process never need it
     import multiprocessing
 
     # fork, not spawn: a spawned worker would import numpy and fdjcas afresh on every call
@@ -443,12 +467,13 @@ def run_scheme(config: ExperimentConfig):
 
     Cells whose sensing constraint is infeasible are excluded from the
     averages but counted; a point with no feasible seed is emitted with
-    the ``infeasible`` status instead of being dropped.  Cells run on
-    every CPU of the affinity mask, each process's share as one lockstep
-    batch (see :func:`_map_cells`).
+    the ``infeasible`` status instead of being dropped.  Cells run on up
+    to every CPU of the affinity mask, each process's share as one lockstep
+    batch of at least the scheme's ``_MIN_SHARE`` cells, or of one cell
+    when the cells run MUSIC trials (see :func:`_least_share`).
     """
     cells = [(seed_index, snr_db) for snr_db in config.snr_grid_db for seed_index in range(config.seeds)]
-    results = iter(_map_cells(_run_cells, config, cells))
+    results = iter(_map_cells(_run_cells, config, cells, _least_share(config.scheme, _runs_trials(config))))
     rows = []
     for snr_db in config.snr_grid_db:
         rates, si_powers, crbs, sq_errors = [], [], [], []
@@ -518,15 +543,16 @@ def monte_carlo_mse(config: ExperimentConfig, target_angle: float, coeffs: PathC
     ``output_dir``.  Returns a list of dict rows with keys snr_db,
     mse_rad2, crb_rad2, trials, in grid order.
 
-    The points run on every CPU like the cells of :func:`run_scheme`, each
-    process's share as one lockstep batch (see :func:`_map_cells`).  An
-    infeasible point raises its CrbInfeasibleError, the one of the first
-    such point in grid order.
+    The points run on every CPU, whatever the scheme, each process's
+    share as one lockstep batch (see :func:`_map_cells`).  An infeasible
+    point raises its CrbInfeasibleError, the one of the first such point
+    in grid order.
     """
     if config.mse_trials < 1:
         raise ConfigError("mse_trials must be >= 1 for the MSE study")
     require_noise_subspace(config, "for the MSE study")
-    rows = _map_cells(_study_points, config, [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db])
+    points = [(target_angle, coeffs, snr_db) for snr_db in config.snr_grid_db]
+    rows = _map_cells(_study_points, config, points, _least_share(config.scheme, True))
     for row in rows:
         if isinstance(row, CrbInfeasibleError):
             raise row

@@ -88,6 +88,14 @@ class IterationTrace:
         return len(self.iteration)
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least ``least``
+    (0 or 1): a bool is an int, and a float such as 2.0 or NaN is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative" if least == 0 else "a positive"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JcasConfig:
     """Algorithm options for one optimization run.
@@ -120,12 +128,8 @@ class JcasConfig:
             raise ValueError("crb_threshold must be positive (inf disables it)")
         if not 0.0 < self.outer_tol < math.inf:
             raise ValueError("outer_tol must be finite and positive")
-        # a bool is an int; a float such as 2.5 or NaN is not
         for name, least in (("max_outer", 0), ("n_streams", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                kind = "a non-negative" if least == 0 else "a positive"
-                raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+            _require_count(name, getattr(self, name), least)
 
     @property
     def enforced_crb_threshold(self) -> float:
@@ -271,7 +275,10 @@ def waterfill_precoder(h_eff, noise_user, n_streams: int, power_budget: float):
     Takes a stack of channels with ``noise_user`` shaped ``(n_cells, 1, 1)``
     and returns arrays (precoder, lambda0); ``lambda0 = 1 / (ln 2 level)``
     is the multiplier of the power budget for the rate in bits/s/Hz.
+    Raises ValueError for an ``n_streams`` that is not a positive integer
+    or a ``power_budget`` that is not finite and positive.
     """
+    _require_count("n_streams", n_streams, 1)
     if not 0.0 < power_budget < math.inf:
         raise ValueError(f"power_budget must be finite and positive, got {power_budget!r}")
     _, svals, vh = np.linalg.svd(h_eff, full_matrices=False)
@@ -471,8 +478,7 @@ def ris_optimize(phi0, factor, linear, tol: float = RIS_TOL, max_iter: int = MAX
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    _require_count("max_iter", max_iter, 0)
     factor = np.asarray(factor, dtype=complex)
     linear = np.asarray(linear, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
@@ -668,8 +674,11 @@ def _mm_steps(phi0, lead, back, lams, unscaled, tol, max_iter):
 
 def dominant_precoder(h_eff, n_streams: int, power_budget: float) -> np.ndarray:
     """Power-normalized dominant eigenvectors of the channel covariance;
-    the initialization point of the alternating design."""
-    if not 0 < n_streams <= h_eff.shape[-1]:
+    the initialization point of the alternating design.  Raises ValueError
+    for an ``n_streams`` that is not an integer in [1, n_tx] or a
+    ``power_budget`` that is not finite and positive."""
+    _require_count("n_streams", n_streams, 1)
+    if n_streams > h_eff.shape[-1]:
         raise ValueError(f"n_streams {n_streams} must lie in [1, n_tx = {h_eff.shape[-1]}]")
     if not 0.0 < power_budget < math.inf:
         raise ValueError(f"power_budget must be finite and positive, got {power_budget!r}")

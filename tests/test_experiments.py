@@ -542,6 +542,12 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def _fork_every_call(monkeypatch):
+    """Let a call of any scheme fork from one cell a share, so that the
+    rows-equal tests shard every scheme's small calls."""
+    monkeypatch.setattr(experiments, "_MIN_SHARE", dict.fromkeys(SCHEMES, 1))
+
+
 @pytest.mark.usefixtures("time_bound")
 class TestCellPool:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -551,6 +557,7 @@ class TestCellPool:
             scheme=scheme,
             **{**FAST, "seeds": 3, "snr_grid_db": (0.0, 20.0), "mse_trials": 6, "crb_threshold": 1e-3},
         )
+        _fork_every_call(monkeypatch)
         _cpus(monkeypatch, 2)
         parallel = run_scheme(config)
         assert multiprocessing.active_children() == []
@@ -571,6 +578,7 @@ class TestCellPool:
             scheme=scheme,
             **{**FAST, "seeds": seeds, "snr_grid_db": grid, "mse_trials": 6, "crb_threshold": 1e-3},
         )
+        _fork_every_call(monkeypatch)
         rows = []
         for cpus in (1, 2, 3):
             _cpus(monkeypatch, cpus)
@@ -591,7 +599,7 @@ class TestCellPool:
         original = get_threads()
         set_threads(2)
         try:
-            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), cells)
+            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), cells, 1)
             after = get_threads()
         finally:
             set_threads(original)
@@ -611,7 +619,7 @@ class TestCellPool:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)])
+            done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), [(0, 0.0), (1, 0.0)], 1)
         finally:
             release.set()
             other.join(timeout=10)
@@ -622,20 +630,22 @@ class TestCellPool:
         if experiments._openblas_threads() is None:
             pytest.skip("numpy does not use OpenBLAS: points run in this process")
         monkeypatch.setattr(experiments, "_study_points", _study_points_where)
-        config = ExperimentConfig(
-            **{**FAST, "snr_grid_db": (0.0, 10.0, 20.0), "mse_trials": 2, "snapshots": 16},
-            grid_resolution=1e-2,
-        )
-        _cpus(monkeypatch, 2)
-        parallel = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
-        assert multiprocessing.active_children() == []
-        _cpus(monkeypatch, 1)
-        serial = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
-        # this process runs every second point, the worker the other
-        assert [row.pop("pid") == TEST_PID for row in parallel] == [True, False, True]
-        assert [row.pop("pid") for row in serial] == [TEST_PID] * 3
-        assert parallel == serial
-        assert [row["snr_db"] for row in serial] == [0.0, 10.0, 20.0]
+        # every point runs its MUSIC trials: one a process, whatever the scheme
+        for scheme in SCHEMES:
+            config = ExperimentConfig(
+                **{**FAST, "scheme": scheme, "snr_grid_db": (0.0, 10.0, 20.0), "mse_trials": 2, "snapshots": 16},
+                grid_resolution=1e-2,
+            )
+            _cpus(monkeypatch, 2)
+            parallel = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
+            assert multiprocessing.active_children() == []
+            _cpus(monkeypatch, 1)
+            serial = monte_carlo_mse(config, np.deg2rad(20.0), PathCoefficients.random(3))
+            # this process runs every second point, the worker the other
+            assert [row.pop("pid") == TEST_PID for row in parallel] == [True, False, True]
+            assert [row.pop("pid") for row in serial] == [TEST_PID] * 3
+            assert parallel == serial
+            assert [row["snr_db"] for row in serial] == [0.0, 10.0, 20.0]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_study_raises_the_first_infeasible_point_in_grid_order(self, monkeypatch, cpus):
@@ -671,22 +681,76 @@ class TestCellPool:
         with pytest.raises(CrbInfeasibleError, match=r"^outer iteration 1: CRB constraint infeasible"):
             monte_carlo_mse(config, angle, coeffs)
 
-    def test_one_step_scheme_runs_in_this_process(self, monkeypatch):
-        # no surface and no sensing: every cell finishes after one outer iteration
-        _cpus(monkeypatch, 2)
-        cells = [(0, 0.0), (1, 0.0), (2, 10.0)]
-        config = ExperimentConfig(**{**FAST, "scheme": "no_ris_comm_only"})
-        done = experiments._map_cells(_cells_where, config, cells)
-        assert [cell[2] for cell in done] == [TEST_PID] * 3
-        assert [cell[4] for cell in done] == [cells] * 3
+    @pytest.mark.parametrize(
+        "cpus, count, least", [(2, 1, 1), (2, 23, 12), (2, 24, 12), (3, 17, 6), (3, 18, 6), (3, 9, math.inf)]
+    )
+    def test_a_call_forks_only_when_every_share_holds_the_least_cells(self, monkeypatch, cpus, count, least):
+        # workers = min(cpus, count // least): the largest count whose shares
+        # cells[i::workers] all hold at least ``least`` cells
+        if experiments._openblas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS: cells run in this process")
+        _cpus(monkeypatch, cpus)
+        cells = [(seed_index, 0.0) for seed_index in range(count)]
+        done = experiments._map_cells(_cells_where, ExperimentConfig(**FAST), cells, least)
+        workers = {(2, 1): 1, (2, 23): 1, (2, 24): 2, (3, 17): 2, (3, 18): 3, (3, 9): 1}[cpus, count]
+        assert [cell[:2] for cell in done] == cells
+        assert [cell[2] == TEST_PID for cell in done] == [i % workers == 0 for i in range(count)]
+        assert [cell[4] for cell in done] == [cells[i % workers :: workers] for i in range(count)]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "scheme, trials, fewest",
+        [
+            ("ris_with_sensing", 0, 2),
+            ("no_ris_with_sensing", 0, 16),
+            ("ris_comm_only", 0, 16),
+            ("no_ris_comm_only", 0, None),
+            # a sensing cell's MUSIC trials pay for a worker; a
+            # communication-only cell runs none
+            ("no_ris_with_sensing", 2, 2),
+            ("ris_comm_only", 2, 16),
+        ],
+    )
+    def test_a_sweep_forks_from_the_schemes_fewest_cells(self, monkeypatch, scheme, trials, fewest):
+        # on 2 CPUs a call forks from twice the scheme's minimum share: the
+        # comparison schemes' cells are too short to pay for a worker
+        # below 8 a share, and a no-surface communication-only cell
+        # finishes after one outer iteration
+        if experiments._openblas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS: cells run in this process")
+        ran_here = []
+
+        def run_cells(config, cells):
+            if os.getpid() == TEST_PID:
+                ran_here.extend(cells)
+            return RUN_CELLS(config, cells)
+
+        monkeypatch.setattr(experiments, "_run_cells", run_cells)
+        configs = [
+            ExperimentConfig(
+                **{**FAST, "scheme": scheme, "seeds": seeds, "snr_grid_db": (10.0,), "mse_trials": trials * seeds},
+                grid_resolution=1e-2,
+            )
+            for seeds in ((fewest - 1, fewest) if fewest else (2, 24))
+        ]
+        rows = []
+        _cpus(monkeypatch, 2)
+        for config in configs:
+            cells = [(seed_index, 10.0) for seed_index in range(config.seeds)]
+            ran_here.clear()
+            rows.append(run_scheme(config))
+            assert ran_here == (cells[::2] if config.seeds == fewest else cells)
+            assert multiprocessing.active_children() == []
+        _cpus(monkeypatch, 1)
+        assert [run_scheme(config) for config in configs] == rows
 
     def test_worker_error_reaches_caller(self, monkeypatch, tmp_path, capsys):
         if experiments._openblas_threads() is None:
             pytest.skip("numpy does not use OpenBLAS: cells run in this process")
         monkeypatch.setattr(experiments, "_run_cells", _cells_failing_in_worker)
         _cpus(monkeypatch, 2)
-        config = ExperimentConfig(scheme="ris_comm_only", **FAST)
+        # without MUSIC trials, only this scheme forks a two-cell call
+        config = ExperimentConfig(scheme="ris_with_sensing", **FAST)
         with pytest.raises(ValueError) as err:
             run_scheme(config)
         assert type(err.value) is ValueError

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import types
 import warnings
 
@@ -1596,6 +1597,22 @@ class TestSolverInvariants:
         for n_streams in (0, 5):
             with pytest.raises(ValueError, match="n_streams"):
                 dominant_precoder(h, n_streams, 1.0)
+
+    @pytest.mark.parametrize("n_streams", [True, False, 2.0, np.float64(2.0), 2.5, math.nan, "2", None, 0, -1])
+    def test_precoders_reject_a_stream_count_that_is_not_a_positive_integer(self, n_streams):
+        # a bool would slice one column (True) and a float raise a TypeError
+        h = np.ones((3, 6), dtype=complex)
+        message = f"^n_streams must be a positive integer, got {re.escape(repr(n_streams))}$"
+        with pytest.raises(ValueError, match=message):
+            dominant_precoder(h, n_streams, 1.0)
+        with pytest.raises(ValueError, match=message):
+            waterfill_precoder(h[None], np.ones((1, 1, 1)), n_streams, 1.0)
+
+    def test_precoders_take_a_numpy_integer_stream_count(self):
+        h = np.random.default_rng(5).standard_normal((3, 6)) + 0j
+        assert np.array_equal(dominant_precoder(h, np.int64(2), 1.0), dominant_precoder(h, 2, 1.0))
+        (v,), _ = waterfill_precoder(h[None], np.ones((1, 1, 1)), np.int64(2), 1.0)
+        assert np.array_equal(v, waterfill_precoder(h[None], np.ones((1, 1, 1)), 2, 1.0)[0][0])
 
 
 TRACE_COLUMNS = ("iteration", "objective", "rate_bps_hz", "si_power", "crb", "lambda0")
